@@ -30,6 +30,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -217,14 +218,12 @@ class ScheduleTrace:
 
 
 class _WaitState:
-    __slots__ = ("kind", "members", "mode", "decision", "entered")
+    __slots__ = ("kind", "members", "decision")
 
-    def __init__(self, kind, members, mode, decision, entered):
+    def __init__(self, kind, members, decision):
         self.kind = kind  # "children" | "group"
         self.members = members
-        self.mode = mode
         self.decision = decision
-        self.entered = entered
 
 
 class _Run:
@@ -296,11 +295,12 @@ class _Engine:
         self.graph = graph
         self.cfg = cfg
         self.policy = cfg.policy
-        self.fcfs = cfg.policy.kind is PolicyKind.GLOBAL_FCFS
         self.runs = [_Run(spec) for spec in graph.tasks]
         self.threads = [_Thread(i) for i in range(cfg.thread_count)]
-        queue_count = 1 if self.fcfs else cfg.thread_count
-        self.queues = [[] for _ in range(queue_count)]  # entries (seq, task)
+        # Entries (-priority, seq, task), pick end on the right (see
+        # policies.on_idle).
+        queue_count = pol.queue_count(cfg.policy, cfg.thread_count)
+        self.queues = [deque() for _ in range(queue_count)]
         self.seq = 0
         self.segments = []
         self.events = []
@@ -311,9 +311,6 @@ class _Engine:
         self.spin_watch = {}  # target id -> list of thread idx
 
     # -- small helpers ---------------------------------------------------
-
-    def _queue_of(self, thread_idx: int) -> int:
-        return 0 if self.fcfs else thread_idx
 
     def _emit(self, time, kind, task, thread):
         self.events.append(TraceEvent(time, kind, task, thread))
@@ -326,55 +323,31 @@ class _Engine:
             if end > self.last_time:
                 self.last_time = end
 
-    def _next_seq(self) -> int:
+    def _own_queue(self, thread_idx):
+        return self.queues[thread_idx % len(self.queues)]
+
+    def _entry(self, task_id):
         self.seq += 1
-        return self.seq
-
-    def _enqueue_spawned(self, queue_idx, task_id):
-        self.queues[queue_idx].append((self._next_seq(), task_id))
-
-    def _requeue_front(self, queue_idx, task_id):
-        # Front of the pickup order: FCFS picks the head, deques pop the tail.
-        entry = (self._next_seq(), task_id)
-        if self.fcfs:
-            self.queues[queue_idx].insert(0, entry)
-        else:
-            self.queues[queue_idx].append(entry)
-
-    def _requeue_back(self, queue_idx, task_id):
-        entry = (self._next_seq(), task_id)
-        if self.fcfs:
-            self.queues[queue_idx].append(entry)
-        else:
-            self.queues[queue_idx].insert(0, entry)
+        return (-self.runs[task_id].priority, self.seq, task_id)
 
     def _seed_roots(self):
+        # Far end first, so each queue's pick order follows the root
+        # submission order.
         for pos, root in enumerate(self.graph.roots):
-            entry = (self._next_seq(), root)
-            if self.fcfs:
-                self.queues[0].append(entry)
-            else:
-                # Insert at the steal end so the owner's pop order follows
-                # the root submission order.
-                self.queues[pos % self.cfg.thread_count].insert(0, entry)
+            self.queues[pos % len(self.queues)].appendleft(self._entry(root))
 
     def _max_queue_priority(self):
         """Highest priority pending in any queue, loop chunks excluded
         (chunks of one burst must not escalate each other)."""
-        best = None
-        for queue in self.queues:
-            for _, task_id in queue:
-                run = self.runs[task_id]
-                if run.spec.label == pol.LOOP_CHUNK_LABEL:
-                    continue
-                if best is None or run.priority > best:
-                    best = run.priority
-        return best
-
-    def _queue_lengths(self):
-        if self.fcfs:
-            return [len(self.queues[0])] * self.cfg.thread_count
-        return [len(q) for q in self.queues]
+        return max(
+            (
+                -neg_priority
+                for queue in self.queues
+                for neg_priority, _, task_id in queue
+                if self.runs[task_id].spec.label != pol.LOOP_CHUNK_LABEL
+            ),
+            default=None,
+        )
 
     # -- wait bookkeeping ------------------------------------------------
 
@@ -422,13 +395,17 @@ class _Engine:
             and run.poll_last_progress == self.progress
         )
 
-    def _entry_pickable(self, thread_idx, task_id, allowed) -> bool:
-        run = self.runs[task_id]
-        if allowed is not None and task_id not in allowed:
-            return False
-        if run.started and run.spec.tied and run.home != thread_idx:
-            return False
-        return True
+    def _pickable(self, thread_idx, allowed):
+        """Predicate over task ids: may this thread take the task now?"""
+        runs = self.runs
+
+        def pickable(task_id) -> bool:
+            if allowed is not None and task_id not in allowed:
+                return False
+            run = runs[task_id]
+            return not (run.started and run.spec.tied and run.home != thread_idx)
+
+        return pickable
 
     def _starved_round(self) -> bool:
         """True when every thread is stuck in a poll loop (or idle with
@@ -442,9 +419,9 @@ class _Engine:
                 saw_poller = True
                 continue
             if not th.stack:
-                allowed = None
+                pickable = self._pickable(th.idx, None)
                 for queue in self.queues:
-                    if any(self._entry_pickable(th.idx, t, allowed) for _, t in queue):
+                    if any(pickable(t) for _, _, t in queue):
                         return False
                 continue
             top = th.stack[-1].run
@@ -590,25 +567,20 @@ class _Engine:
                 self._note_failed_poll(run)
                 if self.outcome is not None:
                     break
-                local_idx = self._queue_of(th.idx)
-                local_view = [
-                    pol.QueueEntryView(pos, seq, tid, self.runs[tid].priority)
-                    for pos, (seq, tid) in enumerate(self.queues[local_idx])
-                ]
+                own_queue = self._own_queue(th.idx)
                 decision = pol.on_yield(
-                    self.policy, run.priority, action.yield_mode, local_view
+                    self.policy, run.priority, action.yield_mode, own_queue
                 )
                 self._emit(now, EventKind.YIELDED, run.spec.id, th.idx)
                 progressed = True
                 if isinstance(decision, pol.ResumeImmediately):
                     break  # stay resident; retry after at most one pick
                 th.stack.pop()
-                queue_idx = self._queue_of(th.idx)
                 if isinstance(decision, pol.RequeueBack):
                     run.priority = decision.priority
-                    self._requeue_back(queue_idx, run.spec.id)
+                    own_queue.appendleft(self._entry(run.spec.id))
                 else:
-                    self._requeue_front(queue_idx, run.spec.id)
+                    own_queue.append(self._entry(run.spec.id))
                 continue
 
             if isinstance(action, (TaskwaitChildren, TaskgroupEnd)):
@@ -621,7 +593,7 @@ class _Engine:
                     kind = "group"
                 self._emit(now, EventKind.WAIT_ENTERED, run.spec.id, th.idx)
                 decision = pol.on_wait(self.policy, action.mode)
-                wait = _WaitState(kind, members, action.mode, decision, now)
+                wait = _WaitState(kind, members, decision)
                 if self._wait_satisfied(wait):
                     self._emit(now, EventKind.WAIT_EXITED, run.spec.id, th.idx)
                     run.pc += 1
@@ -644,7 +616,7 @@ class _Engine:
             self.policy,
             th.idx,
             child_spec,
-            self._queue_lengths(),
+            [len(queue) for queue in self.queues],
             defer=action.defer,
             scatter_cursor=run.chunk_scatters,
             max_queue_priority=max_prio,
@@ -672,14 +644,19 @@ class _Engine:
 
         if isinstance(decision, pol.ScatterTo):
             child.priority = decision.priority
-            self._enqueue_spawned(decision.thread if not self.fcfs else 0, child_spec.id)
+            self.queues[decision.thread].append(self._entry(child_spec.id))
             self._emit(now, EventKind.SCATTERED, child_spec.id, decision.thread)
             if child_spec.label == pol.LOOP_CHUNK_LABEL:
                 run.chunk_scatters += 1
         else:
             if decision.priority is not None:
                 child.priority = decision.priority
-            self._enqueue_spawned(self._queue_of(th.idx), child_spec.id)
+            own_queue = self._own_queue(th.idx)
+            if self.policy.kind is PolicyKind.GLOBAL_FCFS:
+                # The shared queue serves spawns first-come first-served.
+                own_queue.appendleft(self._entry(child_spec.id))
+            else:
+                own_queue.append(self._entry(child_spec.id))
 
         run.pc += 1
         if self.cfg.spawn_overhead:
@@ -687,35 +664,18 @@ class _Engine:
 
     # -- picking ---------------------------------------------------------------
 
-    def _queue_views(self, thread_idx: int, allowed):
-        views = []
-        for queue in self.queues:
-            entries = []
-            for pos, (seq, task_id) in enumerate(queue):
-                if self._entry_pickable(thread_idx, task_id, allowed):
-                    entries.append(
-                        pol.QueueEntryView(pos, seq, task_id, self.runs[task_id].priority)
-                    )
-            views.append(entries)
-        return views
-
     def _try_pick(self, th: _Thread, now: int) -> bool:
         if th.busy_at(now) or self.outcome is not None:
             return False
-        allowed = self._pick_filter(th)
-        views = self._queue_views(th.idx, allowed)
-        pick = pol.on_idle(
-            self.policy,
-            th.idx,
-            views,
-            local_queue=0 if self.fcfs else None,
-        )
+        pickable = self._pickable(th.idx, self._pick_filter(th))
+        pick = pol.on_idle(self.policy, th.idx, self.queues, pickable)
         if pick is None:
             return False
-        _, task_id = self.queues[pick.queue].pop(pick.pos)
+        queue = self.queues[pick.queue]
+        task_id = queue[pick.pos][2]
+        del queue[pick.pos]
         run = self.runs[task_id]
-        foreign = (not self.fcfs) and pick.queue != th.idx
-        if foreign:
+        if queue is not self._own_queue(th.idx):
             self._emit(now, EventKind.STOLEN, task_id, th.idx)
             if self.cfg.steal_overhead:
                 th.gap_until = now + self.cfg.steal_overhead

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .task_graph import DeferMode, TaskSpec, YieldMode, WaitMode
 
@@ -52,7 +52,8 @@ class PolicyConfig:
 
     ``queue_bound`` of ``None`` means unbounded.  Constructing a
     reference or fcfs config normalizes the extension switches to the
-    values those policies imply.
+    values those policies imply; fcfs is also always unbounded.  Steal
+    victims are always probed round-robin.
     """
 
     kind: PolicyKind
@@ -63,17 +64,14 @@ class PolicyConfig:
     scattered_priority: int = MIN_PRIORITY
     fair_yield: bool = False
     honor_latency_wait: bool = False
-    steal_victim_order: str = "round_robin"
 
     def __post_init__(self):
         if self.queue_bound is not None and self.queue_bound <= 0:
             raise ConfigError("queue_bound must be positive or None")
-        if self.steal_victim_order != "round_robin":
-            raise ConfigError("only round_robin steal order is supported")
-        if self.kind is PolicyKind.REFERENCE_DEQUE:
+        if self.kind is not PolicyKind.EXTENDED:
             for flag in ("honor_defer", "priority_aware", "fair_yield", "honor_latency_wait", "scatter_on_overflow"):
                 object.__setattr__(self, flag, False)
-        elif self.kind is PolicyKind.GLOBAL_FCFS:
+        if self.kind is PolicyKind.GLOBAL_FCFS:
             object.__setattr__(self, "queue_bound", None)
 
     def to_dict(self) -> dict:
@@ -86,11 +84,13 @@ class PolicyConfig:
             "scattered_priority": self.scattered_priority,
             "fair_yield": self.fair_yield,
             "honor_latency_wait": self.honor_latency_wait,
-            "steal_victim_order": self.steal_victim_order,
         }
 
     @staticmethod
     def from_dict(data: dict) -> "PolicyConfig":
+        # Older files carry the steal order; round-robin is the only one.
+        if data.get("steal_victim_order", "round_robin") != "round_robin":
+            raise ConfigError("only round_robin steal order is supported")
         return PolicyConfig(
             kind=PolicyKind(data["kind"]),
             queue_bound=data.get("queue_bound"),
@@ -100,7 +100,6 @@ class PolicyConfig:
             scattered_priority=int(data.get("scattered_priority", MIN_PRIORITY)),
             fair_yield=bool(data.get("fair_yield", False)),
             honor_latency_wait=bool(data.get("honor_latency_wait", False)),
-            steal_victim_order=data.get("steal_victim_order", "round_robin"),
         )
 
 
@@ -180,12 +179,17 @@ def on_spawn(
 ):
     """Decide placement for a newly created task.
 
-    ``queue_lengths`` has one entry per thread (a single shared entry for
-    fcfs).  ``scatter_cursor`` counts earlier scatters by the same parent
-    so loop chunks land one per victim before falling back to the local
-    queue.  ``max_queue_priority`` is the highest priority pending in any
-    queue among non-chunk tasks, or None if nothing qualifies; chunks of
-    the same burst must not escalate each other.
+    ``queue_lengths`` has one entry per queue: one per thread, or a
+    single shared entry for fcfs (see ``queue_count``).  The engine
+    enqueues the child as an entry ``(-priority, seq, task)``, at the
+    pick end (the right, see ``on_idle``) of the target queue, except
+    under fcfs, whose shared queue takes spawns at the far end so it
+    serves them first-come first-served.  ``scatter_cursor`` counts
+    earlier scatters by the same parent so loop chunks land one per
+    victim before falling back to the local queue.
+    ``max_queue_priority`` is the highest priority pending in any queue
+    among non-chunk tasks, or None if nothing qualifies; chunks of the
+    same burst must not escalate each other.
     """
     if defer is DeferMode.UNDEFERRED:
         return ExecuteUndeferred(forced=False)
@@ -233,73 +237,75 @@ def on_spawn(
 # --- idle pick -----------------------------------------------------------
 
 
-class QueueEntryView(NamedTuple):
-    """One pickable queue entry as the policy sees it.
-
-    ``pos`` is the physical index in the owning queue, ``seq`` the global
-    enqueue stamp (lower = older).
-    """
-
-    pos: int
-    seq: int
-    task: int
-    priority: int
-
-
 class Pick(NamedTuple):
     queue: int
     pos: int
 
 
+def queue_count(cfg: PolicyConfig, thread_count: int) -> int:
+    """fcfs serves every thread from one shared queue; the others keep
+    one queue per thread."""
+    return 1 if cfg.kind is PolicyKind.GLOBAL_FCFS else thread_count
+
+
+def _best_pickable(queue, pickable):
+    """Position and entry of the smallest pickable entry, or (None, None).
+
+    An entry ``(-priority, seq, task)`` is its own rank: highest
+    priority first, then oldest, then lowest task id.
+    """
+    best_pos, best = None, None
+    for pos, entry in enumerate(queue):
+        if (best is None or entry < best) and pickable(entry[2]):
+            best_pos, best = pos, entry
+    return best_pos, best
+
+
 def on_idle(
     cfg: PolicyConfig,
     thread: int,
-    queues: Sequence[Sequence[QueueEntryView]],
-    local_queue: Optional[int] = None,
+    queues: Sequence[Sequence[tuple]],
+    pickable: Callable[[int], bool],
 ):
     """Pick a task for a free thread, or None.
 
-    ``queues`` holds the pickable entries of every queue in physical
-    order (head first).  ``local_queue`` names this thread's own queue
-    and defaults to ``thread``; fcfs callers pass 0.
+    Every queue holds entries ``(-priority, seq, task)``, where ``seq``
+    is the global enqueue stamp (lower = older), with the pick end on
+    the right: the rightmost entry is the one a thread of this queue
+    takes next.  The thread's own queue is ``thread % len(queues)``, so
+    fcfs's single shared queue serves every thread and has no victims.
+    ``pickable(task)`` rejects entries this thread may not take (a
+    started tied task away from home, or a task outside a latency
+    wait's sync set); those are skipped, never removed.
 
-    Reference semantics pop the own tail (newest) and steal the head
-    (oldest) from round-robin victims.  Priority-aware semantics pick
-    the highest priority across all queues, preferring the own queue on
-    priority ties, then oldest entry, then lowest task id.
+    Reference semantics take the newest pickable own entry and steal
+    the oldest pickable entry from round-robin victims.  Priority-aware
+    semantics take the smallest pickable entry across all queues,
+    preferring the own queue on priority ties.
     """
-    own = thread if local_queue is None else local_queue
+    own = thread % len(queues)
 
-    if cfg.kind is PolicyKind.GLOBAL_FCFS:
-        entries = queues[own]
-        return Pick(own, entries[0].pos) if entries else None
+    if cfg.priority_aware:
+        own_pos, own_best = _best_pickable(queues[own], pickable)
+        steal_pick, steal_best = None, None
+        for victim in _victims(own, len(queues)):
+            pos, entry = _best_pickable(queues[victim], pickable)
+            if entry is not None and (steal_best is None or entry < steal_best):
+                steal_pick, steal_best = Pick(victim, pos), entry
+        if own_best is not None and (steal_best is None or own_best[0] <= steal_best[0]):
+            return Pick(own, own_pos)
+        return steal_pick
 
-    if cfg.kind is PolicyKind.EXTENDED and cfg.priority_aware:
-        def rank(entry):
-            return (-entry.priority, entry.seq, entry.task)
-
-        own_entries = queues[own]
-        own_best = min(own_entries, key=rank) if own_entries else None
-        steal_best, steal_queue = None, None
-        for victim in _victims(thread, len(queues)):
-            for entry in queues[victim]:
-                if steal_best is None or rank(entry) < rank(steal_best):
-                    steal_best, steal_queue = entry, victim
-        if own_best is not None and (
-            steal_best is None or own_best.priority >= steal_best.priority
-        ):
-            return Pick(own, own_best.pos)
-        if steal_best is not None:
-            return Pick(steal_queue, steal_best.pos)
-        return None
-
-    # Reference mechanics (also extended without priority awareness).
-    own_entries = queues[own]
-    if own_entries:
-        return Pick(own, own_entries[-1].pos)
-    for victim in _victims(thread, len(queues)):
-        if queues[victim]:
-            return Pick(victim, queues[victim][0].pos)
+    # Reference mechanics (also fcfs and extended without priority awareness).
+    own_queue = queues[own]
+    last = len(own_queue) - 1
+    for back, entry in enumerate(reversed(own_queue)):
+        if pickable(entry[2]):
+            return Pick(own, last - back)
+    for victim in _victims(own, len(queues)):
+        for pos, entry in enumerate(queues[victim]):
+            if pickable(entry[2]):
+                return Pick(victim, pos)
     return None
 
 
@@ -325,9 +331,14 @@ def on_yield(
     cfg: PolicyConfig,
     task_priority: int,
     mode: YieldMode,
-    local_queue: Sequence[QueueEntryView],
+    local_queue: Sequence[tuple],
 ):
     """Decide where a poller goes after a failed completion check.
+
+    ``local_queue`` is the yielding thread's own queue, entries
+    ``(-priority, seq, task)`` with the pick end on the right (see
+    ``on_idle``).  RequeueFront puts the poller at the pick end,
+    RequeueBack at the far end.
 
     The reference runtime ignores the proposed yield clauses: every
     yield requeues the continuation at the front of the pickup order, so
@@ -349,7 +360,7 @@ def on_yield(
     fair = cfg.fair_yield and mode in (YieldMode.DEFAULT, YieldMode.THROUGHPUT)
     if fair:
         if local_queue:
-            lowest = min(entry.priority for entry in local_queue)
+            lowest = -max(local_queue)[0]
             return RequeueBack(lowest - 1)
         return RequeueBack(task_priority)
     if mode is YieldMode.THROUGHPUT:

@@ -1,3 +1,5 @@
+from collections import deque
+
 import pytest
 
 from schedsim import policies as pol
@@ -6,7 +8,6 @@ from schedsim.policies import (
     ExecuteUndeferred,
     Pick,
     PolicyKind,
-    QueueEntryView,
     RequeueBack,
     RequeueFront,
     ResumeImmediately,
@@ -20,8 +21,17 @@ from schedsim.policies import (
 from schedsim.task_graph import DeferMode, TaskSpec, WaitMode, YieldMode
 
 
-def entry(pos, seq, task, priority=0):
-    return QueueEntryView(pos, seq, task, priority)
+def entry(seq, task, priority=0):
+    return (-priority, seq, task)
+
+
+def q(*entries):
+    """A ready queue; the last entry is at the pick end."""
+    return deque(entries)
+
+
+def anything(task_id):
+    return True
 
 
 def task(label="", priority=0):
@@ -38,6 +48,18 @@ class TestConfig:
         cfg = pol.PolicyConfig(kind=PolicyKind.GLOBAL_FCFS, queue_bound=8)
         assert cfg.queue_bound is None
 
+    def test_fcfs_forces_extension_flags_off(self):
+        cfg = pol.PolicyConfig(
+            kind=PolicyKind.GLOBAL_FCFS, honor_latency_wait=True, priority_aware=True
+        )
+        assert not cfg.honor_latency_wait and not cfg.priority_aware
+        assert not cfg.honor_defer and not cfg.fair_yield and not cfg.scatter_on_overflow
+        assert on_wait(cfg, WaitMode.LATENCY) is WaitDecision.EXECUTE_OTHER_TASKS
+        loaded = pol.PolicyConfig.from_dict(
+            {"kind": "fcfs", "fair_yield": True, "honor_latency_wait": True}
+        )
+        assert loaded == pol.fcfs()
+
     def test_round_trip(self):
         cfg = pol.extended(queue_bound=16, fair_yield=False)
         assert pol.PolicyConfig.from_dict(cfg.to_dict()) == cfg
@@ -45,6 +67,15 @@ class TestConfig:
     def test_bad_bound_rejected(self):
         with pytest.raises(pol.ConfigError):
             pol.reference(queue_bound=0)
+
+    def test_from_dict_accepts_only_round_robin_steal_order(self):
+        data = pol.reference().to_dict()
+        assert "steal_victim_order" not in data
+        data["steal_victim_order"] = "round_robin"
+        assert pol.PolicyConfig.from_dict(data) == pol.reference()
+        data["steal_victim_order"] = "random"
+        with pytest.raises(pol.ConfigError):
+            pol.PolicyConfig.from_dict(data)
 
 
 class TestOnSpawn:
@@ -120,73 +151,91 @@ class TestOnSpawn:
 
 class TestOnIdle:
     def test_reference_pops_own_tail(self):
-        queues = [[entry(0, 1, 10), entry(1, 2, 11), entry(2, 3, 12)], []]
-        assert on_idle(pol.reference(), 0, queues) == Pick(0, 2)
+        queues = [q(entry(1, 10), entry(2, 11), entry(3, 12)), q()]
+        assert on_idle(pol.reference(), 0, queues, anything) == Pick(0, 2)
 
     def test_reference_steals_head(self):
-        queues = [[], [entry(0, 1, 10), entry(1, 2, 11), entry(2, 3, 12)]]
-        assert on_idle(pol.reference(), 0, queues) == Pick(1, 0)
+        queues = [q(), q(entry(1, 10), entry(2, 11), entry(3, 12))]
+        assert on_idle(pol.reference(), 0, queues, anything) == Pick(1, 0)
 
     def test_reference_steal_order_round_robin(self):
-        queues = [[], [], [entry(0, 5, 20)], [entry(0, 1, 30)]]
+        queues = [q(), q(), q(entry(5, 20)), q(entry(1, 30))]
         # thread 1 probes 2, 3, 0 in that order
-        assert on_idle(pol.reference(), 1, queues) == Pick(2, 0)
+        assert on_idle(pol.reference(), 1, queues, anything) == Pick(2, 0)
+
+    def test_own_pick_skips_unpickable_newest(self):
+        queues = [q(entry(1, 10), entry(2, 11), entry(3, 12)), q(entry(4, 13))]
+        pick = on_idle(pol.reference(), 0, queues, lambda t: t != 12)
+        assert pick == Pick(0, 1)
+
+    def test_steal_skips_unpickable_oldest(self):
+        queues = [q(entry(1, 10)), q(entry(2, 20), entry(3, 21), entry(4, 22))]
+        pick = on_idle(pol.reference(), 0, queues, lambda t: t not in (10, 20))
+        assert pick == Pick(1, 1)
+
+    def test_nothing_pickable_returns_none(self):
+        queues = [q(entry(1, 10)), q(entry(2, 20))]
+        assert on_idle(pol.reference(), 0, queues, lambda t: False) is None
+        assert on_idle(pol.extended(), 0, queues, lambda t: False) is None
 
     def test_priority_aware_picks_highest(self):
-        queues = [
-            [entry(0, 1, 10, 0), entry(1, 2, 11, 9), entry(2, 3, 12, 0)],
-            [],
-        ]
-        assert on_idle(pol.extended(), 0, queues) == Pick(0, 1)
+        queues = [q(entry(1, 10, 0), entry(2, 11, 9), entry(3, 12, 0)), q()]
+        assert on_idle(pol.extended(), 0, queues, anything) == Pick(0, 1)
+
+    def test_priority_aware_skips_unpickable_highest(self):
+        queues = [q(entry(1, 10, 0), entry(2, 11, 9), entry(3, 12, 4)), q(entry(4, 20, 7))]
+        pick = on_idle(pol.extended(), 0, queues, lambda t: t not in (11, 20))
+        assert pick == Pick(0, 2)
 
     def test_priority_aware_steals_higher_priority_over_own(self):
-        queues = [[entry(0, 1, 10, 0)], [entry(0, 2, 11, 5)]]
-        assert on_idle(pol.extended(), 0, queues) == Pick(1, 0)
+        queues = [q(entry(1, 10, 0)), q(entry(2, 11, 5))]
+        assert on_idle(pol.extended(), 0, queues, anything) == Pick(1, 0)
 
     def test_priority_tie_prefers_own_queue(self):
-        queues = [[entry(0, 9, 10, 1)], [entry(0, 1, 11, 1)]]
-        assert on_idle(pol.extended(), 0, queues) == Pick(0, 0)
+        queues = [q(entry(9, 10, 1)), q(entry(1, 11, 1))]
+        assert on_idle(pol.extended(), 0, queues, anything) == Pick(0, 0)
 
     def test_priority_tie_across_victims_oldest_first(self):
-        queues = [[], [entry(0, 9, 10, 1)], [entry(0, 2, 11, 1)]]
-        assert on_idle(pol.extended(), 0, queues) == Pick(2, 0)
+        queues = [q(), q(entry(9, 10, 1)), q(entry(2, 11, 1))]
+        assert on_idle(pol.extended(), 0, queues, anything) == Pick(2, 0)
 
     def test_fcfs_takes_head_of_shared_queue(self):
-        queues = [[entry(0, 1, 10), entry(1, 2, 11)]]
-        assert on_idle(pol.fcfs(), 3, queues, local_queue=0) == Pick(0, 0)
+        # The pick end is on the right, so the oldest entry sits there.
+        queues = [q(entry(2, 11), entry(1, 10))]
+        assert on_idle(pol.fcfs(), 3, queues, anything) == Pick(0, 1)
 
     def test_empty_everything_returns_none(self):
-        assert on_idle(pol.reference(), 0, [[], []]) is None
+        assert on_idle(pol.reference(), 0, [q(), q()], anything) is None
 
 
 class TestOnYield:
     def test_reference_default_requeues_front(self):
-        assert on_yield(pol.reference(), 0, YieldMode.DEFAULT, []) == RequeueFront()
+        assert on_yield(pol.reference(), 0, YieldMode.DEFAULT, q()) == RequeueFront()
 
     def test_reference_ignores_proposed_modes(self):
-        assert on_yield(pol.reference(), 0, YieldMode.THROUGHPUT, []) == RequeueFront()
-        assert on_yield(pol.reference(), 0, YieldMode.LATENCY, []) == RequeueFront()
+        assert on_yield(pol.reference(), 0, YieldMode.THROUGHPUT, q()) == RequeueFront()
+        assert on_yield(pol.reference(), 0, YieldMode.LATENCY, q()) == RequeueFront()
 
     def test_fair_yield_goes_below_lowest_priority(self):
-        queue = [entry(0, 1, 10, 0), entry(1, 2, 11, -3)]
+        queue = q(entry(1, 10, 0), entry(2, 11, -3))
         assert on_yield(pol.extended(), 0, YieldMode.THROUGHPUT, queue) == RequeueBack(-4)
 
     def test_fair_yield_empty_queue_keeps_own_priority(self):
-        assert on_yield(pol.extended(), 5, YieldMode.THROUGHPUT, []) == RequeueBack(5)
+        assert on_yield(pol.extended(), 5, YieldMode.THROUGHPUT, q()) == RequeueBack(5)
 
     def test_fair_yield_applies_to_default_mode(self):
-        queue = [entry(0, 1, 10, 2)]
+        queue = q(entry(1, 10, 2))
         assert on_yield(pol.extended(), 0, YieldMode.DEFAULT, queue) == RequeueBack(1)
 
     def test_extended_without_fair_yield_default_churns(self):
         cfg = pol.extended(fair_yield=False)
-        assert on_yield(cfg, 0, YieldMode.DEFAULT, []) == RequeueFront()
+        assert on_yield(cfg, 0, YieldMode.DEFAULT, q()) == RequeueFront()
 
     def test_latency_resumes_immediately(self):
-        assert on_yield(pol.extended(), 0, YieldMode.LATENCY, []) == ResumeImmediately()
+        assert on_yield(pol.extended(), 0, YieldMode.LATENCY, q()) == ResumeImmediately()
 
     def test_fcfs_goes_to_back(self):
-        assert on_yield(pol.fcfs(), 2, YieldMode.DEFAULT, []) == RequeueBack(2)
+        assert on_yield(pol.fcfs(), 2, YieldMode.DEFAULT, q()) == RequeueBack(2)
 
 
 class TestOnWait:
@@ -203,6 +252,6 @@ class TestOnWait:
 
 def test_decisions_are_deterministic():
     cfg = pol.extended()
-    queues = [[entry(0, 1, 1, 0)], [entry(0, 2, 2, 3)]]
-    assert on_idle(cfg, 0, queues) == on_idle(cfg, 0, queues)
+    queues = [q(entry(1, 1, 0)), q(entry(2, 2, 3))]
+    assert on_idle(cfg, 0, queues, anything) == on_idle(cfg, 0, queues, anything)
     assert on_spawn(cfg, 0, task(), [1, 2]) == on_spawn(cfg, 0, task(), [1, 2])
