@@ -11,6 +11,7 @@ from schedsim.task_graph import (
     TaskGraph,
     TaskSpec,
     TaskwaitChildren,
+    Violation,
     critical_path,
     graph_from_json,
     graph_to_json,
@@ -76,6 +77,48 @@ class TestValidate:
         )
         kinds = [v.kind for v in validate(g)]
         assert "UnknownPollTarget" in kinds
+
+    def test_spawn_two_cycle(self):
+        g = TaskGraph(
+            tasks=(
+                TaskSpec(id=0, actions=(Compute(1),)),
+                TaskSpec(id=1, actions=(Spawn(2),)),
+                TaskSpec(id=2, actions=(Spawn(1),)),
+            ),
+            roots=(0,),
+        )
+        assert validate(g) == [Violation("SpawnCycle", 1), Violation("SpawnCycle", 2)]
+
+    def test_spawn_three_cycle_with_tail(self):
+        # 4 -> 2 -> 5 -> 4 is the cycle; 5 spawns the tail 1 -> 3, which
+        # hangs off the cycle without being on it.
+        g = TaskGraph(
+            tasks=(
+                TaskSpec(id=0, actions=(Compute(1),)),
+                TaskSpec(id=1, actions=(Spawn(3),)),
+                TaskSpec(id=2, actions=(Spawn(5),)),
+                TaskSpec(id=3, actions=(Compute(0),)),
+                TaskSpec(id=4, actions=(Spawn(2),)),
+                TaskSpec(id=5, actions=(Spawn(4), Spawn(1))),
+            ),
+            roots=(0,),
+        )
+        assert validate(g) == [
+            Violation("NonPositiveDuration", 3, "0"),
+            Violation("SpawnCycle", 2),
+            Violation("SpawnCycle", 4),
+            Violation("SpawnCycle", 5),
+        ]
+
+    def test_self_spawn_is_also_a_cycle(self):
+        g = TaskGraph(
+            tasks=(
+                TaskSpec(id=0, actions=(Compute(1),)),
+                TaskSpec(id=1, actions=(Spawn(1),)),
+            ),
+            roots=(0,),
+        )
+        assert validate(g) == [Violation("SelfSpawn", 1), Violation("SpawnCycle", 1)]
 
     def test_validate_is_pure(self):
         g = chain_graph()
