@@ -89,19 +89,24 @@ class ComparisonReport:
         }
 
 
-def _check_trace_tasks(graph: TaskGraph, trace: ScheduleTrace):
+def _unknown_tasks(graph: TaskGraph, trace: ScheduleTrace) -> list:
+    """(record kind, task id) for every segment and event, in trace order,
+    that references a task outside the graph."""
     n = len(graph.tasks)
-    for seg in trace.segments:
-        if not 0 <= seg.task < n:
-            raise TraceMismatchError(f"segment references unknown task {seg.task}")
-    for event in trace.events:
-        if not 0 <= event.task < n:
-            raise TraceMismatchError(f"event references unknown task {event.task}")
+    return [
+        (kind, record.task)
+        for kind, records in (("segment", trace.segments), ("event", trace.events))
+        for record in records
+        if not 0 <= record.task < n
+    ]
 
 
 def analyze(graph: TaskGraph, trace: ScheduleTrace) -> AnalysisReport:
     """Compute the full metric set for one trace of `graph`."""
-    _check_trace_tasks(graph, trace)
+    unknown = _unknown_tasks(graph, trace)
+    if unknown:
+        kind, task = unknown[0]
+        raise TraceMismatchError(f"{kind} references unknown task {task}")
     cp_length, cp_tasks = critical_path(graph)
     cp_set = set(cp_tasks)
     parents = spawn_parents(graph)
@@ -204,15 +209,7 @@ def validate_trace(graph: TaskGraph, trace: ScheduleTrace) -> list:
     Violations are returned as data; an empty list means the trace is
     consistent with the graph.
     """
-    violations = []
-    n = len(graph.tasks)
-
-    for seg in trace.segments:
-        if not 0 <= seg.task < n:
-            violations.append(Violation("UnknownTask", seg.task))
-    for event in trace.events:
-        if not 0 <= event.task < n:
-            violations.append(Violation("UnknownTask", event.task))
+    violations = [Violation("UnknownTask", task) for _, task in _unknown_tasks(graph, trace)]
     if violations:
         return violations
 

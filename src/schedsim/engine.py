@@ -235,6 +235,8 @@ class _Run:
         "home",
         "priority",
         "children",
+        "parent",
+        "open",
         "group_mark",
         "chunk_scatters",
         "blocked_child",
@@ -253,6 +255,10 @@ class _Run:
         self.home = None
         self.priority = spec.priority
         self.children = []
+        self.parent = None
+        # This run while it is not completed, plus each child whose
+        # subtree is not done; 0 once the whole subtree has completed.
+        self.open = 1
         self.group_mark = 0
         self.chunk_scatters = 0
         self.blocked_child = None
@@ -272,11 +278,22 @@ class _Frame:
 
 
 class _Thread:
-    __slots__ = ("idx", "stack", "seg_task", "seg_start", "seg_end", "seg_kind", "seg_target", "gap_until")
+    __slots__ = (
+        "idx",
+        "stack",
+        "nested",
+        "seg_task",
+        "seg_start",
+        "seg_end",
+        "seg_kind",
+        "seg_target",
+        "gap_until",
+    )
 
     def __init__(self, idx):
         self.idx = idx
         self.stack = []
+        self.nested = 0  # frames on the stack that run undeferred
         self.seg_task = None
         self.seg_start = 0
         self.seg_end = 0
@@ -309,6 +326,7 @@ class _Engine:
         self.last_time = 0
         self.outcome = None
         self.spin_watch = {}  # target id -> list of thread idx
+        self.idle_waits = 0  # waits in force whose decision is IDLE_UNTIL_COMPLETE
 
     # -- small helpers ---------------------------------------------------
 
@@ -322,6 +340,13 @@ class _Engine:
             self.segments.append(Segment(thread, task, start, end, kind))
             if end > self.last_time:
                 self.last_time = end
+
+    def _push_frame(self, th: _Thread, run: _Run, nested: bool):
+        th.stack.append(_Frame(run, nested))
+        th.nested += nested
+
+    def _pop_frame(self, th: _Thread):
+        th.nested -= th.stack.pop().nested
 
     def _own_queue(self, thread_idx):
         return self.queues[thread_idx % len(self.queues)]
@@ -351,16 +376,10 @@ class _Engine:
 
     # -- wait bookkeeping ------------------------------------------------
 
-    def _subtree_done(self, task_id) -> bool:
-        run = self.runs[task_id]
-        if not run.completed:
-            return False
-        return all(self._subtree_done(child) for child in run.children)
-
     def _wait_satisfied(self, wait: _WaitState) -> bool:
         if wait.kind == "children":
             return all(self.runs[c].completed for c in wait.members)
-        return all(self._subtree_done(c) for c in wait.members)
+        return all(self.runs[c].open == 0 for c in wait.members)
 
     def _wait_allowed_tasks(self, wait: _WaitState) -> set:
         if wait.kind == "children":
@@ -378,6 +397,8 @@ class _Engine:
     def _pick_filter(self, th: _Thread):
         """Intersection of latency-wait sync sets on this thread's stack,
         or None when unrestricted."""
+        if not self.idle_waits:
+            return None
         allowed = None
         for frame in th.stack:
             wait = frame.run.wait
@@ -449,8 +470,14 @@ class _Engine:
     # -- task completion ---------------------------------------------------
 
     def _complete_task(self, th: _Thread, run: _Run, now: int):
-        th.stack.pop()
+        self._pop_frame(th)
         run.completed = True
+        # Each run's count reaches 0 once, so the cascade is linear overall.
+        node = run
+        node.open -= 1
+        while node.open == 0 and node.parent is not None:
+            node = node.parent
+            node.open -= 1
         self.completed_count += 1
         self.progress += 1
         self._emit(now, EventKind.COMPLETED, run.spec.id, th.idx)
@@ -523,6 +550,7 @@ class _Engine:
             if run.wait is not None:
                 if self._wait_satisfied(run.wait):
                     self._emit(now, EventKind.WAIT_EXITED, run.spec.id, th.idx)
+                    self.idle_waits -= run.wait.decision is WaitDecision.IDLE_UNTIL_COMPLETE
                     run.wait = None
                     run.pc += 1
                     progressed = True
@@ -575,7 +603,7 @@ class _Engine:
                 progressed = True
                 if isinstance(decision, pol.ResumeImmediately):
                     break  # stay resident; retry after at most one pick
-                th.stack.pop()
+                self._pop_frame(th)
                 if isinstance(decision, pol.RequeueBack):
                     run.priority = decision.priority
                     own_queue.appendleft(self._entry(run.spec.id))
@@ -600,6 +628,7 @@ class _Engine:
                     progressed = True
                     continue
                 run.wait = wait
+                self.idle_waits += wait.decision is WaitDecision.IDLE_UNTIL_COMPLETE
                 progressed = True
                 break
 
@@ -623,14 +652,15 @@ class _Engine:
         )
         self._emit(now, EventKind.SPAWNED, child_spec.id, th.idx)
         run.children.append(child_spec.id)
+        child.parent = run
+        run.open += 1
 
         if isinstance(decision, pol.ExecuteUndeferred):
             if decision.forced:
                 self._emit(now, EventKind.THROTTLED, child_spec.id, th.idx)
-            depth = sum(1 for f in th.stack if f.nested)
             if (
                 self.cfg.max_undeferred_depth is not None
-                and depth >= self.cfg.max_undeferred_depth
+                and th.nested >= self.cfg.max_undeferred_depth
             ):
                 raise UndeferredDepthError(
                     f"undeferred nesting exceeded {self.cfg.max_undeferred_depth}"
@@ -639,7 +669,7 @@ class _Engine:
             child.started = True
             child.home = th.idx
             self.progress += 1
-            th.stack.append(_Frame(child, nested=True))
+            self._push_frame(th, child, nested=True)
             return
 
         if isinstance(decision, pol.ScatterTo):
@@ -683,7 +713,7 @@ class _Engine:
             run.started = True
             run.home = th.idx
             self.progress += 1
-        th.stack.append(_Frame(run, nested=False))
+        self._push_frame(th, run, nested=False)
         self._run_thread(th, now)
         return True
 

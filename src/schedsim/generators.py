@@ -110,6 +110,13 @@ def _spawns_after_cell(cells: int, enclaves: int) -> list:
     return counts
 
 
+def _alloc(tasks: list, **spec_args) -> int:
+    """Append a TaskSpec with the next free id to `tasks`; return the id."""
+    task_id = len(tasks)
+    tasks.append(TaskSpec(id=task_id, **spec_args))
+    return task_id
+
+
 def gen_enclave_pattern(params: EnclaveWorkloadParams) -> TaskGraph:
     params.validate()
     rng = SplitMix64(params.seed)
@@ -118,15 +125,10 @@ def gen_enclave_pattern(params: EnclaveWorkloadParams) -> TaskGraph:
     tasks = []
     roots = []
 
-    def alloc(spec_args) -> int:
-        task_id = len(tasks)
-        tasks.append(TaskSpec(id=task_id, **spec_args))
-        return task_id
-
     driver_id = None
     driver_actions = []
     if params.timesteps > 1:
-        driver_id = alloc({"actions": (), "label": "driver", "tied": True})
+        driver_id = _alloc(tasks, actions=(), label="driver", tied=True)
         roots.append(driver_id)
 
     enclaves_by_step = []  # per step, per traversal: list of enclave ids
@@ -150,23 +152,21 @@ def gen_enclave_pattern(params: EnclaveWorkloadParams) -> TaskGraph:
                 actions.append(Compute(params.traversal_cell_cost))
                 for _ in range(count):
                     cost = rng.randint(lo, hi)
-                    enclave_id = alloc(
-                        {
-                            "actions": (Compute(cost),),
-                            "label": "enclave",
-                            "tied": True,
-                        }
+                    enclave_id = _alloc(
+                        tasks,
+                        actions=(Compute(cost),),
+                        label="enclave",
+                        tied=True,
                     )
                     enclave_ids.append(enclave_id)
                     actions.append(Spawn(child=enclave_id, defer=params.defer_mode))
             actions.append(TaskwaitChildren(mode=params.wait_mode))
-            traversal_id = alloc(
-                {
-                    "actions": tuple(actions),
-                    "label": "traversal",
-                    "tied": False,
-                    "priority": TRAVERSAL_PRIORITY,
-                }
+            traversal_id = _alloc(
+                tasks,
+                actions=tuple(actions),
+                label="traversal",
+                tied=False,
+                priority=TRAVERSAL_PRIORITY,
             )
             step_traversals.append(traversal_id)
             step_enclaves.append(enclave_ids)
@@ -283,11 +283,6 @@ def gen_nested_loop_pattern(params: NestedLoopParams) -> TaskGraph:
     tasks = []
     roots = []
 
-    def alloc(spec_args) -> int:
-        task_id = len(tasks)
-        tasks.append(TaskSpec(id=task_id, **spec_args))
-        return task_id
-
     blocker_cost = params.serial_prefix_cost
     blocking_window = params.serial_prefix_cost + (params.loop_chunks - 1) * params.chunk_cost
     blocker_count = -(-blocking_window // blocker_cost)
@@ -295,13 +290,12 @@ def gen_nested_loop_pattern(params: NestedLoopParams) -> TaskGraph:
     def loop_traversal_actions():
         actions = [Compute(params.serial_prefix_cost)]
         for _ in range(params.loop_chunks):
-            chunk_id = alloc(
-                {
-                    "actions": (Compute(params.chunk_cost),),
-                    "label": "loop-chunk",
-                    "priority": params.chunk_priority,
-                    "tied": True,
-                }
+            chunk_id = _alloc(
+                tasks,
+                actions=(Compute(params.chunk_cost),),
+                label="loop-chunk",
+                priority=params.chunk_priority,
+                tied=True,
             )
             actions.append(Spawn(child=chunk_id, defer=DeferMode.RUNTIME_CHOICE))
         actions.append(TaskwaitChildren(mode=WaitMode.THROUGHPUT))
@@ -311,12 +305,11 @@ def gen_nested_loop_pattern(params: NestedLoopParams) -> TaskGraph:
     def peer_actions():
         actions = []
         for _ in range(blocker_count):
-            blocker_id = alloc(
-                {
-                    "actions": (Compute(blocker_cost),),
-                    "label": "peer-work",
-                    "tied": True,
-                }
+            blocker_id = _alloc(
+                tasks,
+                actions=(Compute(blocker_cost),),
+                label="peer-work",
+                tied=True,
             )
             actions.append(Spawn(child=blocker_id, defer=DeferMode.RUNTIME_CHOICE))
         actions.append(TaskwaitChildren(mode=WaitMode.THROUGHPUT))
@@ -325,13 +318,12 @@ def gen_nested_loop_pattern(params: NestedLoopParams) -> TaskGraph:
     for k in range(params.K):
         critical = k == 0 or not params.loop_on_critical_task_only
         actions = loop_traversal_actions() if critical else peer_actions()
-        traversal_id = alloc(
-            {
-                "actions": tuple(actions),
-                "label": "traversal",
-                "tied": False,
-                "priority": 0,
-            }
+        traversal_id = _alloc(
+            tasks,
+            actions=tuple(actions),
+            label="traversal",
+            tied=False,
+            priority=0,
         )
         roots.append(traversal_id)
 
@@ -364,43 +356,35 @@ def gen_two_timestep_pattern(
 
     tasks = []
 
-    def alloc(spec_args) -> int:
-        task_id = len(tasks)
-        tasks.append(TaskSpec(id=task_id, **spec_args))
-        return task_id
-
-    driver_id = alloc({"actions": (), "label": "driver", "tied": True})
+    driver_id = _alloc(tasks, actions=(), label="driver", tied=True)
 
     driver_actions = []
     for _ in range(K):
-        enclave_id = alloc(
-            {
-                "actions": (Compute(straggler_enclave_cost),),
-                "label": "enclave",
-                "tied": True,
-            }
+        enclave_id = _alloc(
+            tasks,
+            actions=(Compute(straggler_enclave_cost),),
+            label="enclave",
+            tied=True,
         )
-        traversal_id = alloc(
-            {
-                "actions": (
-                    Compute(traversal_cost),
-                    Spawn(child=enclave_id, defer=DeferMode.RUNTIME_CHOICE),
-                ),
-                "label": "traversal-g1",
-                "tied": False,
-                "priority": TRAVERSAL_PRIORITY,
-            }
+        traversal_id = _alloc(
+            tasks,
+            actions=(
+                Compute(traversal_cost),
+                Spawn(child=enclave_id, defer=DeferMode.RUNTIME_CHOICE),
+            ),
+            label="traversal-g1",
+            tied=False,
+            priority=TRAVERSAL_PRIORITY,
         )
         driver_actions.append(Spawn(child=traversal_id, defer=DeferMode.RUNTIME_CHOICE))
     driver_actions.append(TaskwaitChildren(mode=wait_mode))
     for _ in range(K):
-        traversal_id = alloc(
-            {
-                "actions": (Compute(traversal_cost),),
-                "label": "traversal-g2",
-                "tied": False,
-                "priority": TRAVERSAL_PRIORITY,
-            }
+        traversal_id = _alloc(
+            tasks,
+            actions=(Compute(traversal_cost),),
+            label="traversal-g2",
+            tied=False,
+            priority=TRAVERSAL_PRIORITY,
         )
         driver_actions.append(Spawn(child=traversal_id, defer=DeferMode.RUNTIME_CHOICE))
     driver_actions.append(TaskwaitChildren(mode=wait_mode))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Union
 
 TaskId = int
@@ -116,6 +117,12 @@ class TaskGraph:
     def __len__(self) -> int:
         return len(self.tasks)
 
+    @cached_property
+    def _critical_path(self):
+        # Kept in the instance __dict__, outside the dataclass fields, so
+        # ==, hash, repr and JSON ignore it.
+        return _longest_chain(self)
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -195,19 +202,23 @@ def validate(graph: TaskGraph) -> list:
         elif spawned == 0:
             violations.append(Violation("UnspawnedTask", task_id))
 
-    # Ancestor spawns show up as cycles when walking the parent relation.
+    # Ancestor spawns show up as cycles of the parent relation.  Each task
+    # has at most one parent, so one colouring walk visits every task once.
     parents = spawn_parents(graph)
+    state = [0] * n  # 0 unvisited, 1 on the current walk, 2 finished
+    on_cycle = []
     for task_id in range(n):
-        seen = set()
+        walk = []
         cur = task_id
-        while cur in parents:
-            cur = parents[cur][0]
-            if cur == task_id:
-                violations.append(Violation("SpawnCycle", task_id))
-                break
-            if cur in seen:
-                break
-            seen.add(cur)
+        while cur is not None and state[cur] == 0:
+            state[cur] = 1
+            walk.append(cur)
+            cur = parents[cur][0] if cur in parents else None
+        if cur is not None and state[cur] == 1:
+            on_cycle.extend(walk[walk.index(cur) :])
+        for visited in walk:
+            state[visited] = 2
+    violations.extend(Violation("SpawnCycle", task_id) for task_id in sorted(on_cycle))
 
     return violations
 
@@ -223,18 +234,6 @@ def total_work(graph: TaskGraph) -> int:
     return work
 
 
-def _descendants(graph: TaskGraph, members, children_of) -> set:
-    out = set()
-    stack = list(members)
-    while stack:
-        cur = stack.pop()
-        if cur in out:
-            continue
-        out.add(cur)
-        stack.extend(children_of.get(cur, ()))
-    return out
-
-
 def critical_path(graph: TaskGraph):
     """Longest dependency-respecting chain of compute ticks.
 
@@ -245,97 +244,107 @@ def critical_path(graph: TaskGraph):
     the parent's next action; waits are preceded by their whole
     synchronization set; a poll is preceded by its target's completion.
     Ties between equal-length chains pick the smallest (task, action)
-    step by step.
+    step by step.  Computed once per graph; each call returns a new list.
     """
-    nodes = []  # (task, action_idx); a final (task, len(actions)) completion node
-    node_index = {}
-    for spec in graph.tasks:
-        for idx in range(len(spec.actions) + 1):
-            node_index[(spec.id, idx)] = len(nodes)
-            nodes.append((spec.id, idx))
+    length, path = graph._critical_path
+    return length, list(path)
 
-    def weight(node):
-        task_id, idx = node
-        actions = graph.task(task_id).actions
-        if idx < len(actions) and isinstance(actions[idx], Compute):
-            return actions[idx].duration
-        return 0
 
-    children_of = {}
+def _longest_chain(graph: TaskGraph):
+    # Real nodes are (task, action_idx) plus a final (task, len(actions))
+    # completion node, numbered in (task, idx) order, so comparing node
+    # numbers is comparing (task, idx).  After them comes one zero-weight
+    # "subtree done" node per task: up(t) follows t's completion and the
+    # up nodes of its children, so a group end needs one edge per member
+    # instead of one per descendant.
+    tasks = graph.tasks
+    first = []  # task id -> number of its (task, 0) node
+    weight = []
+    owner = []
+    for spec in tasks:
+        first.append(len(weight))
+        for action in spec.actions:
+            weight.append(action.duration if isinstance(action, Compute) else 0)
+        weight.append(0)
+        owner.extend([spec.id] * (len(spec.actions) + 1))
+    up = len(weight)
+    total = up + len(tasks)
+    weight.extend([0] * len(tasks))
+
+    def done(task_id):
+        return first[task_id] + len(tasks[task_id].actions)
+
+    edges = [[] for _ in range(total)]
     for child, (parent, _) in spawn_parents(graph).items():
-        children_of.setdefault(parent, []).append(child)
-
-    edges = [[] for _ in nodes]
-
-    def add_edge(src, dst):
-        edges[node_index[src]].append(node_index[dst])
-
-    for spec in graph.tasks:
+        edges[up + child].append(up + parent)
+    for spec in tasks:
+        node = first[spec.id]
+        edges[node + len(spec.actions)].append(up + spec.id)
         children_so_far = []
         group_mark = 0
-        for idx, action in enumerate(spec.actions):
-            add_edge((spec.id, idx), (spec.id, idx + 1))
+        for action in spec.actions:
+            edges[node].append(node + 1)
             if isinstance(action, Spawn):
-                add_edge((spec.id, idx), (action.child, 0))
+                edges[node].append(first[action.child])
                 children_so_far.append(action.child)
                 if action.defer is DeferMode.UNDEFERRED:
-                    child_last = len(graph.task(action.child).actions)
-                    add_edge((action.child, child_last), (spec.id, idx + 1))
+                    edges[done(action.child)].append(node + 1)
             elif isinstance(action, TaskwaitChildren):
                 for child in children_so_far:
-                    add_edge((child, len(graph.task(child).actions)), (spec.id, idx))
+                    edges[done(child)].append(node)
             elif isinstance(action, TaskgroupEnd):
-                members = children_so_far[group_mark:]
+                for member in children_so_far[group_mark:]:
+                    edges[up + member].append(node)
                 group_mark = len(children_so_far)
-                for dep in _descendants(graph, members, children_of):
-                    add_edge((dep, len(graph.task(dep).actions)), (spec.id, idx))
             elif isinstance(action, PollOutcome):
-                add_edge((action.target, len(graph.task(action.target).actions)), (spec.id, idx))
+                edges[done(action.target)].append(node)
+            node += 1
 
     # Longest path over the DAG; Kahn order doubles as the cycle check.
-    indeg = [0] * len(nodes)
-    for src, outs in enumerate(edges):
+    # Any topological order gives the same lengths and choices below.
+    indeg = [0] * total
+    for outs in edges:
         for dst in outs:
             indeg[dst] += 1
-    ready = [i for i, d in enumerate(indeg) if d == 0]
-    topo = []
-    while ready:
-        ready.sort(key=lambda i: nodes[i])
-        cur = ready.pop(0)
-        topo.append(cur)
+    topo = [i for i, d in enumerate(indeg) if d == 0]
+    for cur in topo:  # topo grows while it is walked
         for dst in edges[cur]:
             indeg[dst] -= 1
             if indeg[dst] == 0:
-                ready.append(dst)
-    if len(topo) != len(nodes):
+                topo.append(dst)
+    if len(topo) != total:
         raise CyclicDependencyError("poll/wait/spawn edges form a cycle")
 
-    best = [0] * len(nodes)  # best length from node to any sink, inclusive
-    succ = [None] * len(nodes)
+    best = [0] * total  # best length from node to any sink, inclusive
+    succ = [None] * total
+    # Tie-break rank: a real node ranks as itself, an up node as the real
+    # node its chosen successors lead to, which keeps "smallest (task, idx)"
+    # exact over the real nodes an up node stands for.
+    rank = list(range(total))
     for i in reversed(topo):
         best_next, chosen = 0, None
         for dst in edges[i]:
             if best[dst] > best_next:
                 best_next, chosen = best[dst], dst
-            elif best[dst] == best_next and chosen is not None and nodes[dst] < nodes[chosen]:
+            elif best[dst] == best_next and chosen is not None and rank[dst] < rank[chosen]:
                 chosen = dst
-        best[i] = weight(nodes[i]) + best_next
+        best[i] = weight[i] + best_next
         succ[i] = chosen
+        if i >= up and chosen is not None:
+            rank[i] = rank[chosen]
 
-    starts = [node_index[(root, 0)] for root in graph.roots]
+    starts = [first[root] for root in graph.roots]
     if not starts:
-        return 0, []
-    start = min(starts, key=lambda i: (-best[i], nodes[i]))
-    length = best[start]
+        return 0, ()
+    start = min(starts, key=lambda i: (-best[i], i))
 
     path = []
     cur = start
     while cur is not None:
-        task_id, _ = nodes[cur]
-        if weight(nodes[cur]) > 0 and (not path or path[-1] != task_id):
-            path.append(task_id)
+        if weight[cur] > 0 and (not path or path[-1] != owner[cur]):
+            path.append(owner[cur])
         cur = succ[cur]
-    return length, path
+    return best[start], tuple(path)
 
 
 # --- JSON serialization -------------------------------------------------

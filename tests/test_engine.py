@@ -1,6 +1,7 @@
 import pytest
 
 from schedsim import policies as pol
+from schedsim.analysis import validate_trace
 from schedsim.engine import (
     BatchError,
     EventKind,
@@ -379,3 +380,39 @@ class TestTraceSerialization:
         lines = trace.to_csv().strip().splitlines()
         assert lines[0] == "thread,task,start,end,kind"
         assert lines[1] == "0,0,0,10,compute"
+
+
+def spawn_chain(depth, defer=DeferMode.RUNTIME_CHOICE, wait=None):
+    """Task i computes and spawns task i+1, then runs `wait` if given."""
+    tasks = []
+    for i in range(depth):
+        actions = (Compute(1),)
+        if i + 1 < depth:
+            actions += (Spawn(i + 1, defer),) + ((wait,) if wait is not None else ())
+        tasks.append(TaskSpec(id=i, actions=actions))
+    return TaskGraph(tasks=tuple(tasks), roots=(0,))
+
+
+class TestDeepTrees:
+    """Deep spawn trees simulate without recursion or quadratic walks."""
+
+    DEPTH = 10_000
+
+    @pytest.mark.parametrize("policy", [pol.reference(), pol.extended()], ids=["reference", "extended"])
+    def test_taskgroup_chain_completes(self, policy):
+        g = spawn_chain(self.DEPTH, wait=TaskgroupEnd())
+        trace = simulate(g, SimConfig(thread_count=2, policy=policy))
+        assert trace.outcome is Outcome.COMPLETED
+        assert validate_trace(g, trace) == []
+
+    def test_undeferred_chain_completes(self):
+        g = spawn_chain(self.DEPTH, defer=DeferMode.UNDEFERRED)
+        trace = simulate(g, SimConfig(thread_count=1, policy=pol.reference()))
+        assert trace.outcome is Outcome.COMPLETED
+        assert trace.makespan == self.DEPTH
+
+    def test_undeferred_chain_hits_depth_cap(self):
+        g = spawn_chain(self.DEPTH, defer=DeferMode.UNDEFERRED)
+        cfg = SimConfig(thread_count=1, policy=pol.reference(), max_undeferred_depth=100)
+        with pytest.raises(UndeferredDepthError):
+            simulate(g, cfg)
