@@ -24,6 +24,7 @@ from schedsim.task_graph import (
     TaskSpec,
     TaskgroupEnd,
     TaskwaitChildren,
+    WaitMode,
     YieldMode,
 )
 
@@ -416,3 +417,11 @@ class TestDeepTrees:
         cfg = SimConfig(thread_count=1, policy=pol.reference(), max_undeferred_depth=100)
         with pytest.raises(UndeferredDepthError):
             simulate(g, cfg)
+
+    def test_latency_taskgroup_chain_is_linear(self):
+        # The idle-until-complete waits nest level by level on the
+        # threads' stacks, and every pick is filtered by all of them.
+        g = spawn_chain(self.DEPTH, wait=TaskgroupEnd(WaitMode.LATENCY))
+        trace = simulate(g, SimConfig(thread_count=2, policy=pol.extended()))
+        assert trace.outcome is Outcome.COMPLETED
+        assert validate_trace(g, trace) == []
