@@ -418,7 +418,7 @@ class TestDeepTrees:
         with pytest.raises(UndeferredDepthError):
             simulate(g, cfg)
 
-    def test_latency_taskgroup_chain_is_linear(self):
+    def test_latency_taskgroup_chain_completes(self):
         # The idle-until-complete waits nest level by level on the
         # threads' stacks, and every pick is filtered by all of them.
         g = spawn_chain(self.DEPTH, wait=TaskgroupEnd(WaitMode.LATENCY))
