@@ -27,6 +27,7 @@ from schedsim.task_graph import (
     TaskGraph,
     TaskSpec,
     TaskwaitChildren,
+    WaitMode,
     critical_path,
     validate,
 )
@@ -41,26 +42,34 @@ FOREST_SEED = 7
 FOREST_ROOTS = 300
 
 
-def spawn_chain(depth, wait_action, rng):
-    """Task i computes, spawns task i+1, computes again and waits on it."""
+def spawn_chain(depth, wait_action, rng, defer=DeferMode.RUNTIME_CHOICE):
+    """Task i computes, spawns task i+1, computes again and, unless
+    `wait_action` is None, waits on it (the deep-chain benchmark's shape)."""
     tasks = []
     for i in range(depth):
         actions = [Compute(rng.randint(1, 9))]
         if i + 1 < depth:
-            actions += [Spawn(child=i + 1), Compute(rng.randint(1, 9)), wait_action()]
+            actions += [Spawn(i + 1, defer), Compute(rng.randint(1, 9))]
+            if wait_action is not None:
+                actions.append(wait_action())
         tasks.append(TaskSpec(id=i, actions=tuple(actions), label="link"))
     return TaskGraph(tasks=tuple(tasks), roots=(0,))
 
 
-def tied_forest(rng, roots):
+def tied_forest(rng, roots, latency=False):
     """Many roots with small subtrees, durations of 1 or 2 ticks.
 
     Equal-length chains are everywhere, so the tie-break decides most
     steps.  Tasks mix runtime and undeferred spawns, child waits, group
     ends over nested subtrees, and polls on tasks of earlier roots (which
-    cannot close a cycle).
+    cannot close a cycle).  With `latency`, each wait is a latency wait
+    with probability 1/2.
     """
     actions_of = []
+
+    def mode():
+        # Drawn only with `latency`, so the pinned forests keep their stream.
+        return WaitMode.LATENCY if latency and rng.randint(0, 1) else WaitMode.THROUGHPUT
 
     def build(depth, first_of_root):
         task_id = len(actions_of)
@@ -76,11 +85,11 @@ def tied_forest(rng, roots):
             actions.append(Spawn(build(depth + 1, first_of_root), defer))
             wait = rng.randint(0, 3)
             if wait == 0:
-                actions.append(TaskwaitChildren())
+                actions.append(TaskwaitChildren(mode()))
             elif wait == 1:
-                actions.append(TaskgroupEnd())
+                actions.append(TaskgroupEnd(mode()))
         if rng.randint(0, 1):
-            actions.append(TaskgroupEnd())
+            actions.append(TaskgroupEnd(mode()))
         if rng.randint(0, 1):
             actions.append(Compute(rng.randint(1, 2)))
         actions_of[task_id] = tuple(actions)

@@ -15,6 +15,7 @@ from schedsim.engine import (
     simulate_batch,
 )
 from schedsim.policies import ConfigError
+from schedsim.prng import SplitMix64
 from schedsim.task_graph import (
     Compute,
     DeferMode,
@@ -27,6 +28,8 @@ from schedsim.task_graph import (
     WaitMode,
     YieldMode,
 )
+
+from test_critical_path_pins import spawn_chain
 
 
 def single_task_graph():
@@ -182,6 +185,42 @@ class TestWaits:
         for seg in trace.segments:
             if entered <= seg.start < exited:
                 assert seg.task != 2
+
+    def test_latency_group_helps_only_inside_its_subtree(self):
+        # Task 1 (priority 9) enters a latency group over child 3.  The
+        # helper skips its queued priority-5 sibling 2 for 3 and then for
+        # 4, which 3 spawns after the wait was entered; 2 runs only after
+        # the group ends.
+        g = TaskGraph(
+            tasks=(
+                TaskSpec(id=0, actions=(Spawn(1), Spawn(2), TaskwaitChildren())),
+                TaskSpec(id=1, actions=(Compute(1), Spawn(3), TaskgroupEnd(WaitMode.LATENCY), Compute(1)), priority=9),
+                TaskSpec(id=2, actions=(Compute(1),), priority=5),
+                TaskSpec(id=3, actions=(Compute(1), Spawn(4), Compute(1))),
+                TaskSpec(id=4, actions=(Compute(1),)),
+            ),
+            roots=(0,),
+        )
+        trace = simulate(g, SimConfig(thread_count=1, policy=pol.extended()))
+        assert [(s.task, s.start) for s in trace.segments] == [(1, 0), (3, 1), (3, 2), (4, 3), (1, 4), (2, 5)]
+        unfiltered = simulate(g, SimConfig(thread_count=1, policy=pol.extended(honor_latency_wait=False)))
+        assert [(s.task, s.start) for s in unfiltered.segments][:2] == [(1, 0), (2, 1)]
+
+    def test_nested_latency_waits_intersect_their_sync_sets(self):
+        # Thread 0 waits on root 0's children {1}, helps with 1, and 1
+        # then waits on its group {2}.  The sync sets do not meet, so
+        # thread 0 may not run 2: it waits for thread 1 to finish root 3.
+        g = TaskGraph(
+            tasks=(
+                TaskSpec(id=0, actions=(Spawn(1), TaskwaitChildren(WaitMode.LATENCY))),
+                TaskSpec(id=1, actions=(Spawn(2), TaskgroupEnd(WaitMode.LATENCY))),
+                TaskSpec(id=2, actions=(Compute(1),)),
+                TaskSpec(id=3, actions=(Compute(50),)),
+            ),
+            roots=(0, 3),
+        )
+        trace = simulate(g, SimConfig(thread_count=2, policy=pol.extended()))
+        assert [(s.thread, s.task, s.start) for s in trace.segments] == [(1, 3, 0), (1, 2, 50)]
 
     def test_wait_on_no_children_is_instant(self):
         g = TaskGraph(
@@ -383,16 +422,6 @@ class TestTraceSerialization:
         assert lines[1] == "0,0,0,10,compute"
 
 
-def spawn_chain(depth, defer=DeferMode.RUNTIME_CHOICE, wait=None):
-    """Task i computes and spawns task i+1, then runs `wait` if given."""
-    tasks = []
-    for i in range(depth):
-        actions = (Compute(1),)
-        if i + 1 < depth:
-            actions += (Spawn(i + 1, defer),) + ((wait,) if wait is not None else ())
-        tasks.append(TaskSpec(id=i, actions=actions))
-    return TaskGraph(tasks=tuple(tasks), roots=(0,))
-
 
 class TestDeepTrees:
     """Deep spawn trees simulate without recursion or quadratic walks."""
@@ -401,19 +430,21 @@ class TestDeepTrees:
 
     @pytest.mark.parametrize("policy", [pol.reference(), pol.extended()], ids=["reference", "extended"])
     def test_taskgroup_chain_completes(self, policy):
-        g = spawn_chain(self.DEPTH, wait=TaskgroupEnd())
+        g = spawn_chain(self.DEPTH, TaskgroupEnd, SplitMix64(1))
         trace = simulate(g, SimConfig(thread_count=2, policy=policy))
         assert trace.outcome is Outcome.COMPLETED
         assert validate_trace(g, trace) == []
 
     def test_undeferred_chain_completes(self):
-        g = spawn_chain(self.DEPTH, defer=DeferMode.UNDEFERRED)
+        g = spawn_chain(self.DEPTH, None, SplitMix64(1), defer=DeferMode.UNDEFERRED)
         trace = simulate(g, SimConfig(thread_count=1, policy=pol.reference()))
         assert trace.outcome is Outcome.COMPLETED
-        assert trace.makespan == self.DEPTH
+        assert trace.makespan == sum(
+            a.duration for spec in g.tasks for a in spec.actions if isinstance(a, Compute)
+        )
 
     def test_undeferred_chain_hits_depth_cap(self):
-        g = spawn_chain(self.DEPTH, defer=DeferMode.UNDEFERRED)
+        g = spawn_chain(self.DEPTH, None, SplitMix64(1), defer=DeferMode.UNDEFERRED)
         cfg = SimConfig(thread_count=1, policy=pol.reference(), max_undeferred_depth=100)
         with pytest.raises(UndeferredDepthError):
             simulate(g, cfg)
@@ -421,7 +452,7 @@ class TestDeepTrees:
     def test_latency_taskgroup_chain_completes(self):
         # The idle-until-complete waits nest level by level on the
         # threads' stacks, and every pick is filtered by all of them.
-        g = spawn_chain(self.DEPTH, wait=TaskgroupEnd(WaitMode.LATENCY))
+        g = spawn_chain(200, lambda: TaskgroupEnd(WaitMode.LATENCY), SplitMix64(1))
         trace = simulate(g, SimConfig(thread_count=2, policy=pol.extended()))
         assert trace.outcome is Outcome.COMPLETED
         assert validate_trace(g, trace) == []
