@@ -12,7 +12,7 @@ import argparse
 from pathlib import Path
 
 from schedsim import policies as pol
-from schedsim.analysis import analyze, compare, render_gantt_svg
+from schedsim.analysis import analyze, makespan_reduction, render_gantt_svg
 from schedsim.engine import SimConfig, simulate
 from schedsim.generators import (
     EnclaveWorkloadParams,
@@ -121,11 +121,9 @@ def main():
             )
             completed = trace.outcome.value == "completed"
             if baseline is None:
-                baseline = (run_graph, trace, completed)
-            elif baseline[2] and completed and baseline[1].makespan:
-                # The reduction reads only the two makespans, so the
-                # baseline's graph serves a variant run on a sibling graph.
-                cut = compare(baseline[0], baseline[1], trace).reduction_percent
+                baseline = (trace.makespan, completed)
+            elif baseline[1] and completed and baseline[0]:
+                cut = makespan_reduction(baseline[0], trace.makespan)
                 line += f" reduction {float(cut):6.2f}%"
             print(line)
             if args.out:

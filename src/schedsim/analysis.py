@@ -171,18 +171,20 @@ def _group_start_latency(graph: TaskGraph, trace: ScheduleTrace) -> int:
     return max(first_start.values()) - gate
 
 
+def makespan_reduction(baseline: int, variant: int) -> Fraction:
+    """Percent by which `variant` shortens the `baseline` makespan; 0 for
+    an empty baseline."""
+    if baseline == 0:
+        return Fraction(0)
+    return 100 * Fraction(baseline - variant, baseline)
+
+
 def compare(graph: TaskGraph, baseline: ScheduleTrace, variant: ScheduleTrace) -> ComparisonReport:
     """Relative makespan reduction of `variant` over `baseline`; positive
     when the variant is faster."""
     base_report = analyze(graph, baseline)
     var_report = analyze(graph, variant)
-    if base_report.makespan == 0:
-        reduction = Fraction(0)
-    else:
-        reduction = (
-            100
-            * Fraction(base_report.makespan - var_report.makespan, base_report.makespan)
-        )
+    reduction = makespan_reduction(base_report.makespan, var_report.makespan)
     deltas = {
         "throttled_spawns": var_report.throttled_spawns - base_report.throttled_spawns,
         "undeferred_on_critical_path": (

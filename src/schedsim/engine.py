@@ -44,7 +44,6 @@ from .task_graph import (
     TaskGraph,
     TaskgroupEnd,
     TaskwaitChildren,
-    spawn_parents,
     validate,
 )
 
@@ -219,12 +218,13 @@ class ScheduleTrace:
 
 
 class _WaitState:
-    __slots__ = ("kind", "members", "decision")
+    __slots__ = ("kind", "members", "decision", "allowed")
 
     def __init__(self, kind, members, decision):
         self.kind = kind  # "children" | "group"
         self.members = members
         self.decision = decision
+        self.allowed = None  # sync set, for an idle-until-complete wait
 
 
 class _Run:
@@ -283,7 +283,6 @@ class _Thread:
         "idx",
         "stack",
         "nested",
-        "filters",
         "seg_task",
         "seg_start",
         "seg_end",
@@ -296,7 +295,6 @@ class _Thread:
         self.idx = idx
         self.stack = []
         self.nested = 0  # frames on the stack that run undeferred
-        self.filters = []  # one pick filter per idle-until-complete wait on the stack
         self.seg_task = None
         self.seg_start = 0
         self.seg_end = 0
@@ -329,7 +327,7 @@ class _Engine:
         self.last_time = 0
         self.outcome = None
         self.spin_watch = {}  # target id -> list of thread idx
-        self.preorder = None  # (number, last number in subtree) per task, on demand
+        self.idle_waits = 0  # idle-until-complete waits in force
 
     # -- small helpers ---------------------------------------------------
 
@@ -384,55 +382,34 @@ class _Engine:
             return all(self.runs[c].completed for c in wait.members)
         return all(self.runs[c].open == 0 for c in wait.members)
 
-    # A thread at an idle-until-complete wait may pick only from the wait's
-    # sync set, intersected over every such wait on its stack.  A pick
-    # filter is a frozenset of task ids or a (lo, hi) interval of numbers
-    # in a preorder of the spawn tree.  A group's members are consecutive
-    # siblings, so their subtrees form one interval; every ancestor of a
-    # queued task has been spawned, so the graph's subtree and the spawned
-    # one agree on the tasks a pick looks at.  Waits are entered and left
-    # only by a thread's top frame, so each thread keeps its filters as a
-    # stack, each one narrowing the one below.
-
-    def _preorder(self):
-        if self.preorder is None:
-            children = [[] for _ in self.runs]
-            for child, (parent, _) in spawn_parents(self.graph).items():
-                children[parent].append(child)
-            number = [0] * len(self.runs)
-            order = []
-            stack = list(reversed(self.graph.roots))
-            while stack:
-                task_id = stack.pop()
-                number[task_id] = len(order)
-                order.append(task_id)
-                stack.extend(reversed(children[task_id]))
-            last = number[:]
-            for task_id in reversed(order):
-                if children[task_id]:
-                    last[task_id] = last[children[task_id][-1]]
-            self.preorder = (number, last)
-        return self.preorder
-
-    def _push_filter(self, th: _Thread, wait: _WaitState):
+    def _wait_allowed_tasks(self, wait: _WaitState) -> set:
+        """The tasks a helper at `wait` may pick: the children waited on,
+        or for a group its members' subtrees.  The subtrees are read from
+        the graph, so the set also holds what members spawn after the wait
+        is entered; a queued task's ancestors have all been spawned, so
+        for the tasks a pick looks at this is the spawned subtree."""
         if wait.kind == "children":
-            allowed = frozenset(wait.members)
-        else:
-            number, last = self._preorder()
-            allowed = (number[wait.members[0]], last[wait.members[-1]])
-        if th.filters:
-            allowed = self._intersect(th.filters[-1], allowed)
-        th.filters.append(allowed)
+            return set(wait.members)
+        tasks = self.graph.tasks
+        allowed = set()
+        stack = list(wait.members)
+        while stack:
+            cur = stack.pop()
+            allowed.add(cur)
+            stack.extend(a.child for a in tasks[cur].actions if isinstance(a, Spawn))
+        return allowed
 
-    def _intersect(self, a, b):
-        if isinstance(a, tuple) and isinstance(b, tuple):
-            return (max(a[0], b[0]), min(a[1], b[1]))
-        if isinstance(a, tuple):
-            a, b = b, a
-        if isinstance(b, frozenset):
-            return a & b
-        number = self.preorder[0]
-        return frozenset(t for t in a if b[0] <= number[t] <= b[1])
+    def _pick_filter(self, th: _Thread):
+        """Intersection of latency-wait sync sets on this thread's stack,
+        or None when unrestricted."""
+        if not self.idle_waits:
+            return None
+        allowed = None
+        for frame in th.stack:
+            wait = frame.run.wait
+            if wait is not None and wait.allowed is not None:
+                allowed = wait.allowed if allowed is None else (allowed & wait.allowed)
+        return allowed
 
     # -- starvation accounting ---------------------------------------------
 
@@ -445,7 +422,7 @@ class _Engine:
 
     def _pickable(self, thread_idx, allowed):
         """Predicate over task ids: may this thread take the task now?
-        `allowed` is a pick filter, or None when unrestricted."""
+        `allowed` is a set of task ids, or None when unrestricted."""
         runs = self.runs
 
         def movable(task_id) -> bool:
@@ -454,11 +431,7 @@ class _Engine:
 
         if allowed is None:
             return movable
-        if isinstance(allowed, frozenset):
-            return lambda task_id: task_id in allowed and movable(task_id)
-        lo, hi = allowed
-        number = self.preorder[0]
-        return lambda task_id: lo <= number[task_id] <= hi and movable(task_id)
+        return lambda task_id: task_id in allowed and movable(task_id)
 
     def _starved_round(self) -> bool:
         """True when every thread is stuck in a poll loop (or idle with
@@ -582,8 +555,8 @@ class _Engine:
             if run.wait is not None:
                 if self._wait_satisfied(run.wait):
                     self._emit(now, EventKind.WAIT_EXITED, run.spec.id, th.idx)
-                    if run.wait.decision is WaitDecision.IDLE_UNTIL_COMPLETE:
-                        th.filters.pop()
+                    if run.wait.allowed is not None:
+                        self.idle_waits -= 1
                     run.wait = None
                     run.pc += 1
                     progressed = True
@@ -662,7 +635,8 @@ class _Engine:
                     continue
                 run.wait = wait
                 if decision is WaitDecision.IDLE_UNTIL_COMPLETE:
-                    self._push_filter(th, wait)
+                    wait.allowed = self._wait_allowed_tasks(wait)
+                    self.idle_waits += 1
                 progressed = True
                 break
 
@@ -731,7 +705,7 @@ class _Engine:
     def _try_pick(self, th: _Thread, now: int) -> bool:
         if th.busy_at(now) or self.outcome is not None:
             return False
-        pickable = self._pickable(th.idx, th.filters[-1] if th.filters else None)
+        pickable = self._pickable(th.idx, self._pick_filter(th))
         pick = pol.on_idle(self.policy, th.idx, self.queues, pickable)
         if pick is None:
             return False

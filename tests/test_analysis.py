@@ -7,6 +7,7 @@ from schedsim.analysis import (
     TraceMismatchError,
     analyze,
     compare,
+    makespan_reduction,
     render_gantt_svg,
     validate_trace,
 )
@@ -138,6 +139,12 @@ class TestCompare:
 
     def test_4_7_percent(self):
         assert 100 * Fraction(1000 - 953, 1000) == Fraction(47, 10)
+
+    def test_makespan_reduction(self):
+        # the flaw scenarios' throttling line: 844 -> 800 prints 5.21%
+        assert makespan_reduction(844, 800) == Fraction(1100, 211)
+        assert makespan_reduction(800, 844) == Fraction(-11, 2)
+        assert makespan_reduction(0, 5) == 0
 
     def test_sign_antisymmetry(self):
         g = two_task_graph()
