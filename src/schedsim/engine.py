@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+from . import jsontext
 from . import policies as pol
 from .policies import ConfigError, PolicyConfig, PolicyKind, WaitDecision
 from .task_graph import (
@@ -134,6 +135,22 @@ class SimConfig:
             raise ConfigError("max_poll_retries_without_progress must be >= 1")
 
 
+_read_segment_kind = jsontext.enum_reader(SegmentKind)
+_read_event_kind = jsontext.enum_reader(EventKind)
+_read_outcome = jsontext.enum_reader(Outcome)
+_SEGMENT_KIND_TEXT = jsontext.enum_text(SegmentKind)
+_EVENT_KIND_TEXT = jsontext.enum_text(EventKind)
+_OUTCOME_TEXT = jsontext.enum_text(Outcome)
+_SEGMENT_JSON = jsontext.record(
+    2, [("thread", "%d"), ("task", "%d"), ("start", "%d"), ("end", "%d"), ("kind", "%s")]
+)
+_EVENT_JSON = jsontext.record(2, [("time", "%d"), ("kind", "%s"), ("task", "%d"), ("thread", "%d")])
+_TRACE_JSON = jsontext.record(
+    0,
+    [("thread_count", "%d"), ("makespan", "%d"), ("outcome", "%s"), ("segments", "%s"), ("events", "%s")],
+)
+
+
 @dataclass(frozen=True)
 class ScheduleTrace:
     thread_count: int
@@ -176,33 +193,35 @@ class ScheduleTrace:
 
     @staticmethod
     def from_dict(data: dict) -> "ScheduleTrace":
+        seg_kind, event_kind = _read_segment_kind, _read_event_kind
         return ScheduleTrace(
-            thread_count=int(data["thread_count"]),
-            segments=tuple(
-                Segment(
-                    thread=int(s["thread"]),
-                    task=int(s["task"]),
-                    start=int(s["start"]),
-                    end=int(s["end"]),
-                    kind=SegmentKind(s["kind"]),
-                )
+            int(data["thread_count"]),
+            tuple(
+                Segment(int(s["thread"]), int(s["task"]), int(s["start"]), int(s["end"]), seg_kind(s["kind"]))
                 for s in data["segments"]
             ),
-            events=tuple(
-                TraceEvent(
-                    time=int(e["time"]),
-                    kind=EventKind(e["kind"]),
-                    task=int(e["task"]),
-                    thread=int(e["thread"]),
-                )
+            tuple(
+                TraceEvent(int(e["time"]), event_kind(e["kind"]), int(e["task"]), int(e["thread"]))
                 for e in data["events"]
             ),
-            makespan=int(data["makespan"]),
-            outcome=Outcome(data["outcome"]),
+            int(data["makespan"]),
+            _read_outcome(data["outcome"]),
         )
 
     def to_json(self, meta: dict | None = None) -> str:
-        return json.dumps(self.to_dict(meta=meta), indent=2)
+        """Exactly ``json.dumps(self.to_dict(meta), indent=2)``."""
+        seg, seg_kind = _SEGMENT_JSON, _SEGMENT_KIND_TEXT
+        event, event_kind = _EVENT_JSON, _EVENT_KIND_TEXT
+        segments = [seg % (s.thread, s.task, s.start, s.end, seg_kind[s.kind]) for s in self.segments]
+        events = [event % (e.time, event_kind[e.kind], e.task, e.thread) for e in self.events]
+        values = (
+            self.thread_count,
+            self.makespan,
+            _OUTCOME_TEXT[self.outcome],
+            jsontext.array(segments, 1),
+            jsontext.array(events, 1),
+        )
+        return jsontext.document(_TRACE_JSON, values, meta)
 
     @staticmethod
     def from_json(text: str) -> "ScheduleTrace":

@@ -1,0 +1,65 @@
+"""Fixed-layout JSON text shared by the graph and trace files.
+
+Both file formats are frozen byte for byte as ``json.dumps(doc,
+indent=2)`` lays them out.  With ``indent`` set, json falls back to its
+pure-Python encoder, so the writers instead fill %-format templates that
+are built once per record shape, with keys and indentation baked in;
+only the values are formatted per record.
+"""
+
+from __future__ import annotations
+
+import json
+from json.encoder import encode_basestring_ascii as quote
+
+INDENT = "  "
+
+
+def record(depth: int, fields) -> str:
+    """%-format template of one object nested `depth` levels deep.
+
+    `fields` lists (key, conversion) pairs in output order; "%s" takes
+    text that is already JSON.  The template starts with its own
+    indentation, as an array item does.
+    """
+    pad = INDENT * depth
+    lines = ",\n".join(f"{pad}{INDENT}{quote(key)}: {conv}" for key, conv in fields)
+    return f"{pad}{{\n{lines}\n{pad}}}"
+
+
+def array(items: list, depth: int) -> str:
+    """A JSON array whose key sits at `depth`; items are laid out one deeper."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + INDENT * depth + "]"
+
+
+def document(template: str, values: tuple, meta: dict | None) -> str:
+    """Fill a depth-0 `template`; a truthy `meta` becomes the first key.
+
+    `meta` is small and arbitrary, so it keeps json's own encoder.
+    """
+    if meta:
+        head = json.dumps({"meta": dict(meta)}, indent=2)[2:-2]
+        template = "{\n%s,\n" + template[2:]
+        values = (head,) + values
+    return template % values
+
+
+def enum_text(enum) -> dict:
+    """member -> its value as JSON text."""
+    return {member: quote(member.value) for member in enum}
+
+
+def enum_reader(enum):
+    """value -> member through one dict lookup; anything else goes to
+    `enum(value)`, which returns a member or raises its own ValueError."""
+    members = {member.value: member for member in enum}
+
+    def read(value):
+        try:
+            return members[value]
+        except (KeyError, TypeError):
+            return enum(value)
+
+    return read

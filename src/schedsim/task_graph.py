@@ -14,6 +14,8 @@ from enum import Enum
 from functools import cached_property
 from typing import Union
 
+from . import jsontext
+
 TaskId = int
 
 
@@ -351,7 +353,8 @@ def _longest_chain(graph: TaskGraph):
 #
 # Layout: {"tasks": [...], "roots": [...]}; each task
 # {"id", "priority", "tied", "label", "actions": [...]}; action objects
-# are discriminated by their "type" field.  Field names are stable.
+# are discriminated by their "type" field.  Field names are stable, and
+# graph_to_json writes exactly json.dumps(graph_to_dict(...), indent=2).
 
 
 def _action_to_dict(action: Action) -> dict:
@@ -373,23 +376,25 @@ def _action_to_dict(action: Action) -> dict:
     raise TypeError(f"unknown action {action!r}")
 
 
+_read_defer = jsontext.enum_reader(DeferMode)
+_read_yield = jsontext.enum_reader(YieldMode)
+_read_wait = jsontext.enum_reader(WaitMode)
+_ACTION_READERS = {
+    "compute": lambda d: Compute(int(d["duration"])),
+    "spawn": lambda d: Spawn(int(d["child"]), _read_defer(d["defer"])),
+    "poll": lambda d: PollOutcome(int(d["target"]), _read_yield(d["yield_mode"]), int(d["poll_cost"])),
+    "taskwait_children": lambda d: TaskwaitChildren(_read_wait(d["mode"])),
+    "taskgroup_end": lambda d: TaskgroupEnd(_read_wait(d["mode"])),
+}
+
+
 def _action_from_dict(data: dict) -> Action:
     kind = data["type"]
-    if kind == "compute":
-        return Compute(duration=int(data["duration"]))
-    if kind == "spawn":
-        return Spawn(child=int(data["child"]), defer=DeferMode(data["defer"]))
-    if kind == "poll":
-        return PollOutcome(
-            target=int(data["target"]),
-            yield_mode=YieldMode(data["yield_mode"]),
-            poll_cost=int(data["poll_cost"]),
-        )
-    if kind == "taskwait_children":
-        return TaskwaitChildren(mode=WaitMode(data["mode"]))
-    if kind == "taskgroup_end":
-        return TaskgroupEnd(mode=WaitMode(data["mode"]))
-    raise ValueError(f"unknown action type {kind!r}")
+    try:
+        read = _ACTION_READERS[kind]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown action type {kind!r}") from None
+    return read(data)
 
 
 def graph_to_dict(graph: TaskGraph, meta: dict | None = None) -> dict:
@@ -411,21 +416,62 @@ def graph_to_dict(graph: TaskGraph, meta: dict | None = None) -> dict:
 
 
 def graph_from_dict(data: dict) -> TaskGraph:
-    tasks = tuple(
-        TaskSpec(
-            id=int(item["id"]),
-            priority=int(item["priority"]),
-            tied=bool(item["tied"]),
-            label=str(item["label"]),
-            actions=tuple(_action_from_dict(a) for a in item["actions"]),
-        )
-        for item in data["tasks"]
-    )
-    return TaskGraph(tasks=tasks, roots=tuple(int(r) for r in data["roots"]))
+    tasks = []
+    for item in data["tasks"]:
+        task_id, priority = int(item["id"]), int(item["priority"])
+        tied, label = bool(item["tied"]), str(item["label"])
+        actions = tuple(map(_action_from_dict, item["actions"]))
+        tasks.append(TaskSpec(task_id, actions, priority, tied, label))
+    return TaskGraph(tuple(tasks), tuple(int(r) for r in data["roots"]))
+
+
+_DEFER_TEXT = jsontext.enum_text(DeferMode)
+_YIELD_TEXT = jsontext.enum_text(YieldMode)
+_WAIT_TEXT = jsontext.enum_text(WaitMode)
+_COMPUTE_JSON = jsontext.record(4, [("type", '"compute"'), ("duration", "%d")])
+_SPAWN_JSON = jsontext.record(4, [("type", '"spawn"'), ("child", "%d"), ("defer", "%s")])
+_POLL_JSON = jsontext.record(
+    4, [("type", '"poll"'), ("target", "%d"), ("yield_mode", "%s"), ("poll_cost", "%d")]
+)
+_TASKWAIT_JSON = jsontext.record(4, [("type", '"taskwait_children"'), ("mode", "%s")])
+_TASKGROUP_JSON = jsontext.record(4, [("type", '"taskgroup_end"'), ("mode", "%s")])
+_TASK_JSON = jsontext.record(
+    2, [("id", "%d"), ("priority", "%d"), ("tied", "%s"), ("label", "%s"), ("actions", "%s")]
+)
+_GRAPH_JSON = jsontext.record(0, [("tasks", "%s"), ("roots", "%s")])
+_ROOT_JSON = jsontext.INDENT * 2 + "%d"
+
+
+def _action_json(action: Action) -> str:
+    if isinstance(action, Compute):
+        return _COMPUTE_JSON % action.duration
+    if isinstance(action, Spawn):
+        return _SPAWN_JSON % (action.child, _DEFER_TEXT[action.defer])
+    if isinstance(action, PollOutcome):
+        return _POLL_JSON % (action.target, _YIELD_TEXT[action.yield_mode], action.poll_cost)
+    if isinstance(action, TaskwaitChildren):
+        return _TASKWAIT_JSON % _WAIT_TEXT[action.mode]
+    if isinstance(action, TaskgroupEnd):
+        return _TASKGROUP_JSON % _WAIT_TEXT[action.mode]
+    raise TypeError(f"unknown action {action!r}")
 
 
 def graph_to_json(graph: TaskGraph, meta: dict | None = None) -> str:
-    return json.dumps(graph_to_dict(graph, meta=meta), indent=2)
+    tasks = [
+        _TASK_JSON
+        % (
+            spec.id,
+            spec.priority,
+            "true" if spec.tied else "false",
+            jsontext.quote(spec.label),
+            jsontext.array([_action_json(a) for a in spec.actions], 3),
+        )
+        for spec in graph.tasks
+    ]
+    roots = [_ROOT_JSON % root for root in graph.roots]
+    return jsontext.document(
+        _GRAPH_JSON, (jsontext.array(tasks, 1), jsontext.array(roots, 1)), meta
+    )
 
 
 def graph_from_json(text: str) -> TaskGraph:
