@@ -1,5 +1,6 @@
 """Property-based invariants over generated workloads and all policies."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import networkx as nx
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from schedsim import policies as pol
 from schedsim.analysis import analyze, validate_trace
 from schedsim.engine import EventKind, Outcome, SimConfig, simulate
+from schedsim.prng import SplitMix64
 from schedsim.generators import (
     EnclaveWorkloadParams,
     NestedLoopParams,
@@ -22,6 +24,7 @@ from schedsim.task_graph import (
     DeferMode,
     PollOutcome,
     Spawn,
+    TaskGraph,
     TaskgroupEnd,
     TaskwaitChildren,
     WaitMode,
@@ -30,6 +33,8 @@ from schedsim.task_graph import (
     graph_to_json,
     total_work,
 )
+
+from test_acceptance import sample_graph
 
 DEFER_MODES = [DeferMode.RUNTIME_CHOICE, DeferMode.MUST_DEFER, DeferMode.UNDEFERRED]
 YIELD_MODES = [YieldMode.DEFAULT, YieldMode.LATENCY, YieldMode.THROUGHPUT]
@@ -257,3 +262,42 @@ def test_occupancy_within_unit_interval(graph, threads):
     report = analyze(graph, trace)
     assert Fraction(0) <= report.occupancy <= Fraction(1)
     assert all(Fraction(0) <= f <= Fraction(1) for f in report.per_thread_busy)
+
+
+def scale_time(graph, k):
+    """The graph with every compute duration and poll cost multiplied by k."""
+
+    def scaled(action):
+        if isinstance(action, Compute):
+            return replace(action, duration=action.duration * k)
+        if isinstance(action, PollOutcome):
+            return replace(action, poll_cost=action.poll_cost * k)
+        return action
+
+    tasks = tuple(replace(spec, actions=tuple(map(scaled, spec.actions))) for spec in graph.tasks)
+    return TaskGraph(tasks=tasks, roots=graph.roots)
+
+
+SCALING_POLICIES = [pol.reference(), pol.reference(queue_bound=2), pol.fcfs(), pol.extended()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.integers(1, 4),
+    st.sampled_from(SCALING_POLICIES),
+    st.sampled_from([2, 3]),
+)
+def test_time_scaling_invariance(seed, threads, policy, k):
+    graph = sample_graph(SplitMix64(seed))
+    cfg = SimConfig(thread_count=threads, policy=policy)
+    base = simulate(graph, cfg)
+    scaled = simulate(scale_time(graph, k), cfg)
+    assert scaled.outcome is base.outcome
+    assert scaled.makespan == k * base.makespan
+    assert [(s.thread, s.task, s.kind, s.start, s.end) for s in scaled.segments] == [
+        (s.thread, s.task, s.kind, k * s.start, k * s.end) for s in base.segments
+    ]
+    assert [(e.kind, e.task, e.thread, e.time) for e in scaled.events] == [
+        (e.kind, e.task, e.thread, k * e.time) for e in base.events
+    ]
