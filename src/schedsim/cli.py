@@ -142,8 +142,17 @@ def _policy_from_args(args) -> policies.PolicyConfig:
     )
 
 
+def _parse(path: str, parse, what: str):
+    """Parse a JSON file; a document of the wrong shape is a ValueError."""
+    text = Path(path).read_text()
+    try:
+        return parse(text)
+    except TypeError as exc:
+        raise ValueError(f"{path}: malformed {what} file: {exc}") from None
+
+
 def _load_graph(path: str):
-    graph = graph_from_json(Path(path).read_text())
+    graph = _parse(path, graph_from_json, "graph")
     violations = validate(graph)
     if violations:
         raise ValueError(f"graph invalid: {violations[:3]}")
@@ -180,8 +189,8 @@ def run_simulate(args) -> int:
 def run_compare(args) -> int:
     try:
         graph = _load_graph(args.graph)
-        baseline = engine.ScheduleTrace.from_json(Path(args.baseline).read_text())
-        variant = engine.ScheduleTrace.from_json(Path(args.variant).read_text())
+        baseline = _parse(args.baseline, engine.ScheduleTrace.from_json, "trace")
+        variant = _parse(args.variant, engine.ScheduleTrace.from_json, "trace")
         report = analysis.compare(graph, baseline, variant)
     except (OSError, ValueError, KeyError, analysis.TraceMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -200,7 +209,7 @@ def run_compare(args) -> int:
 def run_report(args) -> int:
     try:
         graph = _load_graph(args.graph)
-        trace = engine.ScheduleTrace.from_json(Path(args.trace).read_text())
+        trace = _parse(args.trace, engine.ScheduleTrace.from_json, "trace")
         report = analysis.analyze(graph, trace)
     except (OSError, ValueError, KeyError, analysis.TraceMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)

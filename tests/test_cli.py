@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from schedsim.cli import main
 from schedsim.task_graph import graph_from_json, validate
 
@@ -186,3 +188,55 @@ class TestCompareReport:
         assert code == 0
         out = capsys.readouterr().out
         assert "makespan" in out and "occupancy" in out
+
+
+def malformed(tmp_path, name, mutate, source):
+    """Write `source` back with `mutate` applied to its parsed JSON."""
+    data = json.loads(source.read_text())
+    path = tmp_path / name
+    path.write_text(json.dumps(mutate(data)))
+    return path
+
+
+def null_priority(graph):
+    graph["tasks"][0]["priority"] = None
+    return graph
+
+
+def int_action(graph):
+    graph["tasks"][0]["actions"].append(7)
+    return graph
+
+
+def null_event(trace):
+    trace["events"][0] = None
+    return trace
+
+
+def as_array(data):
+    return [data]
+
+
+class TestMalformedFiles:
+    """Files of the wrong shape are input errors: `error: ...`, exit 2."""
+
+    def assert_usage_error(self, code, capsys):
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("mutate", [null_priority, int_action, as_array])
+    def test_simulate(self, tmp_path, capsys, mutate):
+        graph = malformed(tmp_path, "bad.json", mutate, starvation_graph(tmp_path))
+        self.assert_usage_error(main(["simulate", str(graph)]), capsys)
+
+    @pytest.mark.parametrize("mutate", [null_event, as_array])
+    def test_compare(self, tmp_path, capsys, mutate):
+        graph, slow, fast = TestCompareReport().make_traces(tmp_path)
+        bad = malformed(tmp_path, "bad.json", mutate, fast)
+        self.assert_usage_error(main(["compare", str(graph), str(slow), str(bad)]), capsys)
+
+    @pytest.mark.parametrize("mutate", [null_event, as_array])
+    def test_report(self, tmp_path, capsys, mutate):
+        graph, slow, _ = TestCompareReport().make_traces(tmp_path)
+        bad = malformed(tmp_path, "bad.json", mutate, slow)
+        self.assert_usage_error(main(["report", str(graph), str(bad)]), capsys)
