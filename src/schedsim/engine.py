@@ -147,7 +147,13 @@ _SEGMENT_JSON = jsontext.record(
 _EVENT_JSON = jsontext.record(2, [("time", "%d"), ("kind", "%s"), ("task", "%d"), ("thread", "%d")])
 _TRACE_JSON = jsontext.record(
     0,
-    [("thread_count", "%d"), ("makespan", "%d"), ("outcome", "%s"), ("segments", "%s"), ("events", "%s")],
+    [
+        ("thread_count", "%d"),
+        ("makespan", "%d"),
+        ("outcome", "%s"),
+        ("segments", "%s"),
+        ("events", "%s"),
+    ],
 )
 
 
@@ -197,7 +203,13 @@ class ScheduleTrace:
         return ScheduleTrace(
             int(data["thread_count"]),
             tuple(
-                Segment(int(s["thread"]), int(s["task"]), int(s["start"]), int(s["end"]), seg_kind(s["kind"]))
+                Segment(
+                    int(s["thread"]),
+                    int(s["task"]),
+                    int(s["start"]),
+                    int(s["end"]),
+                    seg_kind(s["kind"]),
+                )
                 for s in data["segments"]
             ),
             tuple(
@@ -212,7 +224,9 @@ class ScheduleTrace:
         """Exactly ``json.dumps(self.to_dict(meta), indent=2)``."""
         seg, seg_kind = _SEGMENT_JSON, _SEGMENT_KIND_TEXT
         event, event_kind = _EVENT_JSON, _EVENT_KIND_TEXT
-        segments = [seg % (s.thread, s.task, s.start, s.end, seg_kind[s.kind]) for s in self.segments]
+        segments = [
+            seg % (s.thread, s.task, s.start, s.end, seg_kind[s.kind]) for s in self.segments
+        ]
         events = [event % (e.time, event_kind[e.kind], e.task, e.thread) for e in self.events]
         values = (
             self.thread_count,

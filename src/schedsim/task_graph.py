@@ -382,7 +382,9 @@ _read_wait = jsontext.enum_reader(WaitMode)
 _ACTION_READERS = {
     "compute": lambda d: Compute(int(d["duration"])),
     "spawn": lambda d: Spawn(int(d["child"]), _read_defer(d["defer"])),
-    "poll": lambda d: PollOutcome(int(d["target"]), _read_yield(d["yield_mode"]), int(d["poll_cost"])),
+    "poll": lambda d: PollOutcome(
+        int(d["target"]), _read_yield(d["yield_mode"]), int(d["poll_cost"])
+    ),
     "taskwait_children": lambda d: TaskwaitChildren(_read_wait(d["mode"])),
     "taskgroup_end": lambda d: TaskgroupEnd(_read_wait(d["mode"])),
 }
