@@ -199,7 +199,6 @@ class ScheduleTrace:
 
     @staticmethod
     def from_dict(data: dict) -> "ScheduleTrace":
-        seg_kind, event_kind = _read_segment_kind, _read_event_kind
         return ScheduleTrace(
             int(data["thread_count"]),
             tuple(
@@ -208,12 +207,14 @@ class ScheduleTrace:
                     int(s["task"]),
                     int(s["start"]),
                     int(s["end"]),
-                    seg_kind(s["kind"]),
+                    _read_segment_kind(s["kind"]),
                 )
                 for s in data["segments"]
             ),
             tuple(
-                TraceEvent(int(e["time"]), event_kind(e["kind"]), int(e["task"]), int(e["thread"]))
+                TraceEvent(
+                    int(e["time"]), _read_event_kind(e["kind"]), int(e["task"]), int(e["thread"])
+                )
                 for e in data["events"]
             ),
             int(data["makespan"]),
@@ -222,12 +223,13 @@ class ScheduleTrace:
 
     def to_json(self, meta: dict | None = None) -> str:
         """Exactly ``json.dumps(self.to_dict(meta), indent=2)``."""
-        seg, seg_kind = _SEGMENT_JSON, _SEGMENT_KIND_TEXT
-        event, event_kind = _EVENT_JSON, _EVENT_KIND_TEXT
         segments = [
-            seg % (s.thread, s.task, s.start, s.end, seg_kind[s.kind]) for s in self.segments
+            _SEGMENT_JSON % (s.thread, s.task, s.start, s.end, _SEGMENT_KIND_TEXT[s.kind])
+            for s in self.segments
         ]
-        events = [event % (e.time, event_kind[e.kind], e.task, e.thread) for e in self.events]
+        events = [
+            _EVENT_JSON % (e.time, _EVENT_KIND_TEXT[e.kind], e.task, e.thread) for e in self.events
+        ]
         values = (
             self.thread_count,
             self.makespan,

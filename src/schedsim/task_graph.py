@@ -418,13 +418,17 @@ def graph_to_dict(graph: TaskGraph, meta: dict | None = None) -> dict:
 
 
 def graph_from_dict(data: dict) -> TaskGraph:
-    tasks = []
-    for item in data["tasks"]:
-        task_id, priority = int(item["id"]), int(item["priority"])
-        tied, label = bool(item["tied"]), str(item["label"])
-        actions = tuple(map(_action_from_dict, item["actions"]))
-        tasks.append(TaskSpec(task_id, actions, priority, tied, label))
-    return TaskGraph(tuple(tasks), tuple(int(r) for r in data["roots"]))
+    tasks = tuple(
+        TaskSpec(
+            int(item["id"]),
+            tuple(map(_action_from_dict, item["actions"])),
+            int(item["priority"]),
+            bool(item["tied"]),
+            str(item["label"]),
+        )
+        for item in data["tasks"]
+    )
+    return TaskGraph(tasks, tuple(int(r) for r in data["roots"]))
 
 
 _DEFER_TEXT = jsontext.enum_text(DeferMode)
