@@ -257,6 +257,24 @@ class TestPolls:
         assert (spin.start, spin.end) == (0, 7)
         assert trace.makespan == 7
 
+    def test_every_spin_on_a_target_truncates_at_its_completion(self):
+        g = TaskGraph(
+            tasks=(
+                TaskSpec(id=0, actions=(PollOutcome(2, poll_cost=100),)),
+                TaskSpec(id=1, actions=(PollOutcome(2, poll_cost=50),)),
+                TaskSpec(id=2, actions=(Compute(7),)),
+            ),
+            roots=(0, 1, 2),
+        )
+        trace = simulate(g, SimConfig(thread_count=3, policy=pol.reference()))
+        spins = sorted(
+            (s.thread, s.task, s.start, s.end)
+            for s in trace.segments
+            if s.kind is SegmentKind.POLL_SPIN
+        )
+        assert spins == [(0, 0, 0, 7), (1, 1, 0, 7)]
+        assert trace.makespan == 7
+
     def test_tied_poller_resumes_on_home_thread(self):
         g = TaskGraph(
             tasks=(
