@@ -59,7 +59,6 @@ def nested_loop_scenario():
             serial_prefix_cost=5,
             serial_suffix_cost=5,
             chunk_priority=0,
-            seed=0,
         )
     )
     runs = {

@@ -18,7 +18,7 @@ from .task_graph import (
     validate,
 )
 from .policies import PolicyConfig, PolicyKind, extended, fcfs, reference
-from .engine import Outcome, ScheduleTrace, SimConfig, simulate, simulate_batch
+from .engine import Outcome, ScheduleTrace, SimConfig, simulate
 from .analysis import analyze, compare, render_gantt_svg, validate_trace
 
 __version__ = "0.1.0"
@@ -49,7 +49,6 @@ __all__ = [
     "reference",
     "render_gantt_svg",
     "simulate",
-    "simulate_batch",
     "total_work",
     "validate",
     "validate_trace",

@@ -95,7 +95,6 @@ def _gen_from_args(args) -> "generators.TaskGraph":
             serial_prefix_cost=int(pick("prefix_cost", 1)),
             serial_suffix_cost=int(pick("suffix_cost", 1)),
             chunk_priority=int(pick("chunk_priority", 0)),
-            seed=int(pick("seed", 0)),
         )
         return generators.gen_nested_loop_pattern(params)
     if args.pattern == "two-timestep":

@@ -65,15 +65,6 @@ class UndeferredDepthError(EngineError):
     pass
 
 
-class BatchError(EngineError):
-    """Wraps a per-run failure inside simulate_batch, tagged by index."""
-
-    def __init__(self, index: int, cause: Exception):
-        super().__init__(f"run {index} failed: {cause}")
-        self.index = index
-        self.cause = cause
-
-
 class Outcome(str, Enum):
     COMPLETED = "completed"
     STARVATION_DETECTED = "starvation_detected"
@@ -118,8 +109,6 @@ class TraceEvent:
 class SimConfig:
     thread_count: int
     policy: PolicyConfig
-    spawn_overhead: int = 0
-    steal_overhead: int = 0
     max_virtual_time: int = DEFAULT_MAX_VIRTUAL_TIME
     max_poll_retries_without_progress: int = 32
     max_undeferred_depth: Optional[int] = None
@@ -129,8 +118,6 @@ class SimConfig:
             raise ConfigError("thread_count must be >= 1")
         if self.max_virtual_time <= 0:
             raise ConfigError("max_virtual_time must be positive")
-        if self.spawn_overhead < 0 or self.steal_overhead < 0:
-            raise ConfigError("overheads must be >= 0")
         if self.max_poll_retries_without_progress < 1:
             raise ConfigError("max_poll_retries_without_progress must be >= 1")
 
@@ -253,12 +240,11 @@ class ScheduleTrace:
 
 
 class _WaitState:
-    __slots__ = ("kind", "members", "decision", "allowed")
+    __slots__ = ("kind", "members", "allowed")
 
-    def __init__(self, kind, members, decision):
+    def __init__(self, kind, members):
         self.kind = kind  # "children" | "group"
         self.members = members
-        self.decision = decision
         self.allowed = None  # sync set, for an idle-until-complete wait
 
 
@@ -323,7 +309,6 @@ class _Thread:
         "seg_end",
         "seg_kind",
         "seg_target",
-        "gap_until",
     )
 
     def __init__(self, idx):
@@ -335,12 +320,6 @@ class _Thread:
         self.seg_end = 0
         self.seg_kind = None
         self.seg_target = None  # poll target while spinning
-        self.gap_until = None
-
-    def busy_at(self, now: int) -> bool:
-        if self.seg_task is not None:
-            return True
-        return self.gap_until is not None and self.gap_until > now
 
 
 class _Engine:
@@ -361,7 +340,6 @@ class _Engine:
         self.completed_count = 0
         self.last_time = 0
         self.outcome = None
-        self.spin_watch = {}  # target id -> list of thread idx
         self.idle_waits = 0  # idle-until-complete waits in force
 
     # -- small helpers ---------------------------------------------------
@@ -523,14 +501,8 @@ class _Engine:
         self._emit(now, EventKind.COMPLETED, run.spec.id, th.idx)
         # Truncate spins waiting on this task: the spin loop notices the
         # completion at its next iteration, i.e. immediately in sim time.
-        for waiter_idx in self.spin_watch.pop(run.spec.id, []):
-            waiter = self.threads[waiter_idx]
-            if (
-                waiter.seg_task is not None
-                and waiter.seg_kind is SegmentKind.POLL_SPIN
-                and waiter.seg_target == run.spec.id
-                and waiter.seg_end > now
-            ):
+        for waiter in self.threads:
+            if waiter.seg_target == run.spec.id and waiter.seg_end > now:
                 waiter.seg_end = now
 
     # -- segment lifecycle ---------------------------------------------------
@@ -548,17 +520,12 @@ class _Engine:
         th.seg_end = now + cost
         th.seg_kind = SegmentKind.POLL_SPIN
         th.seg_target = target
-        self.spin_watch.setdefault(target, []).append(th.idx)
 
     def _finish_segment(self, th: _Thread, now: int):
         run = self.runs[th.seg_task]
         kind = th.seg_kind
         self._record_segment(th.idx, th.seg_task, th.seg_start, now, kind)
-        if kind is SegmentKind.POLL_SPIN:
-            watchers = self.spin_watch.get(th.seg_target)
-            if watchers and th.idx in watchers:
-                watchers.remove(th.idx)
-        else:
+        if kind is not SegmentKind.POLL_SPIN:
             run.pc += 1
             self.progress += 1
         th.seg_task = None
@@ -572,10 +539,6 @@ class _Engine:
         if any state changed."""
         progressed = False
         while self.outcome is None and th.seg_task is None and th.stack:
-            if th.gap_until is not None:
-                if th.gap_until > now:
-                    break
-                th.gap_until = None
             frame = th.stack[-1]
             run = frame.run
 
@@ -662,7 +625,7 @@ class _Engine:
                     kind = "group"
                 self._emit(now, EventKind.WAIT_ENTERED, run.spec.id, th.idx)
                 decision = pol.on_wait(self.policy, action.mode)
-                wait = _WaitState(kind, members, decision)
+                wait = _WaitState(kind, members)
                 if self._wait_satisfied(wait):
                     self._emit(now, EventKind.WAIT_EXITED, run.spec.id, th.idx)
                     run.pc += 1
@@ -681,9 +644,6 @@ class _Engine:
     def _do_spawn(self, th: _Thread, run: _Run, action: Spawn, now: int):
         child = self.runs[action.child]
         child_spec = child.spec
-        max_prio = None
-        if self.policy.kind is PolicyKind.EXTENDED:
-            max_prio = self._max_queue_priority()
         decision = pol.on_spawn(
             self.policy,
             th.idx,
@@ -691,7 +651,7 @@ class _Engine:
             [len(queue) for queue in self.queues],
             defer=action.defer,
             scatter_cursor=run.chunk_scatters,
-            max_queue_priority=max_prio,
+            max_queue_priority=self._max_queue_priority,
         )
         self._emit(now, EventKind.SPAWNED, child_spec.id, th.idx)
         run.children.append(child_spec.id)
@@ -732,13 +692,11 @@ class _Engine:
                 own_queue.append(self._entry(child_spec.id))
 
         run.pc += 1
-        if self.cfg.spawn_overhead:
-            th.gap_until = now + self.cfg.spawn_overhead
 
     # -- picking ---------------------------------------------------------------
 
     def _try_pick(self, th: _Thread, now: int) -> bool:
-        if th.busy_at(now) or self.outcome is not None:
+        if th.seg_task is not None or self.outcome is not None:
             return False
         pickable = self._pickable(th.idx, self._pick_filter(th))
         pick = pol.on_idle(self.policy, th.idx, self.queues, pickable)
@@ -750,8 +708,6 @@ class _Engine:
         run = self.runs[task_id]
         if queue is not self._own_queue(th.idx):
             self._emit(now, EventKind.STOLEN, task_id, th.idx)
-            if self.cfg.steal_overhead:
-                th.gap_until = now + self.cfg.steal_overhead
         if not run.started:
             run.started = True
             run.home = th.idx
@@ -774,9 +730,6 @@ class _Engine:
                     if th.seg_task is not None and th.seg_end <= now:
                         self._finish_segment(th, now)
                         stepping = True
-                    if th.gap_until is not None and th.gap_until <= now and th.seg_task is None:
-                        th.gap_until = None
-                        stepping = True
                     if th.seg_task is None and th.stack:
                         if self._run_thread(th, now):
                             stepping = True
@@ -784,23 +737,19 @@ class _Engine:
                 break
             picked = False
             for th in self.threads:  # idle threads pick first
-                if not th.stack and not th.busy_at(now):
-                    if self._try_pick(th, now):
-                        picked = True
+                if not th.stack and self._try_pick(th, now):
+                    picked = True
             for th in self.threads:  # then wait/poll helpers
-                if th.stack and not th.busy_at(now):
-                    if self._try_pick(th, now):
-                        picked = True
+                if th.stack and self._try_pick(th, now):
+                    picked = True
             if not picked:
                 break
 
     def _next_time(self, now: int):
-        nxt = None
-        for th in self.threads:
-            for t in (th.seg_end if th.seg_task is not None else None, th.gap_until):
-                if t is not None and t > now and (nxt is None or t < nxt):
-                    nxt = t
-        return nxt
+        return min(
+            (th.seg_end for th in self.threads if th.seg_task is not None and th.seg_end > now),
+            default=None,
+        )
 
     def run(self) -> ScheduleTrace:
         self._seed_roots()
@@ -838,14 +787,3 @@ def simulate(graph: TaskGraph, cfg: SimConfig) -> ScheduleTrace:
         raise InvalidGraphError(violations)
     return _Engine(graph, cfg).run()
 
-
-def simulate_batch(graph: TaskGraph, cfgs) -> list:
-    """Independent simulate() calls, order preserved; failures are tagged
-    with their index."""
-    traces = []
-    for index, cfg in enumerate(cfgs):
-        try:
-            traces.append(simulate(graph, cfg))
-        except Exception as exc:
-            raise BatchError(index, exc) from exc
-    return traces

@@ -268,7 +268,6 @@ class NestedLoopParams:
     serial_prefix_cost: int
     serial_suffix_cost: int
     chunk_priority: int
-    seed: int
 
     def validate(self):
         _require(self.K >= 1, "K must be positive")

@@ -20,7 +20,7 @@ always produce identical decisions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -58,10 +58,8 @@ class PolicyConfig:
 
     kind: PolicyKind
     queue_bound: Optional[int] = 256
-    honor_defer: bool = False
     priority_aware: bool = False
     scatter_on_overflow: bool = False
-    scattered_priority: int = MIN_PRIORITY
     fair_yield: bool = False
     honor_latency_wait: bool = False
 
@@ -69,38 +67,10 @@ class PolicyConfig:
         if self.queue_bound is not None and self.queue_bound <= 0:
             raise ConfigError("queue_bound must be positive or None")
         if self.kind is not PolicyKind.EXTENDED:
-            for flag in ("honor_defer", "priority_aware", "fair_yield", "honor_latency_wait", "scatter_on_overflow"):
+            for flag in ("priority_aware", "fair_yield", "honor_latency_wait", "scatter_on_overflow"):
                 object.__setattr__(self, flag, False)
         if self.kind is PolicyKind.GLOBAL_FCFS:
             object.__setattr__(self, "queue_bound", None)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "queue_bound": self.queue_bound,
-            "honor_defer": self.honor_defer,
-            "priority_aware": self.priority_aware,
-            "scatter_on_overflow": self.scatter_on_overflow,
-            "scattered_priority": self.scattered_priority,
-            "fair_yield": self.fair_yield,
-            "honor_latency_wait": self.honor_latency_wait,
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "PolicyConfig":
-        # Older files carry the steal order; round-robin is the only one.
-        if data.get("steal_victim_order", "round_robin") != "round_robin":
-            raise ConfigError("only round_robin steal order is supported")
-        return PolicyConfig(
-            kind=PolicyKind(data["kind"]),
-            queue_bound=data.get("queue_bound"),
-            honor_defer=bool(data.get("honor_defer", False)),
-            priority_aware=bool(data.get("priority_aware", False)),
-            scatter_on_overflow=bool(data.get("scatter_on_overflow", False)),
-            scattered_priority=int(data.get("scattered_priority", MIN_PRIORITY)),
-            fair_yield=bool(data.get("fair_yield", False)),
-            honor_latency_wait=bool(data.get("honor_latency_wait", False)),
-        )
 
 
 def reference(queue_bound: Optional[int] = 256) -> PolicyConfig:
@@ -113,22 +83,18 @@ def fcfs() -> PolicyConfig:
 
 def extended(
     queue_bound: Optional[int] = 256,
-    honor_defer: bool = True,
     priority_aware: bool = True,
     scatter_on_overflow: bool = True,
     fair_yield: bool = True,
     honor_latency_wait: bool = True,
-    scattered_priority: int = MIN_PRIORITY,
 ) -> PolicyConfig:
     return PolicyConfig(
         kind=PolicyKind.EXTENDED,
         queue_bound=queue_bound,
-        honor_defer=honor_defer,
         priority_aware=priority_aware,
         scatter_on_overflow=scatter_on_overflow,
         fair_yield=fair_yield,
         honor_latency_wait=honor_latency_wait,
-        scattered_priority=scattered_priority,
     )
 
 
@@ -175,43 +141,34 @@ def on_spawn(
     queue_lengths: Sequence[int],
     defer: DeferMode = DeferMode.RUNTIME_CHOICE,
     scatter_cursor: int = 0,
-    max_queue_priority: Optional[int] = None,
+    max_queue_priority: Callable[[], Optional[int]] = lambda: None,
 ):
     """Decide placement for a newly created task.
 
     ``queue_lengths`` has one entry per queue: one per thread, or a
-    single shared entry for fcfs (see ``queue_count``).  The engine
-    enqueues the child as an entry ``(-priority, seq, task)``, at the
-    pick end (the right, see ``on_idle``) of the target queue, except
+    single shared entry for fcfs (see ``queue_count``); the spawning
+    thread's own queue is ``spawning_thread % len(queue_lengths)``.  The
+    engine enqueues the child as an entry ``(-priority, seq, task)``, at
+    the pick end (the right, see ``on_idle``) of the target queue, except
     under fcfs, whose shared queue takes spawns at the far end so it
     serves them first-come first-served.  ``scatter_cursor`` counts
     earlier scatters by the same parent so loop chunks land one per
     victim before falling back to the local queue.
-    ``max_queue_priority`` is the highest priority pending in any queue
-    among non-chunk tasks, or None if nothing qualifies; chunks of the
-    same burst must not escalate each other.
+    ``max_queue_priority()`` returns the highest priority pending in any
+    queue among non-chunk tasks, or None if nothing qualifies; chunks of
+    the same burst must not escalate each other.  It is called only for
+    a loop chunk under ``scatter_on_overflow``.
     """
     if defer is DeferMode.UNDEFERRED:
         return ExecuteUndeferred(forced=False)
 
-    if cfg.kind is PolicyKind.GLOBAL_FCFS:
-        return EnqueueLocal()
+    local_len = queue_lengths[spawning_thread % len(queue_lengths)]
 
-    local_len = queue_lengths[spawning_thread]
-
-    if cfg.kind is PolicyKind.REFERENCE_DEQUE:
-        if _has_space(cfg, local_len):
-            return EnqueueLocal()
-        return ExecuteUndeferred(forced=True)
-
-    # Extended.
     if cfg.scatter_on_overflow and task.label == LOOP_CHUNK_LABEL:
         # Every chunk of the burst outranks the pending non-chunk work so
         # neither the issuing thread nor a thief prefers anything else.
-        if max_queue_priority is None:
-            priority = task.priority
-        else:
-            priority = max_queue_priority + 1
+        top = max_queue_priority()
+        priority = task.priority if top is None else top + 1
         victims = _victims(spawning_thread, len(queue_lengths))
         spacious = [v for v in victims if _has_space(cfg, queue_lengths[v])]
         if scatter_cursor < len(spacious):
@@ -220,17 +177,12 @@ def on_spawn(
             return EnqueueLocal(priority=priority)
         return ExecuteUndeferred(forced=True)
 
-    if cfg.honor_defer and defer is DeferMode.MUST_DEFER:
-        if _has_space(cfg, local_len):
-            return EnqueueLocal()
-        if cfg.scatter_on_overflow:
-            for victim in _victims(spawning_thread, len(queue_lengths)):
-                if _has_space(cfg, queue_lengths[victim]):
-                    return ScatterTo(victim, cfg.scattered_priority)
-        return ExecuteUndeferred(forced=True)
-
     if _has_space(cfg, local_len):
         return EnqueueLocal()
+    if cfg.scatter_on_overflow and defer is DeferMode.MUST_DEFER:
+        for victim in _victims(spawning_thread, len(queue_lengths)):
+            if _has_space(cfg, queue_lengths[victim]):
+                return ScatterTo(victim, MIN_PRIORITY)
     return ExecuteUndeferred(forced=True)
 
 
@@ -381,8 +333,3 @@ def on_wait(cfg: PolicyConfig, mode: WaitMode) -> WaitDecision:
         return WaitDecision.IDLE_UNTIL_COMPLETE
     return WaitDecision.EXECUTE_OTHER_TASKS
 
-
-def with_queue_bound(cfg: PolicyConfig, queue_bound: Optional[int]) -> PolicyConfig:
-    if cfg.kind is PolicyKind.GLOBAL_FCFS and queue_bound is not None:
-        raise ConfigError("fcfs queues are unbounded")
-    return replace(cfg, queue_bound=queue_bound)

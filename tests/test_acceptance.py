@@ -163,7 +163,6 @@ def test_a2_nested_parallelism_gain():
                 serial_prefix_cost=5,
                 serial_suffix_cost=5,
                 chunk_priority=0,
-                seed=0,
             )
         )
         critical = graph.roots[0]
@@ -299,18 +298,17 @@ def sample_graph(rng):
             )
         )
     if shape == 2:
-        return gen_nested_loop_pattern(
-            NestedLoopParams(
-                K=rng.randint(1, 4),
-                loop_chunks=rng.randint(1, 5),
-                chunk_cost=rng.randint(1, 6),
-                loop_on_critical_task_only=bool(rng.randint(0, 1)),
-                serial_prefix_cost=rng.randint(1, 4),
-                serial_suffix_cost=rng.randint(1, 4),
-                chunk_priority=rng.randint(0, 3),
-                seed=rng.next_u64(),
-            )
+        params = NestedLoopParams(
+            K=rng.randint(1, 4),
+            loop_chunks=rng.randint(1, 5),
+            chunk_cost=rng.randint(1, 6),
+            loop_on_critical_task_only=bool(rng.randint(0, 1)),
+            serial_prefix_cost=rng.randint(1, 4),
+            serial_suffix_cost=rng.randint(1, 4),
+            chunk_priority=rng.randint(0, 3),
         )
+        rng.next_u64()  # the draw that once seeded the params keeps the stream
+        return gen_nested_loop_pattern(params)
     return gen_two_timestep_pattern(
         K=rng.randint(2, 4),
         traversal_cost=rng.randint(1, 5),

@@ -3,7 +3,6 @@ import pytest
 from schedsim import policies as pol
 from schedsim.analysis import validate_trace
 from schedsim.engine import (
-    BatchError,
     EventKind,
     Outcome,
     ScheduleTrace,
@@ -12,7 +11,6 @@ from schedsim.engine import (
     InvalidGraphError,
     UndeferredDepthError,
     simulate,
-    simulate_batch,
 )
 from schedsim.policies import ConfigError
 from schedsim.prng import SplitMix64
@@ -369,63 +367,6 @@ class TestPolls:
         )
         trace = simulate(g, SimConfig(thread_count=2, policy=pol.extended()))
         assert trace.outcome is Outcome.STARVATION_DETECTED
-
-
-class TestOverheads:
-    def test_spawn_overhead_delays_spawner(self):
-        g = TaskGraph(
-            tasks=(
-                TaskSpec(id=0, actions=(Compute(1), Spawn(1), Compute(1))),
-                TaskSpec(id=1, actions=(Compute(1),)),
-            ),
-            roots=(0,),
-        )
-        trace = simulate(
-            g, SimConfig(thread_count=2, policy=pol.reference(), spawn_overhead=5)
-        )
-        tail = next(s for s in trace.segments if s.task == 0 and s.start > 0)
-        assert tail.start == 6  # 1 compute + 5 overhead
-
-    def test_steal_overhead_delays_thief(self):
-        trace = simulate(
-            fork_join_graph(),
-            SimConfig(thread_count=4, policy=pol.reference(), steal_overhead=2),
-        )
-        stolen_starts = sorted(s.start for s in trace.segments if s.task != 0)
-        assert stolen_starts == [3, 3]
-
-
-class TestBatch:
-    def test_empty(self):
-        assert simulate_batch(single_task_graph(), []) == []
-
-    def test_identical_configs_identical_traces(self):
-        cfg = SimConfig(thread_count=2, policy=pol.reference())
-        a, b = simulate_batch(single_task_graph(), [cfg, cfg])
-        assert a == b
-
-    def test_matches_individual_runs(self):
-        cfgs = [
-            SimConfig(thread_count=2, policy=pol.reference()),
-            SimConfig(thread_count=2, policy=pol.fcfs()),
-        ]
-        batch = simulate_batch(fork_join_graph(), cfgs)
-        singles = [simulate(fork_join_graph(), c) for c in cfgs]
-        assert batch == singles
-
-    def test_error_tagged_with_index(self):
-        g = TaskGraph(
-            tasks=(
-                TaskSpec(id=0, actions=(Spawn(1, DeferMode.UNDEFERRED),)),
-                TaskSpec(id=1, actions=(Compute(1),)),
-            ),
-            roots=(0,),
-        )
-        good = SimConfig(thread_count=1, policy=pol.reference())
-        bad = SimConfig(thread_count=1, policy=pol.reference(), max_undeferred_depth=0)
-        with pytest.raises(BatchError) as err:
-            simulate_batch(g, [good, bad])
-        assert err.value.index == 1
 
 
 class TestTraceSerialization:

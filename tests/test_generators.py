@@ -152,7 +152,6 @@ class TestNestedLoopPattern:
             serial_prefix_cost=5,
             serial_suffix_cost=5,
             chunk_priority=0,
-            seed=0,
         )
         base.update(overrides)
         return NestedLoopParams(**base)

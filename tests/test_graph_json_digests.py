@@ -73,7 +73,6 @@ def pattern_graphs():
                 serial_prefix_cost=2,
                 serial_suffix_cost=3,
                 chunk_priority=2,
-                seed=5,
             )
         ),
         "two-timestep": gen_two_timestep_pattern(

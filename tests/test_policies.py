@@ -42,7 +42,7 @@ class TestConfig:
     def test_reference_forces_extension_flags_off(self):
         cfg = pol.PolicyConfig(kind=PolicyKind.REFERENCE_DEQUE, fair_yield=True, priority_aware=True)
         assert not cfg.fair_yield and not cfg.priority_aware
-        assert not cfg.honor_defer and not cfg.honor_latency_wait
+        assert not cfg.honor_latency_wait and not cfg.scatter_on_overflow
 
     def test_fcfs_forces_unbounded(self):
         cfg = pol.PolicyConfig(kind=PolicyKind.GLOBAL_FCFS, queue_bound=8)
@@ -53,29 +53,12 @@ class TestConfig:
             kind=PolicyKind.GLOBAL_FCFS, honor_latency_wait=True, priority_aware=True
         )
         assert not cfg.honor_latency_wait and not cfg.priority_aware
-        assert not cfg.honor_defer and not cfg.fair_yield and not cfg.scatter_on_overflow
+        assert not cfg.fair_yield and not cfg.scatter_on_overflow
         assert on_wait(cfg, WaitMode.LATENCY) is WaitDecision.EXECUTE_OTHER_TASKS
-        loaded = pol.PolicyConfig.from_dict(
-            {"kind": "fcfs", "fair_yield": True, "honor_latency_wait": True}
-        )
-        assert loaded == pol.fcfs()
-
-    def test_round_trip(self):
-        cfg = pol.extended(queue_bound=16, fair_yield=False)
-        assert pol.PolicyConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_bad_bound_rejected(self):
         with pytest.raises(pol.ConfigError):
             pol.reference(queue_bound=0)
-
-    def test_from_dict_accepts_only_round_robin_steal_order(self):
-        data = pol.reference().to_dict()
-        assert "steal_victim_order" not in data
-        data["steal_victim_order"] = "round_robin"
-        assert pol.PolicyConfig.from_dict(data) == pol.reference()
-        data["steal_victim_order"] = "random"
-        with pytest.raises(pol.ConfigError):
-            pol.PolicyConfig.from_dict(data)
 
 
 class TestOnSpawn:
@@ -106,7 +89,7 @@ class TestOnSpawn:
         decision = on_spawn(
             cfg, 0, task(), [256, 256, 10, 0], defer=DeferMode.MUST_DEFER
         )
-        assert decision == ScatterTo(2, cfg.scattered_priority)
+        assert decision == ScatterTo(2, pol.MIN_PRIORITY)
 
     def test_must_defer_prefers_local_when_space(self):
         cfg = pol.extended(queue_bound=256)
@@ -132,7 +115,7 @@ class TestOnSpawn:
         chunk = task(label=pol.LOOP_CHUNK_LABEL)
         lengths = [0, 0, 0, 0]
         targets = [
-            on_spawn(cfg, 0, chunk, lengths, scatter_cursor=i, max_queue_priority=0)
+            on_spawn(cfg, 0, chunk, lengths, scatter_cursor=i, max_queue_priority=lambda: 0)
             for i in range(4)
         ]
         assert targets[:3] == [ScatterTo(1, 1), ScatterTo(2, 1), ScatterTo(3, 1)]
@@ -141,12 +124,36 @@ class TestOnSpawn:
     def test_loop_chunk_priority_tops_pending_work(self):
         cfg = pol.extended()
         chunk = task(label=pol.LOOP_CHUNK_LABEL, priority=0)
-        decision = on_spawn(cfg, 0, chunk, [3, 3], scatter_cursor=0, max_queue_priority=7)
+        decision = on_spawn(cfg, 0, chunk, [3, 3], scatter_cursor=0, max_queue_priority=lambda: 7)
         assert decision == ScatterTo(1, 8)
 
     def test_reference_ignores_chunk_label(self):
         decision = on_spawn(pol.reference(), 0, task(label=pol.LOOP_CHUNK_LABEL), [0, 0])
         assert decision == EnqueueLocal()
+
+    def test_max_queue_priority_read_only_for_extended_loop_chunks(self):
+        def unread():
+            raise AssertionError("max_queue_priority was called")
+
+        chunk = task(label=pol.LOOP_CHUNK_LABEL)
+        for cfg in (pol.reference(queue_bound=1), pol.fcfs(), pol.extended(queue_bound=1)):
+            chunks_scatter = cfg.kind is PolicyKind.EXTENDED
+            for spawned in (task(), chunk):
+                for defer in DeferMode:
+                    if chunks_scatter and spawned is chunk and defer is not DeferMode.UNDEFERRED:
+                        continue
+                    for lengths in ([0, 0], [1, 0], [1, 1]):
+                        on_spawn(cfg, 0, spawned, lengths, defer=defer, max_queue_priority=unread)
+
+        calls = []
+
+        def top():
+            calls.append(None)
+            return 3
+
+        decision = on_spawn(pol.extended(), 0, chunk, [0, 0], max_queue_priority=top)
+        assert decision == ScatterTo(1, 4)
+        assert len(calls) == 1
 
 
 class TestOnIdle:

@@ -87,7 +87,6 @@ def nested_params(draw):
         serial_prefix_cost=draw(st.integers(1, 4)),
         serial_suffix_cost=draw(st.integers(1, 4)),
         chunk_priority=draw(st.integers(0, 3)),
-        seed=draw(st.integers(0, 2**32)),
     )
 
 
