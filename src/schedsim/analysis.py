@@ -27,7 +27,8 @@ SECOND_GROUP_LABEL = "traversal-g2"
 
 
 class TraceMismatchError(Exception):
-    """The trace references tasks that are not part of the graph."""
+    """The trace references tasks that are not part of the graph, or
+    threads outside its own thread count."""
 
 
 @dataclass(frozen=True)
@@ -89,24 +90,30 @@ class ComparisonReport:
         }
 
 
-def _unknown_tasks(graph: TaskGraph, trace: ScheduleTrace) -> list:
-    """(record kind, task id) for every segment and event, in trace order,
-    that references a task outside the graph."""
+def _unknown_refs(graph: TaskGraph, trace: ScheduleTrace) -> list:
+    """(violation kind, record kind, id) for every segment and event, in
+    trace order, that references a task outside the graph
+    (``UnknownTask``, the task id) or a thread outside
+    ``[0, trace.thread_count)`` (``UnknownThread``, the thread index)."""
     n = len(graph.tasks)
-    return [
-        (kind, record.task)
-        for kind, records in (("segment", trace.segments), ("event", trace.events))
-        for record in records
-        if not 0 <= record.task < n
-    ]
+    threads = trace.thread_count
+    found = []
+    for kind, records in (("segment", trace.segments), ("event", trace.events)):
+        for record in records:
+            if not 0 <= record.task < n:
+                found.append(("UnknownTask", kind, record.task))
+            if not 0 <= record.thread < threads:
+                found.append(("UnknownThread", kind, record.thread))
+    return found
 
 
 def analyze(graph: TaskGraph, trace: ScheduleTrace) -> AnalysisReport:
     """Compute the full metric set for one trace of `graph`."""
-    unknown = _unknown_tasks(graph, trace)
+    unknown = _unknown_refs(graph, trace)
     if unknown:
-        kind, task = unknown[0]
-        raise TraceMismatchError(f"{kind} references unknown task {task}")
+        violation, kind, ident = unknown[0]
+        what = "task" if violation == "UnknownTask" else "thread"
+        raise TraceMismatchError(f"{kind} references unknown {what} {ident}")
     cp_length, cp_tasks = critical_path(graph)
     cp_set = set(cp_tasks)
     parents = spawn_parents(graph)
@@ -211,7 +218,7 @@ def validate_trace(graph: TaskGraph, trace: ScheduleTrace) -> list:
     Violations are returned as data; an empty list means the trace is
     consistent with the graph.
     """
-    violations = [Violation("UnknownTask", task) for _, task in _unknown_tasks(graph, trace)]
+    violations = [Violation(violation, ident) for violation, _, ident in _unknown_refs(graph, trace)]
     if violations:
         return violations
 
@@ -348,7 +355,9 @@ def render_gantt_svg(graph: TaskGraph, trace: ScheduleTrace, width: int = 960) -
     return "\n".join(parts)
 
 
-def report_to_json(report: AnalysisReport, meta: dict | None = None) -> str:
+def report_to_json(report: AnalysisReport | ComparisonReport, meta: dict | None = None) -> str:
+    """The report's ``to_dict()`` as indented JSON, after a ``meta``
+    header when one is given."""
     data = {}
     if meta:
         data["meta"] = dict(meta)

@@ -199,9 +199,7 @@ def run_compare(args) -> int:
         f"reduction {float(report.reduction_percent):.4g}%"
     )
     if args.output:
-        data = {"meta": _meta(args)}
-        data.update(report.to_dict())
-        _write(args.output, json.dumps(data, indent=2))
+        _write(args.output, analysis.report_to_json(report, meta=_meta(args)))
     return EXIT_OK
 
 

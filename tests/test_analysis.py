@@ -229,6 +229,20 @@ class TestValidateTrace:
         kinds = [v.kind for v in validate_trace(g, trace)]
         assert kinds == ["UnknownTask"]
 
+    def test_unknown_thread_reported_not_raised(self):
+        g = single_task_graph()
+        trace = ScheduleTrace(
+            thread_count=2,
+            segments=(Segment(2, 0, 0, 10, SegmentKind.COMPUTE),),
+            events=(TraceEvent(10, EventKind.COMPLETED, 0, -1),),
+            makespan=10,
+            outcome=Outcome.COMPLETED,
+        )
+        found = [(v.kind, v.task) for v in validate_trace(g, trace)]
+        assert found == [("UnknownThread", 2), ("UnknownThread", -1)]
+        with pytest.raises(TraceMismatchError, match="segment references unknown thread 2"):
+            analyze(g, trace)
+
 
 class TestRendering:
     def test_svg_has_one_row_per_thread(self):

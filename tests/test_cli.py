@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from schedsim.analysis import compare
 from schedsim.cli import main
+from schedsim.engine import ScheduleTrace
 from schedsim.task_graph import graph_from_json, validate
 
 
@@ -162,6 +164,20 @@ class TestCompareReport:
         assert code == 0
         data = json.loads(out.read_text())
         assert "reduction_percent" in data
+        report = compare(
+            graph_from_json(graph.read_text()),
+            ScheduleTrace.from_json(slow.read_text()),
+            ScheduleTrace.from_json(fast.read_text()),
+        )
+        invocation = {
+            "baseline": str(slow),
+            "command": "compare",
+            "graph": str(graph),
+            "output": str(out),
+            "variant": str(fast),
+        }
+        meta = {"tool": "schedsim", "invocation": invocation}
+        assert out.read_text() == json.dumps({"meta": meta, **report.to_dict()}, indent=2)
 
     def test_compare_mismatched_trace_exit_2(self, tmp_path):
         graph, slow, _ = self.make_traces(tmp_path)
@@ -217,8 +233,27 @@ def as_array(data):
     return [data]
 
 
+def thread_past_count(trace):
+    trace["segments"][0]["thread"] = trace["thread_count"] + 7
+    return trace
+
+
+def negative_thread(trace):
+    trace["segments"][0]["thread"] = -1
+    return trace
+
+
+def no_threads(trace):
+    trace["thread_count"] = 0
+    return trace
+
+
+TRACE_MUTATIONS = [null_event, as_array, thread_past_count, negative_thread, no_threads]
+
+
 class TestMalformedFiles:
-    """Files of the wrong shape are input errors: `error: ...`, exit 2."""
+    """Files of the wrong shape, or traces naming threads outside their
+    thread count, are input errors: `error: ...`, exit 2."""
 
     def assert_usage_error(self, code, capsys):
         assert code == 2
@@ -229,13 +264,13 @@ class TestMalformedFiles:
         graph = malformed(tmp_path, "bad.json", mutate, starvation_graph(tmp_path))
         self.assert_usage_error(main(["simulate", str(graph)]), capsys)
 
-    @pytest.mark.parametrize("mutate", [null_event, as_array])
+    @pytest.mark.parametrize("mutate", TRACE_MUTATIONS)
     def test_compare(self, tmp_path, capsys, mutate):
         graph, slow, fast = TestCompareReport().make_traces(tmp_path)
         bad = malformed(tmp_path, "bad.json", mutate, fast)
         self.assert_usage_error(main(["compare", str(graph), str(slow), str(bad)]), capsys)
 
-    @pytest.mark.parametrize("mutate", [null_event, as_array])
+    @pytest.mark.parametrize("mutate", TRACE_MUTATIONS)
     def test_report(self, tmp_path, capsys, mutate):
         graph, slow, _ = TestCompareReport().make_traces(tmp_path)
         bad = malformed(tmp_path, "bad.json", mutate, slow)
