@@ -786,4 +786,3 @@ def simulate(graph: TaskGraph, cfg: SimConfig) -> ScheduleTrace:
     if violations:
         raise InvalidGraphError(violations)
     return _Engine(graph, cfg).run()
-

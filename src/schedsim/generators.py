@@ -204,7 +204,7 @@ class StarvationParams:
     E: int
     poll_cost: int
     enclave_cost: int
-    seed: int
+    seed: int  # not read: the graph has no random costs
 
     def validate(self):
         _require(self.T >= 1, "T must be positive")

@@ -50,10 +50,13 @@ class ConfigError(Exception):
 class PolicyConfig:
     """Tunable policy switches.
 
-    ``queue_bound`` of ``None`` means unbounded.  Constructing a
-    reference or fcfs config normalizes the extension switches to the
-    values those policies imply; fcfs is also always unbounded.  Steal
-    victims are always probed round-robin.
+    ``queue_bound`` of ``None`` means unbounded.  ``scatter_on_overflow``
+    spreads loop chunks one per victim queue and sends a ``must_defer``
+    spawn that finds its own queue full to the first victim with space,
+    at ``MIN_PRIORITY``.  Constructing a reference or fcfs config
+    normalizes the extension switches to the values those policies
+    imply; fcfs is also always unbounded.  Steal victims are always
+    probed round-robin.
     """
 
     kind: PolicyKind
