@@ -35,6 +35,7 @@ from schedsim.task_graph import (
 )
 
 from test_acceptance import sample_graph
+from test_critical_path_pins import tied_forest
 
 DEFER_MODES = [DeferMode.RUNTIME_CHOICE, DeferMode.MUST_DEFER, DeferMode.UNDEFERRED]
 YIELD_MODES = [YieldMode.DEFAULT, YieldMode.LATENCY, YieldMode.THROUGHPUT]
@@ -300,3 +301,83 @@ def test_time_scaling_invariance(seed, threads, policy, k):
     assert [(e.kind, e.task, e.thread, e.time) for e in scaled.events] == [
         (e.kind, e.task, e.thread, k * e.time) for e in base.events
     ]
+
+
+METAMORPHIC_POLICIES = [
+    pol.reference(),
+    pol.reference(queue_bound=2),
+    pol.fcfs(),
+    pol.extended(),
+    pol.extended(queue_bound=2),
+]
+
+
+def drawn_graph(seed, forest):
+    """A ``sample_graph`` graph, or a forest of latency waits and tied tasks."""
+    rng = SplitMix64(seed)
+    if forest:
+        return tied_forest(rng, rng.randint(1, 6), latency=True)
+    return sample_graph(rng)
+
+
+def trace_rows(trace, task=lambda t: t):
+    """The trace as comparable rows, with task ids mapped through `task`."""
+    return (
+        trace.thread_count,
+        trace.makespan,
+        trace.outcome,
+        [(s.thread, task(s.task), s.start, s.end, s.kind) for s in trace.segments],
+        [(e.time, e.kind, task(e.task), e.thread) for e in trace.events],
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.booleans(),
+    st.integers(1, 4),
+    st.sampled_from(METAMORPHIC_POLICIES),
+    st.integers(950, 1050),
+)
+def test_priority_translation_invariance(seed, forest, threads, policy, shift):
+    graph = drawn_graph(seed, forest)
+    shifted = TaskGraph(
+        tasks=tuple(replace(spec, priority=spec.priority + shift) for spec in graph.tasks),
+        roots=graph.roots,
+    )
+    cfg = SimConfig(thread_count=threads, policy=policy)
+    assert simulate(shifted, cfg).to_json() == simulate(graph, cfg).to_json()
+
+
+def permute_ids(graph, perm):
+    """The graph with task `t` renamed `perm[t]`; roots keep their order."""
+
+    def renamed(action):
+        if isinstance(action, Spawn):
+            return replace(action, child=perm[action.child])
+        if isinstance(action, PollOutcome):
+            return replace(action, target=perm[action.target])
+        return action
+
+    tasks = [None] * len(graph.tasks)
+    for spec in graph.tasks:
+        tasks[perm[spec.id]] = replace(
+            spec, id=perm[spec.id], actions=tuple(map(renamed, spec.actions))
+        )
+    return TaskGraph(tasks=tuple(tasks), roots=tuple(perm[r] for r in graph.roots))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.booleans(),
+    st.integers(1, 4),
+    st.sampled_from(METAMORPHIC_POLICIES),
+    st.data(),
+)
+def test_task_id_permutation_invariance(seed, forest, threads, policy, data):
+    graph = drawn_graph(seed, forest)
+    perm = data.draw(st.permutations(range(len(graph.tasks))))
+    cfg = SimConfig(thread_count=threads, policy=policy)
+    renamed = simulate(permute_ids(graph, perm), cfg)
+    assert trace_rows(renamed) == trace_rows(simulate(graph, cfg), perm.__getitem__)
