@@ -30,14 +30,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 from . import jsontext
 from . import policies as pol
-from .policies import ConfigError, PolicyConfig, PolicyKind, WaitDecision
+from .policies import ConfigError, PolicyConfig, WaitDecision
 from .task_graph import (
     Compute,
     PollOutcome,
@@ -59,10 +57,6 @@ class InvalidGraphError(EngineError):
     def __init__(self, violations):
         super().__init__(f"graph fails validation: {violations[:5]}")
         self.violations = violations
-
-
-class UndeferredDepthError(EngineError):
-    pass
 
 
 class Outcome(str, Enum):
@@ -111,7 +105,6 @@ class SimConfig:
     policy: PolicyConfig
     max_virtual_time: int = DEFAULT_MAX_VIRTUAL_TIME
     max_poll_retries_without_progress: int = 32
-    max_undeferred_depth: Optional[int] = None
 
     def __post_init__(self):
         if self.thread_count < 1:
@@ -303,7 +296,6 @@ class _Thread:
     __slots__ = (
         "idx",
         "stack",
-        "nested",
         "seg_task",
         "seg_start",
         "seg_end",
@@ -314,7 +306,6 @@ class _Thread:
     def __init__(self, idx):
         self.idx = idx
         self.stack = []
-        self.nested = 0  # frames on the stack that run undeferred
         self.seg_task = None
         self.seg_start = 0
         self.seg_end = 0
@@ -329,11 +320,7 @@ class _Engine:
         self.policy = cfg.policy
         self.runs = [_Run(spec) for spec in graph.tasks]
         self.threads = [_Thread(i) for i in range(cfg.thread_count)]
-        # Entries (-priority, seq, task), pick end on the right (see
-        # policies.on_idle).
-        queue_count = pol.queue_count(cfg.policy, cfg.thread_count)
-        self.queues = [deque() for _ in range(queue_count)]
-        self.seq = 0
+        self.ready = pol.ReadyQueues(cfg.policy, graph, cfg.thread_count)
         self.segments = []
         self.events = []
         self.progress = 0
@@ -354,39 +341,6 @@ class _Engine:
             self.segments.append(Segment(thread, task, start, end, kind))
             if end > self.last_time:
                 self.last_time = end
-
-    def _push_frame(self, th: _Thread, run: _Run, nested: bool):
-        th.stack.append(_Frame(run, nested))
-        th.nested += nested
-
-    def _pop_frame(self, th: _Thread):
-        th.nested -= th.stack.pop().nested
-
-    def _own_queue(self, thread_idx):
-        return self.queues[thread_idx % len(self.queues)]
-
-    def _entry(self, task_id):
-        self.seq += 1
-        return (-self.runs[task_id].priority, self.seq, task_id)
-
-    def _seed_roots(self):
-        # Far end first, so each queue's pick order follows the root
-        # submission order.
-        for pos, root in enumerate(self.graph.roots):
-            self.queues[pos % len(self.queues)].appendleft(self._entry(root))
-
-    def _max_queue_priority(self):
-        """Highest priority pending in any queue, loop chunks excluded
-        (chunks of one burst must not escalate each other)."""
-        return max(
-            (
-                -neg_priority
-                for queue in self.queues
-                for neg_priority, _, task_id in queue
-                if self.runs[task_id].spec.label != pol.LOOP_CHUNK_LABEL
-            ),
-            default=None,
-        )
 
     # -- wait bookkeeping ------------------------------------------------
 
@@ -458,10 +412,8 @@ class _Engine:
                 saw_poller = True
                 continue
             if not th.stack:
-                pickable = self._pickable(th.idx, None)
-                for queue in self.queues:
-                    if any(pickable(t) for _, _, t in queue):
-                        return False
+                if self.ready.any_pickable(self._pickable(th.idx, None)):
+                    return False
                 continue
             top = th.stack[-1].run
             if self._poll_blocked(top):
@@ -488,7 +440,7 @@ class _Engine:
     # -- task completion ---------------------------------------------------
 
     def _complete_task(self, th: _Thread, run: _Run, now: int):
-        self._pop_frame(th)
+        th.stack.pop()
         run.completed = True
         # Each run's count reaches 0 once, so the cascade is linear overall.
         node = run
@@ -599,20 +551,21 @@ class _Engine:
                 self._note_failed_poll(run)
                 if self.outcome is not None:
                     break
-                own_queue = self._own_queue(th.idx)
                 decision = pol.on_yield(
-                    self.policy, run.priority, action.yield_mode, own_queue
+                    self.policy,
+                    run.priority,
+                    action.yield_mode,
+                    lambda: self.ready.lowest_pending(th.idx),
                 )
                 self._emit(now, EventKind.YIELDED, run.spec.id, th.idx)
                 progressed = True
                 if isinstance(decision, pol.ResumeImmediately):
                     break  # stay resident; retry after at most one pick
-                self._pop_frame(th)
-                if isinstance(decision, pol.RequeueBack):
+                th.stack.pop()
+                back = isinstance(decision, pol.RequeueBack)
+                if back:
                     run.priority = decision.priority
-                    own_queue.appendleft(self._entry(run.spec.id))
-                else:
-                    own_queue.append(self._entry(run.spec.id))
+                self.ready.push(th.idx, run.spec.id, run.priority, back)
                 continue
 
             if isinstance(action, (TaskwaitChildren, TaskgroupEnd)):
@@ -648,10 +601,10 @@ class _Engine:
             self.policy,
             th.idx,
             child_spec,
-            [len(queue) for queue in self.queues],
+            self.ready.lengths(),
             defer=action.defer,
             scatter_cursor=run.chunk_scatters,
-            max_queue_priority=self._max_queue_priority,
+            max_queue_priority=self.ready.max_priority,
         )
         self._emit(now, EventKind.SPAWNED, child_spec.id, th.idx)
         run.children.append(child_spec.id)
@@ -661,35 +614,23 @@ class _Engine:
         if isinstance(decision, pol.ExecuteUndeferred):
             if decision.forced:
                 self._emit(now, EventKind.THROTTLED, child_spec.id, th.idx)
-            if (
-                self.cfg.max_undeferred_depth is not None
-                and th.nested >= self.cfg.max_undeferred_depth
-            ):
-                raise UndeferredDepthError(
-                    f"undeferred nesting exceeded {self.cfg.max_undeferred_depth}"
-                )
             run.blocked_child = child_spec.id
             child.started = True
             child.home = th.idx
             self.progress += 1
-            self._push_frame(th, child, nested=True)
+            th.stack.append(_Frame(child, True))
             return
 
         if isinstance(decision, pol.ScatterTo):
             child.priority = decision.priority
-            self.queues[decision.thread].append(self._entry(child_spec.id))
+            self.ready.push(decision.thread, child_spec.id, child.priority)
             self._emit(now, EventKind.SCATTERED, child_spec.id, decision.thread)
             if child_spec.label == pol.LOOP_CHUNK_LABEL:
                 run.chunk_scatters += 1
         else:
             if decision.priority is not None:
                 child.priority = decision.priority
-            own_queue = self._own_queue(th.idx)
-            if self.policy.kind is PolicyKind.GLOBAL_FCFS:
-                # The shared queue serves spawns first-come first-served.
-                own_queue.appendleft(self._entry(child_spec.id))
-            else:
-                own_queue.append(self._entry(child_spec.id))
+            self.ready.push(th.idx, child_spec.id, child.priority)
 
         run.pc += 1
 
@@ -699,20 +640,18 @@ class _Engine:
         if th.seg_task is not None or self.outcome is not None:
             return False
         pickable = self._pickable(th.idx, self._pick_filter(th))
-        pick = pol.on_idle(self.policy, th.idx, self.queues, pickable)
-        if pick is None:
+        picked = self.ready.pick(th.idx, pickable)
+        if picked is None:
             return False
-        queue = self.queues[pick.queue]
-        task_id = queue[pick.pos][2]
-        del queue[pick.pos]
+        task_id, stolen = picked
         run = self.runs[task_id]
-        if queue is not self._own_queue(th.idx):
+        if stolen:
             self._emit(now, EventKind.STOLEN, task_id, th.idx)
         if not run.started:
             run.started = True
             run.home = th.idx
             self.progress += 1
-        self._push_frame(th, run, nested=False)
+        th.stack.append(_Frame(run, False))
         self._run_thread(th, now)
         return True
 
@@ -752,7 +691,6 @@ class _Engine:
         )
 
     def run(self) -> ScheduleTrace:
-        self._seed_roots()
         now = 0
         while self.outcome is None:
             self._process(now)

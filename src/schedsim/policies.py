@@ -1,9 +1,9 @@
-"""Scheduling policies as pure decision procedures.
+"""Scheduling policies as pure decision procedures, and the ready queues.
 
 The engine consults a policy at every task scheduling point: task
-creation (on_spawn), an idle or helping thread looking for work
-(on_idle), a failed completion poll (on_yield) and a wait construct
-(on_wait).  Three policy families are provided:
+creation (on_spawn), a failed completion poll (on_yield) and a wait
+construct (on_wait); an idle or helping thread looking for work picks
+from the run's ``ReadyQueues``.  Three policy families are provided:
 
 * ``reference`` - a mainstream runtime: per-thread double-ended queues,
   LIFO pop, FIFO steal, a hard queue bound with fallback to undeferred
@@ -20,9 +20,10 @@ always produce identical decisions.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .task_graph import DeferMode, TaskSpec, YieldMode, WaitMode
 
@@ -124,9 +125,6 @@ class ExecuteUndeferred:
     forced: bool = False
 
 
-SpawnDecision = (EnqueueLocal, ScatterTo, ExecuteUndeferred)
-
-
 def _victims(spawning_thread: int, thread_count: int) -> list:
     return [
         (spawning_thread + off) % thread_count for off in range(1, thread_count)
@@ -148,15 +146,11 @@ def on_spawn(
 ):
     """Decide placement for a newly created task.
 
-    ``queue_lengths`` has one entry per queue: one per thread, or a
-    single shared entry for fcfs (see ``queue_count``); the spawning
-    thread's own queue is ``spawning_thread % len(queue_lengths)``.  The
-    engine enqueues the child as an entry ``(-priority, seq, task)``, at
-    the pick end (the right, see ``on_idle``) of the target queue, except
-    under fcfs, whose shared queue takes spawns at the far end so it
-    serves them first-come first-served.  ``scatter_cursor`` counts
-    earlier scatters by the same parent so loop chunks land one per
-    victim before falling back to the local queue.
+    ``queue_lengths`` has one entry per queue (``ReadyQueues.lengths``):
+    one per thread, or a single shared entry for fcfs; the spawning
+    thread's own queue is ``spawning_thread % len(queue_lengths)``.
+    ``scatter_cursor`` counts earlier scatters by the same parent so loop
+    chunks land one per victim before falling back to the local queue.
     ``max_queue_priority()`` returns the highest priority pending in any
     queue among non-chunk tasks, or None if nothing qualifies; chunks of
     the same burst must not escalate each other.  It is called only for
@@ -189,18 +183,7 @@ def on_spawn(
     return ExecuteUndeferred(forced=True)
 
 
-# --- idle pick -----------------------------------------------------------
-
-
-class Pick(NamedTuple):
-    queue: int
-    pos: int
-
-
-def queue_count(cfg: PolicyConfig, thread_count: int) -> int:
-    """fcfs serves every thread from one shared queue; the others keep
-    one queue per thread."""
-    return 1 if cfg.kind is PolicyKind.GLOBAL_FCFS else thread_count
+# --- ready queues ----------------------------------------------------------
 
 
 def _best_pickable(queue, pickable):
@@ -216,52 +199,111 @@ def _best_pickable(queue, pickable):
     return best_pos, best
 
 
-def on_idle(
-    cfg: PolicyConfig,
-    thread: int,
-    queues: Sequence[Sequence[tuple]],
-    pickable: Callable[[int], bool],
-):
-    """Pick a task for a free thread, or None.
+class ReadyQueues:
+    """The ready queues of one simulation run, and the pick rule.
 
-    Every queue holds entries ``(-priority, seq, task)``, where ``seq``
-    is the global enqueue stamp (lower = older), with the pick end on
-    the right: the rightmost entry is the one a thread of this queue
-    takes next.  The thread's own queue is ``thread % len(queues)``, so
-    fcfs's single shared queue serves every thread and has no victims.
-    ``pickable(task)`` rejects entries this thread may not take (a
-    started tied task away from home, or a task outside a latency
-    wait's sync set); those are skipped, never removed.
-
-    Reference semantics take the newest pickable own entry and steal
-    the oldest pickable entry from round-robin victims.  Priority-aware
-    semantics take the smallest pickable entry across all queues,
-    preferring the own queue on priority ties.
+    fcfs serves every thread from one shared queue; the other policies
+    keep one queue per thread, and thread ``t`` owns queue ``t %
+    len(queues)``.  Every queue is a deque of entries ``(-priority, seq,
+    task)``, where ``seq`` is the run-wide enqueue stamp (lower = older),
+    with the pick end on the right: the rightmost entry is the one a
+    thread of this queue takes next.  ``push`` puts an entry at the pick
+    end, or with ``back`` at the far end; every fcfs push goes to the far
+    end, so the shared queue serves first-come first-served.  The roots
+    are pushed at construction, root ``i`` to the back of queue ``i``
+    (mod the queue count), so each queue's pick order follows the root
+    submission order.
     """
-    own = thread % len(queues)
 
-    if cfg.priority_aware:
-        own_pos, own_best = _best_pickable(queues[own], pickable)
-        steal_pick, steal_best = None, None
-        for victim in _victims(own, len(queues)):
-            pos, entry = _best_pickable(queues[victim], pickable)
-            if entry is not None and (steal_best is None or entry < steal_best):
-                steal_pick, steal_best = Pick(victim, pos), entry
-        if own_best is not None and (steal_best is None or own_best[0] <= steal_best[0]):
-            return Pick(own, own_pos)
-        return steal_pick
+    def __init__(self, cfg: PolicyConfig, graph, thread_count: int):
+        self.specs = graph.tasks
+        self.priority_aware = cfg.priority_aware
+        self.fcfs = cfg.kind is PolicyKind.GLOBAL_FCFS
+        self.queues = [deque() for _ in range(1 if self.fcfs else thread_count)]
+        self.victims = [_victims(own, len(self.queues)) for own in range(len(self.queues))]
+        self.seq = 0
+        for pos, root in enumerate(graph.roots):
+            self.push(pos, root, self.specs[root].priority, back=True)
 
-    # Reference mechanics (also fcfs and extended without priority awareness).
-    own_queue = queues[own]
-    last = len(own_queue) - 1
-    for back, entry in enumerate(reversed(own_queue)):
-        if pickable(entry[2]):
-            return Pick(own, last - back)
-    for victim in _victims(own, len(queues)):
-        for pos, entry in enumerate(queues[victim]):
+    def push(self, thread: int, task: int, priority: int, back: bool = False):
+        self.seq += 1
+        queue = self.queues[thread % len(self.queues)]
+        if back or self.fcfs:
+            queue.appendleft((-priority, self.seq, task))
+        else:
+            queue.append((-priority, self.seq, task))
+
+    def lengths(self) -> list:
+        """One length per queue, in queue order (see ``on_spawn``)."""
+        return [len(queue) for queue in self.queues]
+
+    def pick(self, thread: int, pickable: Callable[[int], bool]):
+        """Remove and return ``(task, stolen)`` for a free thread, or None.
+
+        ``pickable(task)`` rejects entries this thread may not take (a
+        started tied task away from home, or a task outside a latency
+        wait's sync set); those are skipped, never removed.  ``stolen``
+        is True when the task came from another thread's queue.
+
+        Reference semantics take the newest pickable own entry and steal
+        the oldest pickable entry from round-robin victims.
+        Priority-aware semantics take the smallest pickable entry across
+        all queues, preferring the own queue on priority ties.
+        """
+        queues = self.queues
+        own = thread % len(queues)
+        own_queue = queues[own]
+
+        if self.priority_aware:
+            own_pos, own_best = _best_pickable(own_queue, pickable)
+            steal_queue, steal_pos, steal_best = None, None, None
+            for victim in self.victims[own]:
+                pos, entry = _best_pickable(queues[victim], pickable)
+                if entry is not None and (steal_best is None or entry < steal_best):
+                    steal_queue, steal_pos, steal_best = queues[victim], pos, entry
+            if own_best is not None and (steal_best is None or own_best[0] <= steal_best[0]):
+                del own_queue[own_pos]
+                return own_best[2], False
+            if steal_best is None:
+                return None
+            del steal_queue[steal_pos]
+            return steal_best[2], True
+
+        # Reference mechanics (also fcfs and extended without priority awareness).
+        last = len(own_queue) - 1
+        for back, entry in enumerate(reversed(own_queue)):
             if pickable(entry[2]):
-                return Pick(victim, pos)
-    return None
+                del own_queue[last - back]
+                return entry[2], False
+        for victim in self.victims[own]:
+            queue = queues[victim]
+            for pos, entry in enumerate(queue):
+                if pickable(entry[2]):
+                    del queue[pos]
+                    return entry[2], True
+        return None
+
+    def any_pickable(self, pickable: Callable[[int], bool]) -> bool:
+        return any(pickable(task) for queue in self.queues for _, _, task in queue)
+
+    def lowest_pending(self, thread: int) -> Optional[int]:
+        """Lowest priority pending in the thread's own queue, or None."""
+        queue = self.queues[thread % len(self.queues)]
+        return -max(queue)[0] if queue else None
+
+    def max_priority(self) -> Optional[int]:
+        """Highest priority pending in any queue, loop chunks excluded
+        (chunks of one burst must not escalate each other), or None."""
+        specs = self.specs
+        return max(
+            (
+                -neg_priority
+                for queue in self.queues
+                for neg_priority, _, task in queue
+                if specs[task].label != LOOP_CHUNK_LABEL
+            ),
+            default=None,
+        )
 
 
 # --- yield decisions -----------------------------------------------------
@@ -286,14 +328,14 @@ def on_yield(
     cfg: PolicyConfig,
     task_priority: int,
     mode: YieldMode,
-    local_queue: Sequence[tuple],
+    lowest_pending: Callable[[], Optional[int]],
 ):
     """Decide where a poller goes after a failed completion check.
 
-    ``local_queue`` is the yielding thread's own queue, entries
-    ``(-priority, seq, task)`` with the pick end on the right (see
-    ``on_idle``).  RequeueFront puts the poller at the pick end,
-    RequeueBack at the far end.
+    RequeueFront puts the poller at the pick end of the yielding
+    thread's own queue, RequeueBack at the far end (see ``ReadyQueues``).
+    ``lowest_pending()`` returns the lowest priority pending in that
+    queue, or None if it is empty; it is called only for a fair yield.
 
     The reference runtime ignores the proposed yield clauses: every
     yield requeues the continuation at the front of the pickup order, so
@@ -314,10 +356,8 @@ def on_yield(
         return ResumeImmediately()
     fair = cfg.fair_yield and mode in (YieldMode.DEFAULT, YieldMode.THROUGHPUT)
     if fair:
-        if local_queue:
-            lowest = -max(local_queue)[0]
-            return RequeueBack(lowest - 1)
-        return RequeueBack(task_priority)
+        lowest = lowest_pending()
+        return RequeueBack(task_priority if lowest is None else lowest - 1)
     if mode is YieldMode.THROUGHPUT:
         return RequeueBack(task_priority)
     return RequeueFront()

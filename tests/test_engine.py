@@ -9,7 +9,6 @@ from schedsim.engine import (
     SegmentKind,
     SimConfig,
     InvalidGraphError,
-    UndeferredDepthError,
     simulate,
 )
 from schedsim.policies import ConfigError
@@ -108,19 +107,6 @@ class TestUndeferred:
     def test_requested_undeferred_is_not_throttling(self):
         trace = simulate(self.nested_graph(), SimConfig(thread_count=1, policy=pol.reference()))
         assert not any(e.kind is EventKind.THROTTLED for e in trace.events)
-
-    def test_depth_cap(self):
-        g = TaskGraph(
-            tasks=(
-                TaskSpec(id=0, actions=(Spawn(1, DeferMode.UNDEFERRED),)),
-                TaskSpec(id=1, actions=(Spawn(2, DeferMode.UNDEFERRED),)),
-                TaskSpec(id=2, actions=(Compute(1),)),
-            ),
-            roots=(0,),
-        )
-        cfg = SimConfig(thread_count=1, policy=pol.reference(), max_undeferred_depth=1)
-        with pytest.raises(UndeferredDepthError):
-            simulate(g, cfg)
 
     def test_throttled_spawn_emits_event(self):
         g = TaskGraph(
@@ -401,12 +387,6 @@ class TestDeepTrees:
         assert trace.makespan == sum(
             a.duration for spec in g.tasks for a in spec.actions if isinstance(a, Compute)
         )
-
-    def test_undeferred_chain_hits_depth_cap(self):
-        g = spawn_chain(self.DEPTH, None, SplitMix64(1), defer=DeferMode.UNDEFERRED)
-        cfg = SimConfig(thread_count=1, policy=pol.reference(), max_undeferred_depth=100)
-        with pytest.raises(UndeferredDepthError):
-            simulate(g, cfg)
 
     def test_latency_taskgroup_chain_completes(self):
         # The idle-until-complete waits nest level by level on the

@@ -6,19 +6,18 @@ from schedsim import policies as pol
 from schedsim.policies import (
     EnqueueLocal,
     ExecuteUndeferred,
-    Pick,
     PolicyKind,
+    ReadyQueues,
     RequeueBack,
     RequeueFront,
     ResumeImmediately,
     ScatterTo,
     WaitDecision,
-    on_idle,
     on_spawn,
     on_wait,
     on_yield,
 )
-from schedsim.task_graph import DeferMode, TaskSpec, WaitMode, YieldMode
+from schedsim.task_graph import DeferMode, TaskGraph, TaskSpec, WaitMode, YieldMode
 
 
 def entry(seq, task, priority=0):
@@ -32,6 +31,22 @@ def q(*entries):
 
 def anything(task_id):
     return True
+
+
+def ready(cfg, *queues):
+    """ReadyQueues holding exactly `queues`, one per thread (one for fcfs)."""
+    rq = ReadyQueues(cfg, TaskGraph(), len(queues))
+    rq.queues[:] = [deque(queue) for queue in queues]
+    return rq
+
+
+def assert_pick(cfg, thread, queues, pickable, task, stolen):
+    """The pick returns (task, stolen) and removes only that task's entry."""
+    rq = ready(cfg, *queues)
+    assert rq.pick(thread, pickable) == (task, stolen)
+    assert [list(queue) for queue in rq.queues] == [
+        [e for e in queue if e[2] != task] for queue in queues
+    ]
 
 
 def task(label="", priority=0):
@@ -156,93 +171,155 @@ class TestOnSpawn:
         assert len(calls) == 1
 
 
-class TestOnIdle:
+class TestPick:
     def test_reference_pops_own_tail(self):
         queues = [q(entry(1, 10), entry(2, 11), entry(3, 12)), q()]
-        assert on_idle(pol.reference(), 0, queues, anything) == Pick(0, 2)
+        assert_pick(pol.reference(), 0, queues, anything, 12, False)
 
     def test_reference_steals_head(self):
         queues = [q(), q(entry(1, 10), entry(2, 11), entry(3, 12))]
-        assert on_idle(pol.reference(), 0, queues, anything) == Pick(1, 0)
+        assert_pick(pol.reference(), 0, queues, anything, 10, True)
 
     def test_reference_steal_order_round_robin(self):
         queues = [q(), q(), q(entry(5, 20)), q(entry(1, 30))]
         # thread 1 probes 2, 3, 0 in that order
-        assert on_idle(pol.reference(), 1, queues, anything) == Pick(2, 0)
+        assert_pick(pol.reference(), 1, queues, anything, 20, True)
 
     def test_own_pick_skips_unpickable_newest(self):
         queues = [q(entry(1, 10), entry(2, 11), entry(3, 12)), q(entry(4, 13))]
-        pick = on_idle(pol.reference(), 0, queues, lambda t: t != 12)
-        assert pick == Pick(0, 1)
+        assert_pick(pol.reference(), 0, queues, lambda t: t != 12, 11, False)
 
     def test_steal_skips_unpickable_oldest(self):
         queues = [q(entry(1, 10)), q(entry(2, 20), entry(3, 21), entry(4, 22))]
-        pick = on_idle(pol.reference(), 0, queues, lambda t: t not in (10, 20))
-        assert pick == Pick(1, 1)
+        assert_pick(pol.reference(), 0, queues, lambda t: t not in (10, 20), 21, True)
 
     def test_nothing_pickable_returns_none(self):
         queues = [q(entry(1, 10)), q(entry(2, 20))]
-        assert on_idle(pol.reference(), 0, queues, lambda t: False) is None
-        assert on_idle(pol.extended(), 0, queues, lambda t: False) is None
+        for cfg in (pol.reference(), pol.extended()):
+            rq = ready(cfg, *queues)
+            assert rq.pick(0, lambda t: False) is None
+            assert not rq.any_pickable(lambda t: False)
+            assert rq.any_pickable(lambda t: t == 20)
+            assert rq.lengths() == [1, 1]
 
     def test_priority_aware_picks_highest(self):
         queues = [q(entry(1, 10, 0), entry(2, 11, 9), entry(3, 12, 0)), q()]
-        assert on_idle(pol.extended(), 0, queues, anything) == Pick(0, 1)
+        assert_pick(pol.extended(), 0, queues, anything, 11, False)
 
     def test_priority_aware_skips_unpickable_highest(self):
         queues = [q(entry(1, 10, 0), entry(2, 11, 9), entry(3, 12, 4)), q(entry(4, 20, 7))]
-        pick = on_idle(pol.extended(), 0, queues, lambda t: t not in (11, 20))
-        assert pick == Pick(0, 2)
+        assert_pick(pol.extended(), 0, queues, lambda t: t not in (11, 20), 12, False)
 
     def test_priority_aware_steals_higher_priority_over_own(self):
         queues = [q(entry(1, 10, 0)), q(entry(2, 11, 5))]
-        assert on_idle(pol.extended(), 0, queues, anything) == Pick(1, 0)
+        assert_pick(pol.extended(), 0, queues, anything, 11, True)
 
     def test_priority_tie_prefers_own_queue(self):
         queues = [q(entry(9, 10, 1)), q(entry(1, 11, 1))]
-        assert on_idle(pol.extended(), 0, queues, anything) == Pick(0, 0)
+        assert_pick(pol.extended(), 0, queues, anything, 10, False)
 
     def test_priority_tie_across_victims_oldest_first(self):
         queues = [q(), q(entry(9, 10, 1)), q(entry(2, 11, 1))]
-        assert on_idle(pol.extended(), 0, queues, anything) == Pick(2, 0)
+        assert_pick(pol.extended(), 0, queues, anything, 11, True)
 
     def test_fcfs_takes_head_of_shared_queue(self):
         # The pick end is on the right, so the oldest entry sits there.
         queues = [q(entry(2, 11), entry(1, 10))]
-        assert on_idle(pol.fcfs(), 3, queues, anything) == Pick(0, 1)
+        assert_pick(pol.fcfs(), 3, queues, anything, 10, False)
 
     def test_empty_everything_returns_none(self):
-        assert on_idle(pol.reference(), 0, [q(), q()], anything) is None
+        assert ready(pol.reference(), q(), q()).pick(0, anything) is None
+
+
+class TestReadyQueues:
+    def test_fcfs_serves_push_order_whatever_back_says(self):
+        rq = ReadyQueues(pol.fcfs(), TaskGraph(), 4)
+        pushes = [(10, False), (11, True), (12, False), (13, True), (14, False)]
+        for task_id, back in pushes:
+            rq.push(task_id % 4, task_id, 0, back)
+        assert rq.lengths() == [5]
+        assert [rq.pick(t % 4, anything) for t in range(5)] == [(t, False) for t, _ in pushes]
+
+    def test_back_goes_behind_the_pick_end(self):
+        rq = ReadyQueues(pol.reference(), TaskGraph(), 2)
+        rq.push(0, 10, 0)
+        rq.push(0, 11, 0, back=True)
+        rq.push(0, 12, 0)
+        assert [rq.pick(0, anything) for _ in range(3)] == [(12, False), (10, False), (11, False)]
+
+    def test_roots_pick_in_submission_order_per_queue(self):
+        graph = TaskGraph(tasks=tuple(TaskSpec(id=i) for i in range(5)), roots=(4, 3, 2, 1, 0))
+        rq = ReadyQueues(pol.reference(), graph, 2)
+        assert rq.lengths() == [3, 2]
+        # Own picks follow the submission order; a thief takes the far end.
+        assert [rq.pick(0, anything) for _ in range(3)] == [(4, False), (2, False), (0, False)]
+        assert [rq.pick(0, anything) for _ in range(2)] == [(1, True), (3, True)]
+
+    def test_lowest_pending_reads_own_queue(self):
+        rq = ready(pol.extended(), q(entry(1, 10, 0), entry(2, 11, -3)), q(entry(3, 12, -9)))
+        assert rq.lowest_pending(0) == -3
+        assert ready(pol.extended(), q(), q(entry(3, 12, -9))).lowest_pending(0) is None
+
+    def test_max_priority_skips_loop_chunks(self):
+        specs = (task(), task(label=pol.LOOP_CHUNK_LABEL), task())
+        graph = TaskGraph(tasks=tuple(TaskSpec(id=i, label=s.label) for i, s in enumerate(specs)))
+        rq = ReadyQueues(pol.extended(), graph, 2)
+        assert rq.max_priority() is None
+        rq.push(0, 0, 3)
+        rq.push(1, 1, 9)
+        rq.push(1, 2, -1)
+        assert rq.max_priority() == 3
+
+
+def none():
+    return None
 
 
 class TestOnYield:
     def test_reference_default_requeues_front(self):
-        assert on_yield(pol.reference(), 0, YieldMode.DEFAULT, q()) == RequeueFront()
+        assert on_yield(pol.reference(), 0, YieldMode.DEFAULT, none) == RequeueFront()
 
     def test_reference_ignores_proposed_modes(self):
-        assert on_yield(pol.reference(), 0, YieldMode.THROUGHPUT, q()) == RequeueFront()
-        assert on_yield(pol.reference(), 0, YieldMode.LATENCY, q()) == RequeueFront()
+        assert on_yield(pol.reference(), 0, YieldMode.THROUGHPUT, none) == RequeueFront()
+        assert on_yield(pol.reference(), 0, YieldMode.LATENCY, none) == RequeueFront()
 
     def test_fair_yield_goes_below_lowest_priority(self):
-        queue = q(entry(1, 10, 0), entry(2, 11, -3))
-        assert on_yield(pol.extended(), 0, YieldMode.THROUGHPUT, queue) == RequeueBack(-4)
+        assert on_yield(pol.extended(), 0, YieldMode.THROUGHPUT, lambda: -3) == RequeueBack(-4)
 
     def test_fair_yield_empty_queue_keeps_own_priority(self):
-        assert on_yield(pol.extended(), 5, YieldMode.THROUGHPUT, q()) == RequeueBack(5)
+        assert on_yield(pol.extended(), 5, YieldMode.THROUGHPUT, none) == RequeueBack(5)
 
     def test_fair_yield_applies_to_default_mode(self):
-        queue = q(entry(1, 10, 2))
-        assert on_yield(pol.extended(), 0, YieldMode.DEFAULT, queue) == RequeueBack(1)
+        assert on_yield(pol.extended(), 0, YieldMode.DEFAULT, lambda: 2) == RequeueBack(1)
 
     def test_extended_without_fair_yield_default_churns(self):
         cfg = pol.extended(fair_yield=False)
-        assert on_yield(cfg, 0, YieldMode.DEFAULT, q()) == RequeueFront()
+        assert on_yield(cfg, 0, YieldMode.DEFAULT, none) == RequeueFront()
 
     def test_latency_resumes_immediately(self):
-        assert on_yield(pol.extended(), 0, YieldMode.LATENCY, q()) == ResumeImmediately()
+        assert on_yield(pol.extended(), 0, YieldMode.LATENCY, none) == ResumeImmediately()
 
     def test_fcfs_goes_to_back(self):
-        assert on_yield(pol.fcfs(), 2, YieldMode.DEFAULT, q()) == RequeueBack(2)
+        assert on_yield(pol.fcfs(), 2, YieldMode.DEFAULT, none) == RequeueBack(2)
+
+    def test_lowest_pending_read_only_for_fair_yields(self):
+        def unread():
+            raise AssertionError("lowest_pending was called")
+
+        calls = []
+
+        def lowest():
+            calls.append(None)
+            return 3
+
+        configs = (pol.reference(), pol.fcfs(), pol.extended(), pol.extended(fair_yield=False))
+        for cfg in configs:
+            for mode in YieldMode:
+                fair = cfg.fair_yield and mode is not YieldMode.LATENCY
+                decision = on_yield(cfg, 0, mode, lowest if fair else unread)
+                if fair:
+                    assert decision == RequeueBack(2)
+        assert len(calls) == 2  # extended, default and throughput modes
 
 
 class TestOnWait:
@@ -260,5 +337,5 @@ class TestOnWait:
 def test_decisions_are_deterministic():
     cfg = pol.extended()
     queues = [q(entry(1, 1, 0)), q(entry(2, 2, 3))]
-    assert on_idle(cfg, 0, queues, anything) == on_idle(cfg, 0, queues, anything)
+    assert ready(cfg, *queues).pick(0, anything) == ready(cfg, *queues).pick(0, anything)
     assert on_spawn(cfg, 0, task(), [1, 2]) == on_spawn(cfg, 0, task(), [1, 2])
