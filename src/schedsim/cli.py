@@ -9,7 +9,6 @@ from their artifacts.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -46,18 +45,9 @@ def _write(path: str, text: str):
 
 
 def _gen_from_args(args) -> "generators.TaskGraph":
-    if args.params_json:
-        data = json.loads(Path(args.params_json).read_text())
-    else:
-        data = {}
-
     def pick(name, default=None):
-        value = data.get(name)
-        if value is None:
-            value = getattr(args, name, None)
-        if value is None:
-            value = default
-        return value
+        value = getattr(args, name)
+        return default if value is None else value
 
     if args.pattern == "enclave":
         k = int(pick("k"))
@@ -232,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="emit a workload graph as JSON")
     gen.add_argument("pattern", choices=["enclave", "starvation", "nested-loop", "two-timestep"])
     gen.add_argument("-o", "--output", required=True)
-    gen.add_argument("--params-json", help="JSON file with generator parameters")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--k", type=int)
     gen.add_argument("--timesteps", type=int, default=1)

@@ -71,13 +71,42 @@ class TestGenerate:
         assert a_data["tasks"] == b_data["tasks"]
         assert a_data["roots"] == b_data["roots"]
 
-    def test_params_json_file(self, tmp_path):
-        params = tmp_path / "params.json"
-        params.write_text(json.dumps({"t": 2, "c": 5, "e": 2, "poll_cost": 1, "enclave_cost": 3, "seed": 0}))
-        code = main(
-            ["generate", "starvation", "--params-json", str(params), "-o", str(tmp_path / "g.json")]
-        )
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("enclave", "--k", "2", "--timesteps", "2", "--seed", "7", "--cell-cost", "2",
+             "--cells-per-traversal", "3", "2", "--enclaves-per-traversal", "2", "1",
+             "--enclave-cost-min", "2", "--enclave-cost-max", "4", "--defer", "must_defer",
+             "--yield-mode", "throughput", "--wait-mode", "latency"),
+            ("starvation", "--t", "2", "--c", "5", "--e", "2", "--poll-cost", "4",
+             "--enclave-cost", "3", "--seed", "9"),
+            ("nested-loop", "--k", "3", "--loop-chunks", "2", "--chunk-cost", "5",
+             "--chunk-priority", "2", "--prefix-cost", "2", "--suffix-cost", "3",
+             "--loops-everywhere"),
+            ("two-timestep", "--k", "3", "--traversal-cost", "4", "--straggler-cost", "9",
+             "--wait-mode", "latency"),
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_graph_reproduces_from_its_meta(self, tmp_path, args):
+        _, first = generate(tmp_path, "first.json", *args)
+        data = json.loads(first.read_text())
+        flags = dict(data["meta"]["invocation"])
+        assert (flags.pop("command"), flags.pop("output")) == ("generate", str(first))
+        argv = [flags.pop("pattern")]
+        for key, value in flags.items():
+            flag = "--" + key.replace("_", "-")
+            if value is True:
+                argv.append(flag)
+            elif isinstance(value, list):
+                argv += [flag, *map(str, value)]
+            elif value is not False:
+                argv += [flag, str(value)]
+        code, again = generate(tmp_path, "again.json", *argv)
         assert code == 0
+        again_data = json.loads(again.read_text())
+        assert again_data["tasks"] == data["tasks"]
+        assert again_data["roots"] == data["roots"]
 
 
 class TestSimulate:
