@@ -27,8 +27,7 @@ SECOND_GROUP_LABEL = "traversal-g2"
 
 
 class TraceMismatchError(Exception):
-    """The trace references tasks that are not part of the graph, or
-    threads outside its own thread count."""
+    """The trace does not fit the graph or itself: see ``_untrusted``."""
 
 
 @dataclass(frozen=True)
@@ -90,30 +89,44 @@ class ComparisonReport:
         }
 
 
-def _unknown_refs(graph: TaskGraph, trace: ScheduleTrace) -> list:
-    """(violation kind, record kind, id) for every segment and event, in
-    trace order, that references a task outside the graph
-    (``UnknownTask``, the task id) or a thread outside
-    ``[0, trace.thread_count)`` (``UnknownThread``, the thread index)."""
+def _untrusted(graph: TaskGraph, trace: ScheduleTrace) -> list:
+    """(violation kind, id, message) for each defect that makes `trace`
+    unfit to analyse against `graph`: ``NoThreads`` (a thread count below
+    1), then in trace order ``UnknownTask`` and ``UnknownThread`` (a task
+    outside the graph, a thread outside ``[0, thread_count)``),
+    ``EmptySegment`` and ``OutsideMakespan`` (outside ``[0, makespan]``)."""
     n = len(graph.tasks)
     threads = trace.thread_count
+    makespan = trace.makespan
     found = []
-    for kind, records in (("segment", trace.segments), ("event", trace.events)):
-        for record in records:
-            if not 0 <= record.task < n:
-                found.append(("UnknownTask", kind, record.task))
-            if not 0 <= record.thread < threads:
-                found.append(("UnknownThread", kind, record.thread))
+    if threads < 1:
+        found.append(("NoThreads", threads, f"trace has thread_count {threads}"))
+
+    def refs(kind, record):
+        if not 0 <= record.task < n:
+            found.append(("UnknownTask", record.task, f"{kind} references unknown task {record.task}"))
+        if not 0 <= record.thread < threads:
+            found.append(("UnknownThread", record.thread, f"{kind} references unknown thread {record.thread}"))
+
+    outside = f"lies outside [0, makespan {makespan}]"
+    for seg in trace.segments:
+        refs("segment", seg)
+        if seg.end <= seg.start:
+            found.append(("EmptySegment", seg.task, f"segment of task {seg.task} does not end after it starts"))
+        elif seg.start < 0 or seg.end > makespan:
+            found.append(("OutsideMakespan", seg.task, f"segment of task {seg.task} {outside}"))
+    for event in trace.events:
+        refs("event", event)
+        if not 0 <= event.time <= makespan:
+            found.append(("OutsideMakespan", event.task, f"event of task {event.task} {outside}"))
     return found
 
 
 def analyze(graph: TaskGraph, trace: ScheduleTrace) -> AnalysisReport:
     """Compute the full metric set for one trace of `graph`."""
-    unknown = _unknown_refs(graph, trace)
-    if unknown:
-        violation, kind, ident = unknown[0]
-        what = "task" if violation == "UnknownTask" else "thread"
-        raise TraceMismatchError(f"{kind} references unknown {what} {ident}")
+    untrusted = _untrusted(graph, trace)
+    if untrusted:
+        raise TraceMismatchError(untrusted[0][2])
     cp_length, cp_tasks = critical_path(graph)
     cp_set = set(cp_tasks)
     parents = spawn_parents(graph)
@@ -218,7 +231,7 @@ def validate_trace(graph: TaskGraph, trace: ScheduleTrace) -> list:
     Violations are returned as data; an empty list means the trace is
     consistent with the graph.
     """
-    violations = [Violation(violation, ident) for violation, _, ident in _unknown_refs(graph, trace)]
+    violations = [Violation(violation, ident) for violation, ident, _ in _untrusted(graph, trace)]
     if violations:
         return violations
 
@@ -226,8 +239,6 @@ def validate_trace(graph: TaskGraph, trace: ScheduleTrace) -> list:
     per_thread = {}
     for seg in trace.segments:
         per_thread.setdefault(seg.thread, []).append(seg)
-        if seg.end <= seg.start:
-            violations.append(Violation("EmptySegment", seg.task))
     for thread, segs in sorted(per_thread.items()):
         segs = sorted(segs, key=lambda s: (s.start, s.end))
         for prev, cur in zip(segs, segs[1:]):

@@ -203,16 +203,13 @@ class ReadyQueues:
     """The ready queues of one simulation run, and the pick rule.
 
     fcfs serves every thread from one shared queue; the other policies
-    keep one queue per thread, and thread ``t`` owns queue ``t %
-    len(queues)``.  Every queue is a deque of entries ``(-priority, seq,
-    task)``, where ``seq`` is the run-wide enqueue stamp (lower = older),
-    with the pick end on the right: the rightmost entry is the one a
-    thread of this queue takes next.  ``push`` puts an entry at the pick
-    end, or with ``back`` at the far end; every fcfs push goes to the far
-    end, so the shared queue serves first-come first-served.  The roots
-    are pushed at construction, root ``i`` to the back of queue ``i``
-    (mod the queue count), so each queue's pick order follows the root
-    submission order.
+    give thread ``t`` queue ``t``.  A queue is a deque of entries
+    ``(-priority, seq, task)``, ``seq`` being the enqueue stamp (lower =
+    older), whose right end is the pick end.  ``push`` puts an entry
+    there, or with ``back`` at the far end; fcfs always pushes to the far
+    end, so it serves first-come first-served.  Root ``i`` goes to the
+    back of queue ``i`` (mod the queue count) at construction, so each
+    queue's own picks follow the submission order.
     """
 
     def __init__(self, cfg: PolicyConfig, graph, thread_count: int):
@@ -294,13 +291,12 @@ class ReadyQueues:
     def max_priority(self) -> Optional[int]:
         """Highest priority pending in any queue, loop chunks excluded
         (chunks of one burst must not escalate each other), or None."""
-        specs = self.specs
         return max(
             (
                 -neg_priority
                 for queue in self.queues
                 for neg_priority, _, task in queue
-                if specs[task].label != LOOP_CHUNK_LABEL
+                if self.specs[task].label != LOOP_CHUNK_LABEL
             ),
             default=None,
         )

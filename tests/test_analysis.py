@@ -243,6 +243,31 @@ class TestValidateTrace:
         with pytest.raises(TraceMismatchError, match="segment references unknown thread 2"):
             analyze(g, trace)
 
+    @pytest.mark.parametrize(
+        "thread_count, segment, event_time, found, message",
+        [
+            (0, None, None, [("NoThreads", 0)], "trace has thread_count 0"),
+            (1, (10, 0), 10, [("EmptySegment", 0)], "segment of task 0 does not end after"),
+            (1, (0, 11), 10, [("OutsideMakespan", 0)], "segment of task 0 lies outside"),
+            (1, (-1, 9), 10, [("OutsideMakespan", 0)], "segment of task 0 lies outside"),
+            (1, (0, 10), 11, [("OutsideMakespan", 0)], "event of task 0 lies outside"),
+        ],
+    )
+    def test_untrusted_bounds_reported_not_raised(
+        self, thread_count, segment, event_time, found, message
+    ):
+        g = single_task_graph()
+        trace = ScheduleTrace(
+            thread_count=thread_count,
+            segments=() if segment is None else (Segment(0, 0, *segment, SegmentKind.COMPUTE),),
+            events=() if event_time is None else (TraceEvent(event_time, EventKind.COMPLETED, 0, 0),),
+            makespan=10,
+            outcome=Outcome.COMPLETED,
+        )
+        assert [(v.kind, v.task) for v in validate_trace(g, trace)] == found
+        with pytest.raises(TraceMismatchError, match=message):
+            analyze(g, trace)
+
 
 class TestRendering:
     def test_svg_has_one_row_per_thread(self):

@@ -277,12 +277,45 @@ def no_threads(trace):
     return trace
 
 
-TRACE_MUTATIONS = [null_event, as_array, thread_past_count, negative_thread, no_threads]
+def no_threads_no_records(trace):
+    trace.update(thread_count=0, segments=[], events=[])
+    return trace
+
+
+def swapped_segment(trace):
+    seg = trace["segments"][0]
+    seg["start"], seg["end"] = seg["end"], seg["start"]
+    return trace
+
+
+def segment_past_makespan(trace):
+    trace["segments"][0]["end"] = trace["makespan"] + 1
+    return trace
+
+
+def event_past_makespan(trace):
+    trace["events"][0]["time"] = trace["makespan"] + 1
+    return trace
+
+
+TRACE_MUTATIONS = [
+    null_event,
+    as_array,
+    thread_past_count,
+    negative_thread,
+    no_threads,
+    no_threads_no_records,
+    swapped_segment,
+    segment_past_makespan,
+    event_past_makespan,
+]
 
 
 class TestMalformedFiles:
-    """Files of the wrong shape, or traces naming threads outside their
-    thread count, are input errors: `error: ...`, exit 2."""
+    """Files of the wrong shape, and traces naming threads outside their
+    thread count, with no threads, or with segments or events that are
+    empty or lie outside the makespan, are input errors: `error: ...`,
+    exit 2."""
 
     def assert_usage_error(self, code, capsys):
         assert code == 2
