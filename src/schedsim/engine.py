@@ -618,7 +618,7 @@ class _Engine:
             child.started = True
             child.home = th.idx
             self.progress += 1
-            th.stack.append(_Frame(child, True))
+            th.stack.append(_Frame(child, nested=True))
             return
 
         if isinstance(decision, pol.ScatterTo):
@@ -651,7 +651,7 @@ class _Engine:
             run.started = True
             run.home = th.idx
             self.progress += 1
-        th.stack.append(_Frame(run, False))
+        th.stack.append(_Frame(run, nested=False))
         self._run_thread(th, now)
         return True
 

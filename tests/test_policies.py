@@ -171,7 +171,9 @@ class TestOnSpawn:
         assert len(calls) == 1
 
 
-class TestPick:
+class TestOnIdle:
+    """`ReadyQueues.pick`, the pick of an idle or helping thread."""
+
     def test_reference_pops_own_tail(self):
         queues = [q(entry(1, 10), entry(2, 11), entry(3, 12)), q()]
         assert_pick(pol.reference(), 0, queues, anything, 12, False)
