@@ -47,6 +47,8 @@ def _write(path: str, text: str):
 def _gen_from_args(args) -> "generators.TaskGraph":
     def pick(name, default=None):
         value = getattr(args, name)
+        if value is None and default is None:
+            raise generators.InvalidParamsError(f"generate {args.pattern} needs --{name}")
         return default if value is None else value
 
     if args.pattern == "enclave":

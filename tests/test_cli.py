@@ -57,6 +57,16 @@ class TestGenerate:
         assert code == 2
         assert "C > T + 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args, flag",
+        [(("enclave",), "enclave needs --k"), (("starvation", "--t", "2"), "starvation needs --c")],
+    )
+    def test_missing_size_flag_named(self, tmp_path, capsys, args, flag):
+        code, out = generate(tmp_path, "g.json", *args)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: generate {flag}\n"
+        assert not out.exists()
+
     def test_same_flags_identical_files(self, tmp_path):
         args = (
             "nested-loop",
