@@ -387,18 +387,16 @@ class _Engine:
             and run.poll_last_progress == self.progress
         )
 
-    def _pickable(self, thread_idx, allowed):
-        """Predicate over task ids: may this thread take the task now?
-        `allowed` is a set of task ids, or None when unrestricted."""
+    def _movable(self, thread_idx):
+        """Predicate over task ids: may this thread take the task, latency
+        waits aside?  A started tied task stays on its home thread."""
         runs = self.runs
 
         def movable(task_id) -> bool:
             run = runs[task_id]
             return not (run.started and run.spec.tied and run.home != thread_idx)
 
-        if allowed is None:
-            return movable
-        return lambda task_id: task_id in allowed and movable(task_id)
+        return movable
 
     def _starved_round(self) -> bool:
         """True when every thread is stuck in a poll loop (or idle with
@@ -412,7 +410,7 @@ class _Engine:
                 saw_poller = True
                 continue
             if not th.stack:
-                if self.ready.any_pickable(self._pickable(th.idx, None)):
+                if self.ready.any_pickable(self._movable(th.idx)):
                     return False
                 continue
             top = th.stack[-1].run
@@ -639,8 +637,7 @@ class _Engine:
     def _try_pick(self, th: _Thread, now: int) -> bool:
         if th.seg_task is not None or self.outcome is not None:
             return False
-        pickable = self._pickable(th.idx, self._pick_filter(th))
-        picked = self.ready.pick(th.idx, pickable)
+        picked = self.ready.pick(th.idx, self._movable(th.idx), self._pick_filter(th))
         if picked is None:
             return False
         task_id, stolen = picked

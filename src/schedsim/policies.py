@@ -11,8 +11,8 @@ from the run's ``ReadyQueues``.  Three policy families are provided:
 * ``fcfs`` - the idealized baseline: one unbounded queue serving all
   threads first-come first-served.
 * ``extended`` - the reference mechanics plus the prescriptive
-  extensions: honored defer requests with scatter-on-overflow,
-  priority-aware pop and steal, fair yields, and latency waits.
+  extensions: honored defer requests with scatter-on-overflow, fair
+  yields, latency waits, and priority-aware pop and steal (indexed heaps).
 
 All decisions are pure functions of their inputs, so identical inputs
 always produce identical decisions.
@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heappop, heappush
 from typing import Callable, Optional, Sequence
 
 from .task_graph import DeferMode, TaskSpec, YieldMode, WaitMode
@@ -186,107 +187,148 @@ def on_spawn(
 # --- ready queues ----------------------------------------------------------
 
 
-def _best_pickable(queue, pickable):
-    """Position and entry of the smallest pickable entry, or (None, None).
-
-    An entry ``(-priority, seq, task)`` is its own rank: highest
-    priority first, then oldest, then lowest task id.
-    """
-    best_pos, best = None, None
-    for pos, entry in enumerate(queue):
-        if (best is None or entry < best) and pickable(entry[2]):
-            best_pos, best = pos, entry
-    return best_pos, best
-
-
 class ReadyQueues:
     """The ready queues of one simulation run, and the pick rule.
 
     fcfs serves every thread from one shared queue; the other policies
-    give thread ``t`` queue ``t``.  A queue is a deque of entries
-    ``(-priority, seq, task)``, ``seq`` being the enqueue stamp (lower =
-    older), whose right end is the pick end.  ``push`` puts an entry
-    there, or with ``back`` at the far end; fcfs always pushes to the far
-    end, so it serves first-come first-served.  Root ``i`` goes to the
-    back of queue ``i`` (mod the queue count) at construction, so each
-    queue's own picks follow the submission order.
+    give thread ``t`` queue ``t``.  An entry is ``(-priority, seq, task)``,
+    ``seq`` being the enqueue stamp (lower = older).  Root ``i`` is pushed
+    with ``back`` to queue ``i`` (mod the queue count) at construction.
+
+    Without priority awareness a queue is a deque whose right end is the
+    pick end; ``back`` (always, for fcfs) pushes at the far end instead.
+    With it, a queue is a ``heapq`` min-heap, ``index`` maps each queued
+    task to its ``(queue, entry)``, and ``lows`` holds a min-heap of
+    ``(priority, entry)`` per queue for ``lowest_pending``.  A pick deletes
+    lazily: it drops the task from ``index``, and either heap discards an
+    entry that is not its task's indexed one when it reaches the top.  A
+    pick filtered by a sync set smaller than the queued count looks the
+    set's tasks up in ``index``; any other pick searches each heap from
+    the top, popping the entries it must skip aside and pushing them back.
     """
 
     def __init__(self, cfg: PolicyConfig, graph, thread_count: int):
         self.specs = graph.tasks
         self.priority_aware = cfg.priority_aware
         self.fcfs = cfg.kind is PolicyKind.GLOBAL_FCFS
-        self.queues = [deque() for _ in range(1 if self.fcfs else thread_count)]
-        self.victims = [_victims(own, len(self.queues)) for own in range(len(self.queues))]
+        count = 1 if self.fcfs else thread_count
+        self.queues = [[] if self.priority_aware else deque() for _ in range(count)]
+        self.lows = [[] for _ in range(count)]
+        self.counts = [0] * count  # live entries per priority-aware queue
+        self.index = {}
+        self.victims = [_victims(own, count) for own in range(count)]
         self.seq = 0
         for pos, root in enumerate(graph.roots):
             self.push(pos, root, self.specs[root].priority, back=True)
 
     def push(self, thread: int, task: int, priority: int, back: bool = False):
         self.seq += 1
-        queue = self.queues[thread % len(self.queues)]
-        if back or self.fcfs:
-            queue.appendleft((-priority, self.seq, task))
+        own = thread % len(self.queues)
+        entry = (-priority, self.seq, task)
+        if self.priority_aware:
+            heappush(self.queues[own], entry)
+            heappush(self.lows[own], (priority, entry))
+            self.index[task] = (own, entry)
+            self.counts[own] += 1
+        elif back or self.fcfs:
+            self.queues[own].appendleft(entry)
         else:
-            queue.append((-priority, self.seq, task))
+            self.queues[own].append(entry)
 
     def lengths(self) -> list:
         """One length per queue, in queue order (see ``on_spawn``)."""
+        if self.priority_aware:
+            return list(self.counts)
         return [len(queue) for queue in self.queues]
 
-    def pick(self, thread: int, pickable: Callable[[int], bool]):
+    def _entries(self):
+        if self.priority_aware:
+            return (entry for _, entry in self.index.values())
+        return (entry for queue in self.queues for entry in queue)
+
+    def _live(self, entry) -> bool:
+        return self.index.get(entry[2], (None, None))[1] is entry
+
+    def pick(self, thread: int, movable: Callable[[int], bool], allowed=None):
         """Remove and return ``(task, stolen)`` for a free thread, or None.
 
-        ``pickable(task)`` rejects entries this thread may not take (a
-        started tied task away from home, or a task outside a latency
-        wait's sync set); those are skipped, never removed.  ``stolen``
-        is True when the task came from another thread's queue.
+        A task is pickable if ``movable(task)`` (false for a started tied
+        task away from home) and, unless ``allowed`` is None, it is in the
+        set ``allowed`` (a latency wait's sync set); other entries are
+        skipped, never removed.  ``stolen``: the task was another queue's.
 
         Reference semantics take the newest pickable own entry and steal
         the oldest pickable entry from round-robin victims.
         Priority-aware semantics take the smallest pickable entry across
         all queues, preferring the own queue on priority ties.
         """
-        queues = self.queues
-        own = thread % len(queues)
-        own_queue = queues[own]
-
-        if self.priority_aware:
-            own_pos, own_best = _best_pickable(own_queue, pickable)
-            steal_queue, steal_pos, steal_best = None, None, None
-            for victim in self.victims[own]:
-                pos, entry = _best_pickable(queues[victim], pickable)
-                if entry is not None and (steal_best is None or entry < steal_best):
-                    steal_queue, steal_pos, steal_best = queues[victim], pos, entry
-            if own_best is not None and (steal_best is None or own_best[0] <= steal_best[0]):
-                del own_queue[own_pos]
-                return own_best[2], False
-            if steal_best is None:
-                return None
-            del steal_queue[steal_pos]
-            return steal_best[2], True
-
-        # Reference mechanics (also fcfs and extended without priority awareness).
-        last = len(own_queue) - 1
-        for back, entry in enumerate(reversed(own_queue)):
-            if pickable(entry[2]):
-                del own_queue[last - back]
-                return entry[2], False
-        for victim in self.victims[own]:
-            queue = queues[victim]
-            for pos, entry in enumerate(queue):
+        own = thread % len(self.queues)
+        if not self.priority_aware:
+            pickable = movable if allowed is None else lambda t: t in allowed and movable(t)
+            own_queue = self.queues[own]
+            last = len(own_queue) - 1
+            for back, entry in enumerate(reversed(own_queue)):
                 if pickable(entry[2]):
-                    del queue[pos]
-                    return entry[2], True
-        return None
+                    del own_queue[last - back]
+                    return entry[2], False
+            for victim in self.victims[own]:
+                queue = self.queues[victim]
+                for pos, entry in enumerate(queue):
+                    if pickable(entry[2]):
+                        del queue[pos]
+                        return entry[2], True
+            return None
 
-    def any_pickable(self, pickable: Callable[[int], bool]) -> bool:
-        return any(pickable(task) for queue in self.queues for _, _, task in queue)
+        if allowed is not None and len(allowed) < len(self.index):
+            found = [self.index[t] for t in allowed if t in self.index and movable(t)]
+            own_best = min((e for queue, e in found if queue == own), default=None)
+            steal_best = min((e for queue, e in found if queue != own), default=None)
+        else:
+            own_best = self._top_pickable(own, movable, allowed, None)
+            # Only a victim entry of strictly higher priority beats the own one.
+            steal_best = None
+            bound = None if own_best is None else own_best[:1]
+            for victim in self.victims[own]:
+                steal_best = self._top_pickable(victim, movable, allowed, bound) or steal_best
+                bound = steal_best or bound
+        stolen = steal_best is not None and (own_best is None or steal_best[0] < own_best[0])
+        best = steal_best if stolen else own_best
+        if best is None:
+            return None
+        queue, _ = self.index.pop(best[2])
+        self.counts[queue] -= 1
+        return best[2], stolen
+
+    def _top_pickable(self, queue: int, movable, allowed, bound):
+        """Smallest live pickable entry of a heap below ``bound`` (None:
+        unbounded), or None.  Unpickable entries are popped aside and pushed
+        back afterwards."""
+        heap, found, aside = self.queues[queue], None, []
+        while heap and (bound is None or heap[0] < bound):
+            entry = heap[0]
+            if not self._live(entry):
+                heappop(heap)
+            elif (allowed is None or entry[2] in allowed) and movable(entry[2]):
+                found = entry
+                break
+            else:
+                aside.append(heappop(heap))
+        for entry in aside:
+            heappush(heap, entry)
+        return found
+
+    def any_pickable(self, movable: Callable[[int], bool]) -> bool:
+        return any(movable(task) for _, _, task in self._entries())
 
     def lowest_pending(self, thread: int) -> Optional[int]:
         """Lowest priority pending in the thread's own queue, or None."""
-        queue = self.queues[thread % len(self.queues)]
-        return -max(queue)[0] if queue else None
+        own = thread % len(self.queues)
+        if not self.priority_aware:
+            return -max(self.queues[own])[0] if self.queues[own] else None
+        low = self.lows[own]
+        while low and not self._live(low[0][1]):
+            heappop(low)
+        return low[0][0] if low else None
 
     def max_priority(self) -> Optional[int]:
         """Highest priority pending in any queue, loop chunks excluded
@@ -294,8 +336,7 @@ class ReadyQueues:
         return max(
             (
                 -neg_priority
-                for queue in self.queues
-                for neg_priority, _, task in queue
+                for neg_priority, _, task in self._entries()
                 if self.specs[task].label != LOOP_CHUNK_LABEL
             ),
             default=None,

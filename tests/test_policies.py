@@ -1,6 +1,7 @@
-from collections import deque
+import heapq
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schedsim import policies as pol
 from schedsim.policies import (
@@ -26,7 +27,7 @@ def entry(seq, task, priority=0):
 
 def q(*entries):
     """A ready queue; the last entry is at the pick end."""
-    return deque(entries)
+    return entries
 
 
 def anything(task_id):
@@ -34,9 +35,13 @@ def anything(task_id):
 
 
 def ready(cfg, *queues):
-    """ReadyQueues holding exactly `queues`, one per thread (one for fcfs)."""
+    """ReadyQueues holding `queues`, one per thread (one for fcfs), seeded
+    through `push` in `seq` order; each queue lists its entries as a
+    plain push (fcfs: any push) would order them."""
     rq = ReadyQueues(cfg, TaskGraph(), len(queues))
-    rq.queues[:] = [deque(queue) for queue in queues]
+    pushes = sorted((e[1], pos, e[2], -e[0]) for pos, queue in enumerate(queues) for e in queue)
+    for _, pos, task_id, priority in pushes:
+        rq.push(pos, task_id, priority)
     return rq
 
 
@@ -44,9 +49,10 @@ def assert_pick(cfg, thread, queues, pickable, task, stolen):
     """The pick returns (task, stolen) and removes only that task's entry."""
     rq = ready(cfg, *queues)
     assert rq.pick(thread, pickable) == (task, stolen)
-    assert [list(queue) for queue in rq.queues] == [
-        [e for e in queue if e[2] != task] for queue in queues
-    ]
+    assert rq.lengths() == [len(queue) - any(e[2] == task for e in queue) for queue in queues]
+    for queue in queues:
+        for _, _, queued in queue:
+            assert rq.any_pickable(lambda t: t == queued) == (queued != task)
 
 
 def task(label="", priority=0):
@@ -271,6 +277,168 @@ class TestReadyQueues:
         rq.push(1, 1, 9)
         rq.push(1, 2, -1)
         assert rq.max_priority() == 3
+
+
+def _best_pickable(queue, pickable):
+    """Position and entry of the smallest pickable entry, or (None, None):
+    the linear-scan pick rule the indexed heaps must reproduce."""
+    best_pos, best = None, None
+    for pos, entry in enumerate(queue):
+        if (best is None or entry < best) and pickable(entry[2]):
+            best_pos, best = pos, entry
+    return best_pos, best
+
+
+class ScanQueues:
+    """Priority-aware ready queues as plain lists searched by linear scans."""
+
+    def __init__(self, graph, thread_count):
+        self.specs = graph.tasks
+        self.queues = [[] for _ in range(thread_count)]
+        self.seq = 0
+        for pos, root in enumerate(graph.roots):
+            self.push(pos, root, self.specs[root].priority)
+
+    def push(self, thread, task, priority):
+        self.seq += 1
+        self.queues[thread % len(self.queues)].append((-priority, self.seq, task))
+
+    def pick(self, thread, pickable):
+        queues = self.queues
+        own = thread % len(queues)
+        own_pos, own_best = _best_pickable(queues[own], pickable)
+        steal_queue, steal_pos, steal_best = None, None, None
+        for victim in [(own + off) % len(queues) for off in range(1, len(queues))]:
+            pos, entry = _best_pickable(queues[victim], pickable)
+            if entry is not None and (steal_best is None or entry < steal_best):
+                steal_queue, steal_pos, steal_best = queues[victim], pos, entry
+        if own_best is not None and (steal_best is None or own_best[0] <= steal_best[0]):
+            del queues[own][own_pos]
+            return own_best[2], False
+        if steal_best is None:
+            return None
+        del steal_queue[steal_pos]
+        return steal_best[2], True
+
+    def lowest_pending(self, thread):
+        queue = self.queues[thread % len(self.queues)]
+        return -max(queue)[0] if queue else None
+
+    def max_priority(self):
+        return max(
+            (-e[0] for queue in self.queues for e in queue if self.specs[e[2]].label != pol.LOOP_CHUNK_LABEL),
+            default=None,
+        )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_priority_aware_queues_match_linear_scan(data):
+    """Random pushes (re-pushing picked tasks, so heaps hold dead entries),
+    picks under random `movable` predicates and `allowed` sets of every
+    size, and every query agree with the linear-scan model."""
+    threads = data.draw(st.integers(1, 4), label="threads")
+    size = data.draw(st.integers(1, 16), label="tasks")
+    specs = tuple(
+        TaskSpec(
+            id=i,
+            priority=data.draw(st.integers(-2, 2)),
+            label=data.draw(st.sampled_from(["", pol.LOOP_CHUNK_LABEL])),
+        )
+        for i in range(size)
+    )
+    graph = TaskGraph(tasks=specs, roots=tuple(range(data.draw(st.integers(0, size)))))
+    rq, model = ReadyQueues(pol.extended(), graph, threads), ScanQueues(graph, threads)
+    queued = set(graph.roots)
+    tasks = st.integers(0, size - 1)
+    for _ in range(data.draw(st.integers(0, 40), label="steps")):
+        thread = data.draw(st.integers(0, threads - 1))
+        op = data.draw(st.sampled_from(["push", "push", "pick", "pick", "queries"]))
+        if op == "push" and len(queued) < size:
+            task_id = data.draw(st.sampled_from(sorted(set(range(size)) - queued)))
+            priority = data.draw(st.integers(-2, 2))
+            rq.push(thread, task_id, priority, back=data.draw(st.booleans()))
+            model.push(thread, task_id, priority)
+            queued.add(task_id)
+        elif op == "pick":
+            stuck = data.draw(st.frozensets(tasks))
+            allowed = data.draw(st.none() | st.sets(tasks))
+
+            def movable(t):
+                return t not in stuck
+
+            picked = rq.pick(thread, movable, allowed)
+            assert picked == model.pick(thread, lambda t: (allowed is None or t in allowed) and movable(t))
+            if picked is not None:
+                queued.remove(picked[0])
+        elif op == "queries":
+            stuck = data.draw(st.frozensets(tasks))
+            assert rq.lowest_pending(thread) == model.lowest_pending(thread)
+            assert rq.max_priority() == model.max_priority()
+            assert rq.any_pickable(lambda t: t not in stuck) == (not queued <= stuck)
+        assert rq.lengths() == [len(queue) for queue in model.queues]
+
+
+class CountingSet(set):
+    def __init__(self, items):
+        super().__init__(items)
+        self.lookups = 0
+
+    def __contains__(self, item):
+        self.lookups += 1
+        return super().__contains__(item)
+
+
+class TestPickWork:
+    """Work bounds of the priority-aware queues, as call counts."""
+
+    def test_picking_all_roots_is_linear_in_movable_calls(self):
+        n = 5000
+        graph = TaskGraph(tasks=tuple(TaskSpec(id=i) for i in range(n)), roots=tuple(range(n)))
+        rq = ReadyQueues(pol.extended(), graph, 8)
+        calls = []
+
+        def movable(task_id):
+            calls.append(task_id)
+            return True
+
+        picked = [rq.pick(i % 8, movable)[0] for i in range(n)]
+        assert sorted(picked) == list(range(n))
+        assert rq.pick(0, movable) is None
+        assert len(calls) <= 2 * n
+
+    def test_small_latency_set_is_looked_up_not_scanned(self):
+        rq = ReadyQueues(pol.extended(), TaskGraph(), 2)
+        for task_id in range(2000):
+            rq.push(task_id % 2, task_id, 1)
+        for task_id in (2000, 2001, 2002):
+            rq.push(1, task_id, 0)
+        allowed = CountingSet({2000, 2001, 2002})
+        calls = []
+
+        def movable(task_id):
+            calls.append(task_id)
+            return True
+
+        assert rq.pick(0, movable, allowed) == (2000, True)
+        assert len(calls) + allowed.lookups <= 3
+
+    def test_fair_yields_pop_each_dead_low_entry_once(self, monkeypatch):
+        rq = ReadyQueues(pol.extended(), TaskGraph(), 1)
+        low_pops = []
+
+        def heappop(heap):
+            if any(heap is low for low in rq.lows):
+                low_pops.append(heap[0])
+            return heapq.heappop(heap)
+
+        monkeypatch.setattr(pol, "heappop", heappop)
+        rq.push(0, 0, 0)  # stays queued: never movable
+        for _ in range(2000):
+            rq.push(0, 1, rq.lowest_pending(0) - 1, back=True)  # fair yield of poller 1
+            assert rq.pick(0, lambda t: t != 0) == (1, False)
+        assert rq.lowest_pending(0) == 0
+        assert len(low_pops) <= 2000
 
 
 def none():
