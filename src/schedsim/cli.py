@@ -45,6 +45,7 @@ def _write(path: str, text: str):
 
 
 def _gen_from_args(args) -> "generators.TaskGraph":
+    # argparse supplies every default but the sizes and the --k-long lists.
     def pick(name, default=None):
         value = getattr(args, name)
         if value is None and default is None:
@@ -52,49 +53,47 @@ def _gen_from_args(args) -> "generators.TaskGraph":
         return default if value is None else value
 
     if args.pattern == "enclave":
-        k = int(pick("k"))
-        enclaves = pick("enclaves_per_traversal", [2] * k)
-        cells = pick("cells_per_traversal", [4] * k)
+        k = pick("k")
         params = generators.EnclaveWorkloadParams(
             K=k,
-            timesteps=int(pick("timesteps", 1)),
-            enclaves_per_traversal=tuple(int(x) for x in enclaves),
-            traversal_cell_cost=int(pick("cell_cost", 1)),
-            enclave_cost_range=(int(pick("enclave_cost_min", 1)), int(pick("enclave_cost_max", 1))),
-            cells_per_traversal=tuple(int(x) for x in cells),
-            seed=int(pick("seed", 0)),
-            defer_mode=DeferMode(pick("defer", "runtime")),
-            yield_mode=YieldMode(pick("yield_mode", "default")),
-            wait_mode=WaitMode(pick("wait_mode", "throughput")),
+            timesteps=args.timesteps,
+            enclaves_per_traversal=tuple(pick("enclaves_per_traversal", [2] * k)),
+            traversal_cell_cost=args.cell_cost,
+            enclave_cost_range=(args.enclave_cost_min, args.enclave_cost_max),
+            cells_per_traversal=tuple(pick("cells_per_traversal", [4] * k)),
+            seed=args.seed,
+            defer_mode=DeferMode(args.defer),
+            yield_mode=YieldMode(args.yield_mode),
+            wait_mode=WaitMode(args.wait_mode),
         )
         return generators.gen_enclave_pattern(params)
     if args.pattern == "starvation":
         params = generators.StarvationParams(
-            T=int(pick("t")),
-            C=int(pick("c")),
-            E=int(pick("e")),
-            poll_cost=int(pick("poll_cost", 1)),
-            enclave_cost=int(pick("enclave_cost", 1)),
-            seed=int(pick("seed", 0)),
+            T=pick("t"),
+            C=pick("c"),
+            E=pick("e"),
+            poll_cost=args.poll_cost,
+            enclave_cost=args.enclave_cost,
+            seed=args.seed,
         )
         return generators.gen_starvation_pattern(params)
     if args.pattern == "nested-loop":
         params = generators.NestedLoopParams(
-            K=int(pick("k")),
-            loop_chunks=int(pick("loop_chunks", 4)),
-            chunk_cost=int(pick("chunk_cost", 1)),
-            loop_on_critical_task_only=not bool(pick("loops_everywhere", False)),
-            serial_prefix_cost=int(pick("prefix_cost", 1)),
-            serial_suffix_cost=int(pick("suffix_cost", 1)),
-            chunk_priority=int(pick("chunk_priority", 0)),
+            K=pick("k"),
+            loop_chunks=args.loop_chunks,
+            chunk_cost=args.chunk_cost,
+            loop_on_critical_task_only=not args.loops_everywhere,
+            serial_prefix_cost=args.prefix_cost,
+            serial_suffix_cost=args.suffix_cost,
+            chunk_priority=args.chunk_priority,
         )
         return generators.gen_nested_loop_pattern(params)
     if args.pattern == "two-timestep":
         return generators.gen_two_timestep_pattern(
-            K=int(pick("k")),
-            traversal_cost=int(pick("traversal_cost", 10)),
-            straggler_enclave_cost=int(pick("straggler_cost", 25)),
-            wait_mode=WaitMode(pick("wait_mode", "throughput")),
+            K=pick("k"),
+            traversal_cost=args.traversal_cost,
+            straggler_enclave_cost=args.straggler_cost,
+            wait_mode=WaitMode(args.wait_mode),
         )
     raise generators.InvalidParamsError(f"unknown pattern {args.pattern!r}")
 

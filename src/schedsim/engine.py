@@ -104,15 +104,12 @@ class SimConfig:
     thread_count: int
     policy: PolicyConfig
     max_virtual_time: int = DEFAULT_MAX_VIRTUAL_TIME
-    max_poll_retries_without_progress: int = 32
 
     def __post_init__(self):
         if self.thread_count < 1:
             raise ConfigError("thread_count must be >= 1")
         if self.max_virtual_time <= 0:
             raise ConfigError("max_virtual_time must be positive")
-        if self.max_poll_retries_without_progress < 1:
-            raise ConfigError("max_poll_retries_without_progress must be >= 1")
 
 
 _read_segment_kind = jsontext.enum_reader(SegmentKind)
@@ -258,8 +255,7 @@ class _Run:
         "wait",
         "poll_spun",
         "poll_token",
-        "poll_stale",
-        "poll_last_progress",
+        "poll_failed_at",
     )
 
     def __init__(self, spec):
@@ -280,8 +276,7 @@ class _Run:
         self.wait = None
         self.poll_spun = False
         self.poll_token = None
-        self.poll_stale = 0
-        self.poll_last_progress = -1
+        self.poll_failed_at = -1  # engine progress at the last failed check
 
 
 class _Frame:
@@ -381,11 +376,15 @@ class _Engine:
     # -- starvation accounting ---------------------------------------------
 
     def _poll_blocked(self, run: _Run) -> bool:
-        return (
-            run.poll_token is not None
-            and run.poll_stale >= 1
-            and run.poll_last_progress == self.progress
-        )
+        return run.poll_token is not None and run.poll_failed_at == self.progress
+
+    def _blocked(self, run: _Run) -> bool:
+        """Can this top frame not advance on its own?  Its wait is
+        unsatisfied, or its undeferred child yielded, was requeued and has
+        not completed."""
+        if run.blocked_child is not None:
+            return not self.runs[run.blocked_child].completed
+        return run.wait is not None and not self._wait_satisfied(run.wait)
 
     def _movable(self, thread_idx):
         """Predicate over task ids: may this thread take the task, latency
@@ -399,40 +398,31 @@ class _Engine:
         return movable
 
     def _starved_round(self) -> bool:
-        """True when every thread is stuck in a poll loop (or idle with
-        nothing pickable) and no poller has seen progress since its last
-        retry."""
-        saw_poller = False
+        """True when no thread can progress: each one spins in a poll, sits
+        in a poll that failed since the last progress, or is idle or
+        blocked with nothing it may pick."""
         for th in self.threads:
             if th.seg_task is not None:
                 if th.seg_kind is not SegmentKind.POLL_SPIN:
                     return False
-                saw_poller = True
                 continue
-            if not th.stack:
-                if self.ready.any_pickable(self._movable(th.idx)):
+            if th.stack:
+                top = th.stack[-1].run
+                if self._poll_blocked(top):
+                    continue
+                if not self._blocked(top):
                     return False
-                continue
-            top = th.stack[-1].run
-            if self._poll_blocked(top):
-                saw_poller = True
-                continue
-            return False
-        return saw_poller
+            if self.ready.any_pickable(self._movable(th.idx), self._pick_filter(th)):
+                return False
+        return True
 
     def _note_failed_poll(self, run: _Run):
-        if run.poll_last_progress == self.progress:
-            run.poll_stale += 1
-        else:
-            run.poll_last_progress = self.progress
-            run.poll_stale = 1
-        if run.poll_stale > self.cfg.max_poll_retries_without_progress:
-            self.outcome = Outcome.STARVATION_DETECTED
-            return
         # A poller that failed twice with no progress in between has seen a
-        # full round; if every other thread is likewise stuck polling (or
-        # idle with nothing pickable), nothing can make progress anymore.
-        if run.poll_stale >= 2 and self._starved_round():
+        # full round; if every other thread is likewise stuck, nothing can
+        # make progress anymore.
+        full_round = run.poll_failed_at == self.progress
+        run.poll_failed_at = self.progress
+        if full_round and self._starved_round():
             self.outcome = Outcome.STARVATION_DETECTED
 
     # -- task completion ---------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Callable, Optional, Sequence
 
 from .task_graph import DeferMode, TaskSpec, YieldMode, WaitMode
@@ -201,7 +201,8 @@ class ReadyQueues:
     task to its ``(queue, entry)``, and ``lows`` holds a min-heap of
     ``(priority, entry)`` per queue for ``lowest_pending``.  A pick deletes
     lazily: it drops the task from ``index``, and either heap discards an
-    entry that is not its task's indexed one when it reaches the top.  A
+    entry that is not its task's indexed one when it reaches the top; a
+    low heap holding over twice its live entries (plus 16) is rebuilt.  A
     pick filtered by a sync set smaller than the queued count looks the
     set's tasks up in ``index``; any other pick searches each heap from
     the top, popping the entries it must skip aside and pushing them back.
@@ -297,6 +298,10 @@ class ReadyQueues:
             return None
         queue, _ = self.index.pop(best[2])
         self.counts[queue] -= 1
+        low = self.lows[queue]
+        if len(low) > 2 * self.counts[queue] + 16:  # a pick leaves a dead low entry
+            low[:] = [item for item in low if self._live(item[1])]
+            heapify(low)
         return best[2], stolen
 
     def _top_pickable(self, queue: int, movable, allowed, bound):
@@ -317,8 +322,11 @@ class ReadyQueues:
             heappush(heap, entry)
         return found
 
-    def any_pickable(self, movable: Callable[[int], bool]) -> bool:
-        return any(movable(task) for _, _, task in self._entries())
+    def any_pickable(self, movable: Callable[[int], bool], allowed=None) -> bool:
+        """Would ``pick`` with the same arguments find a task?"""
+        return any(
+            (allowed is None or task in allowed) and movable(task) for _, _, task in self._entries()
+        )
 
     def lowest_pending(self, thread: int) -> Optional[int]:
         """Lowest priority pending in the thread's own queue, or None."""

@@ -29,6 +29,10 @@ from schedsim.task_graph import (
 from test_critical_path_pins import spawn_chain
 
 
+POLICIES = [pol.reference(), pol.fcfs(), pol.extended()]
+POLICY_IDS = ["reference", "fcfs", "extended"]
+
+
 def single_task_graph():
     return TaskGraph(tasks=(TaskSpec(id=0, actions=(Compute(10),)),), roots=(0,))
 
@@ -325,24 +329,6 @@ class TestPolls:
         spins = [s for s in trace.segments if s.kind is SegmentKind.POLL_SPIN]
         assert spins == [trace.segments[0]] and (spins[0].start, spins[0].end) == (0, 1)
 
-    def test_retry_bound_trips(self):
-        # with the bound below the full-round threshold, the explicit retry
-        # limit is what cuts the mutual poll off
-        g = TaskGraph(
-            tasks=(
-                TaskSpec(id=0, actions=(PollOutcome(1, YieldMode.LATENCY, 1),)),
-                TaskSpec(id=1, actions=(PollOutcome(0, YieldMode.LATENCY, 1),)),
-            ),
-            roots=(0, 1),
-        )
-        cfg = SimConfig(
-            thread_count=2,
-            policy=pol.extended(),
-            max_poll_retries_without_progress=1,
-        )
-        trace = simulate(g, cfg)
-        assert trace.outcome is Outcome.STARVATION_DETECTED
-
     def test_poll_cycle_starves(self):
         g = TaskGraph(
             tasks=(
@@ -353,6 +339,59 @@ class TestPolls:
         )
         trace = simulate(g, SimConfig(thread_count=2, policy=pol.extended()))
         assert trace.outcome is Outcome.STARVATION_DETECTED
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=POLICY_IDS)
+    def test_staggered_pollers_wait_out_a_long_compute(self, policy):
+        # the pollers fail again and again without progress while the
+        # target computes on the third thread; that is not starvation
+        g = TaskGraph(
+            tasks=(
+                TaskSpec(id=0, actions=(PollOutcome(2, YieldMode.DEFAULT, 1),), tied=False),
+                TaskSpec(id=1, actions=(PollOutcome(2, YieldMode.DEFAULT, 2),), tied=False),
+                TaskSpec(id=2, actions=(Compute(1000),)),
+            ),
+            roots=(0, 1, 2),
+        )
+        trace = simulate(g, SimConfig(thread_count=3, policy=policy))
+        assert trace.outcome is Outcome.COMPLETED
+        assert trace.makespan == 1000
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=POLICY_IDS)
+    @pytest.mark.parametrize("wait", [TaskwaitChildren, TaskgroupEnd])
+    @pytest.mark.parametrize("mode", [WaitMode.THROUGHPUT, WaitMode.LATENCY])
+    def test_waiter_behind_mutual_pollers_starves_at_first_full_round(self, policy, wait, mode):
+        # the parent's wait on the two pollers can never be satisfied; the
+        # first poller to fail twice without progress (t=8) sees it
+        g = TaskGraph(
+            tasks=(
+                TaskSpec(id=0, actions=(Spawn(1), Spawn(2), Compute(5), wait(mode))),
+                TaskSpec(id=1, actions=(PollOutcome(2, YieldMode.LATENCY, 1),)),
+                TaskSpec(id=2, actions=(PollOutcome(1, YieldMode.LATENCY, 2),)),
+            ),
+            roots=(0,),
+        )
+        trace = simulate(g, SimConfig(thread_count=3, policy=policy))
+        assert trace.outcome is Outcome.STARVATION_DETECTED
+        assert trace.makespan == 8
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=POLICY_IDS)
+    def test_parent_of_stolen_undeferred_child_starves(self, policy):
+        # the undeferred child yields and is taken by the idle thread 2;
+        # its parent stays blocked on thread 0 while task 2 spins on
+        # thread 1, so only a blocked parent counted as stuck ends the run
+        g = TaskGraph(
+            tasks=(
+                TaskSpec(id=0, actions=(Spawn(1, DeferMode.UNDEFERRED),)),
+                TaskSpec(id=1, actions=(PollOutcome(2, YieldMode.DEFAULT, 1),), tied=False),
+                TaskSpec(id=2, actions=(PollOutcome(1, YieldMode.LATENCY, 2),)),
+            ),
+            roots=(0, 2),
+        )
+        cfg = SimConfig(thread_count=3, policy=policy, max_virtual_time=10_000)
+        trace = simulate(g, cfg)
+        assert trace.outcome is Outcome.STARVATION_DETECTED
+        assert trace.makespan == 3
+        assert {s.thread for s in trace.segments if s.task == 1} == {0, 2}
 
 
 class TestTraceSerialization:

@@ -373,9 +373,11 @@ def test_priority_aware_queues_match_linear_scan(data):
                 queued.remove(picked[0])
         elif op == "queries":
             stuck = data.draw(st.frozensets(tasks))
+            allowed = data.draw(st.none() | st.sets(tasks))
             assert rq.lowest_pending(thread) == model.lowest_pending(thread)
             assert rq.max_priority() == model.max_priority()
-            assert rq.any_pickable(lambda t: t not in stuck) == (not queued <= stuck)
+            pickable = queued - stuck if allowed is None else (queued & allowed) - stuck
+            assert rq.any_pickable(lambda t: t not in stuck, allowed) == bool(pickable)
         assert rq.lengths() == [len(queue) for queue in model.queues]
 
 
@@ -439,6 +441,24 @@ class TestPickWork:
             assert rq.pick(0, lambda t: t != 0) == (1, False)
         assert rq.lowest_pending(0) == 0
         assert len(low_pops) <= 2000
+
+    def test_dead_low_entries_stay_bounded(self):
+        # every pick leaves a dead low entry behind; without fair yields
+        # nothing pops them, so a low heap is rebuilt from its live entries
+        n = 2000
+        graph = TaskGraph(
+            tasks=tuple(TaskSpec(id=i, priority=i % 7) for i in range(n)), roots=tuple(range(n))
+        )
+        rq = ReadyQueues(pol.extended(), graph, 8)
+        for step in range(n):
+            rq.pick(step % 8, lambda t: True)
+            assert all(len(low) <= 2 * count + 16 for low, count in zip(rq.lows, rq.counts))
+            if step % 97 == 0:
+                for queue in range(8):
+                    pending = [-e[0] for q, e in rq.index.values() if q == queue]
+                    assert rq.lowest_pending(queue) == min(pending, default=None)
+        assert rq.lengths() == [0] * 8
+        assert all(len(low) <= 16 for low in rq.lows)
 
 
 def none():

@@ -25,6 +25,7 @@ from schedsim.task_graph import (
     PollOutcome,
     Spawn,
     TaskGraph,
+    TaskSpec,
     TaskgroupEnd,
     TaskwaitChildren,
     WaitMode,
@@ -381,3 +382,50 @@ def test_task_id_permutation_invariance(seed, forest, threads, policy, data):
     cfg = SimConfig(thread_count=threads, policy=policy)
     renamed = simulate(permute_ids(graph, perm), cfg)
     assert trace_rows(renamed) == trace_rows(simulate(graph, cfg), perm.__getitem__)
+
+
+@st.composite
+def poll_graph(draw):
+    """A small forest whose tasks poll any task (themselves and each other
+    included) at staggered costs, wait, and spawn children in any defer
+    mode, in any order."""
+    n = draw(st.integers(3, 5))
+    parent = {task: draw(st.integers(-1, task - 1)) for task in range(1, n)}
+    poll = st.builds(
+        PollOutcome, st.integers(0, n - 1), st.sampled_from(YIELD_MODES), st.integers(0, 3)
+    )
+    other = st.one_of(
+        st.builds(Compute, st.integers(1, 5)),
+        st.builds(TaskwaitChildren, st.sampled_from(WAIT_MODES)),
+        st.builds(TaskgroupEnd, st.sampled_from(WAIT_MODES)),
+    )
+    step = st.one_of(poll, other)  # half the steps poll
+    tasks = []
+    for task in range(n):
+        spawns = [
+            Spawn(child, draw(st.sampled_from(DEFER_MODES)))
+            for child in range(n)
+            if parent.get(child) == task
+        ]
+        actions = draw(st.permutations(spawns + draw(st.lists(step, min_size=1, max_size=3))))
+        tasks.append(
+            TaskSpec(
+                id=task,
+                actions=tuple(actions),
+                priority=draw(st.integers(-1, 1)),
+                tied=draw(st.booleans()),
+            )
+        )
+    roots = tuple(task for task in range(n) if parent.get(task, -1) < 0)
+    return TaskGraph(tasks=tuple(tasks), roots=roots)
+
+
+@settings(max_examples=300, deadline=None)
+@given(poll_graph())
+def test_poll_graphs_never_hit_the_time_limit(graph):
+    # Every run completes or is found starved; the limit is far above the
+    # work of any drawn graph (at most 75 ticks).
+    for policy in METAMORPHIC_POLICIES:
+        for threads in (1, 2, 3, 4):
+            cfg = SimConfig(thread_count=threads, policy=policy, max_virtual_time=10_000)
+            assert simulate(graph, cfg).outcome is not Outcome.TIME_LIMIT_EXCEEDED
