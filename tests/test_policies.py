@@ -1,4 +1,5 @@
 import heapq
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -289,6 +290,14 @@ def _best_pickable(queue, pickable):
     return best_pos, best
 
 
+def _max_unchunked(specs, pending):
+    """Highest of the ``(priority, task)`` pairs, loop chunks excluded."""
+    return max(
+        (priority for priority, task in pending if specs[task].label != pol.LOOP_CHUNK_LABEL),
+        default=None,
+    )
+
+
 class ScanQueues:
     """Priority-aware ready queues as plain lists searched by linear scans."""
 
@@ -299,7 +308,7 @@ class ScanQueues:
         for pos, root in enumerate(graph.roots):
             self.push(pos, root, self.specs[root].priority)
 
-    def push(self, thread, task, priority):
+    def push(self, thread, task, priority, back=False):
         self.seq += 1
         self.queues[thread % len(self.queues)].append((-priority, self.seq, task))
 
@@ -325,18 +334,57 @@ class ScanQueues:
         return -max(queue)[0] if queue else None
 
     def max_priority(self):
-        return max(
-            (-e[0] for queue in self.queues for e in queue if self.specs[e[2]].label != pol.LOOP_CHUNK_LABEL),
-            default=None,
-        )
+        return _max_unchunked(self.specs, ((-e[0], e[2]) for queue in self.queues for e in queue))
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_priority_aware_queues_match_linear_scan(data):
+class DequeQueues:
+    """Ready queues without priority awareness as deques of ``(priority,
+    task)``, the right end being the pick end: LIFO own pick, FIFO steal
+    from round-robin victims, ``back`` (every push, for fcfs) at the far
+    end.  The rule the near/far heaps must reproduce."""
+
+    def __init__(self, graph, queue_count, back_only=False):
+        self.specs = graph.tasks
+        self.queues = [deque() for _ in range(queue_count)]
+        self.back_only = back_only
+        for pos, root in enumerate(graph.roots):
+            self.push(pos, root, self.specs[root].priority, back=True)
+
+    def push(self, thread, task, priority, back=False):
+        queue = self.queues[thread % len(self.queues)]
+        if back or self.back_only:
+            queue.appendleft((priority, task))
+        else:
+            queue.append((priority, task))
+
+    def pick(self, thread, pickable):
+        own = thread % len(self.queues)
+        queue = self.queues[own]
+        for pos in reversed(range(len(queue))):
+            if pickable(queue[pos][1]):
+                task = queue[pos][1]
+                del queue[pos]
+                return task, False
+        for victim in [(own + off) % len(self.queues) for off in range(1, len(self.queues))]:
+            queue = self.queues[victim]
+            for pos, (_, task) in enumerate(queue):
+                if pickable(task):
+                    del queue[pos]
+                    return task, True
+        return None
+
+    def lowest_pending(self, thread):
+        return min((priority for priority, _ in self.queues[thread % len(self.queues)]), default=None)
+
+    def max_priority(self):
+        return _max_unchunked(self.specs, (pending for queue in self.queues for pending in queue))
+
+
+def drive_against_model(data, cfg, model):
     """Random pushes (re-pushing picked tasks, so heaps hold dead entries),
     picks under random `movable` predicates and `allowed` sets of every
-    size, and every query agree with the linear-scan model."""
+    size, and every query agree between `ReadyQueues` under `cfg` and
+    `model(graph, threads)`."""
     threads = data.draw(st.integers(1, 4), label="threads")
     size = data.draw(st.integers(1, 16), label="tasks")
     specs = tuple(
@@ -348,7 +396,7 @@ def test_priority_aware_queues_match_linear_scan(data):
         for i in range(size)
     )
     graph = TaskGraph(tasks=specs, roots=tuple(range(data.draw(st.integers(0, size)))))
-    rq, model = ReadyQueues(pol.extended(), graph, threads), ScanQueues(graph, threads)
+    rq, model = ReadyQueues(cfg, graph, threads), model(graph, threads)
     queued = set(graph.roots)
     tasks = st.integers(0, size - 1)
     for _ in range(data.draw(st.integers(0, 40), label="steps")):
@@ -357,8 +405,9 @@ def test_priority_aware_queues_match_linear_scan(data):
         if op == "push" and len(queued) < size:
             task_id = data.draw(st.sampled_from(sorted(set(range(size)) - queued)))
             priority = data.draw(st.integers(-2, 2))
-            rq.push(thread, task_id, priority, back=data.draw(st.booleans()))
-            model.push(thread, task_id, priority)
+            back = data.draw(st.booleans())
+            rq.push(thread, task_id, priority, back)
+            model.push(thread, task_id, priority, back)
             queued.add(task_id)
         elif op == "pick":
             stuck = data.draw(st.frozensets(tasks))
@@ -379,6 +428,21 @@ def test_priority_aware_queues_match_linear_scan(data):
             pickable = queued - stuck if allowed is None else (queued & allowed) - stuck
             assert rq.any_pickable(lambda t: t not in stuck, allowed) == bool(pickable)
         assert rq.lengths() == [len(queue) for queue in model.queues]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_priority_aware_queues_match_linear_scan(data):
+    drive_against_model(data, pol.extended(), ScanQueues)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from([pol.reference(), pol.fcfs(), pol.extended(priority_aware=False)]))
+def test_priority_unaware_queues_match_deques(data, cfg):
+    if cfg.kind is PolicyKind.GLOBAL_FCFS:
+        drive_against_model(data, cfg, lambda graph, _: DequeQueues(graph, 1, back_only=True))
+    else:
+        drive_against_model(data, cfg, DequeQueues)
 
 
 class CountingSet(set):
