@@ -3,7 +3,8 @@
 The engine consults a policy at every task scheduling point: task
 creation (on_spawn), a failed completion poll (on_yield) and a wait
 construct (on_wait); an idle or helping thread looking for work picks
-from the run's ``ReadyQueues``.  Three policy families are provided:
+from the run's ``ReadyQueues``, the same indexed heaps for every policy
+with a policy-specific sort key.  Three policy families are provided:
 
 * ``reference`` - a mainstream runtime: per-thread double-ended queues,
   LIFO pop, FIFO steal, a hard queue bound with fallback to undeferred
@@ -12,7 +13,7 @@ from the run's ``ReadyQueues``.  Three policy families are provided:
   threads first-come first-served.
 * ``extended`` - the reference mechanics plus the prescriptive
   extensions: honored defer requests with scatter-on-overflow, fair
-  yields, latency waits, and priority-aware pop and steal (indexed heaps).
+  yields, latency waits, and priority-aware pop and steal.
 
 All decisions are pure functions of their inputs, so identical inputs
 always produce identical decisions.
@@ -20,10 +21,10 @@ always produce identical decisions.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heapify, heappop, heappush
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .task_graph import DeferMode, TaskSpec, YieldMode, WaitMode
@@ -191,21 +192,26 @@ class ReadyQueues:
     """The ready queues of one simulation run, and the pick rule.
 
     fcfs serves every thread from one shared queue; the other policies
-    give thread ``t`` queue ``t``.  An entry is ``(-priority, seq, task)``,
-    ``seq`` being the enqueue stamp (lower = older).  Root ``i`` is pushed
-    with ``back`` to queue ``i`` (mod the queue count) at construction.
+    give thread ``t`` queue ``t``.  Root ``i`` is pushed with ``back`` to
+    queue ``i`` (mod the queue count) at construction.
 
-    Without priority awareness a queue is a deque whose right end is the
-    pick end; ``back`` (always, for fcfs) pushes at the far end instead.
-    With it, a queue is a ``heapq`` min-heap, ``index`` maps each queued
-    task to its ``(queue, entry)``, and ``lows`` holds a min-heap of
-    ``(priority, entry)`` per queue for ``lowest_pending``.  A pick deletes
-    lazily: it drops the task from ``index``, and either heap discards an
-    entry that is not its task's indexed one when it reaches the top; a
-    low heap holding over twice its live entries (plus 16) is rebuilt.  A
-    pick filtered by a sync set smaller than the queued count looks the
-    set's tasks up in ``index``; any other pick searches each heap from
-    the top, popping the entries it must skip aside and pushing them back.
+    Every queue keeps two ``heapq`` min-heaps over its entries: ``near``
+    yields the pick end first, ``far`` the far end.  A near entry is
+    ``(-rank, order, task, priority, seq)`` and its far twin ``(rank,
+    -order, task, priority, seq)``, ``seq`` being the enqueue stamp.  With
+    priority awareness the rank is the priority and the order ``seq``;
+    without it every rank is 0 and the order ``-seq`` for a pick-end push
+    and ``seq`` for a ``back`` push (every fcfs push), so a queue reads as
+    a double-ended queue.  ``index`` maps each queued task to its
+    ``(queue, near entry)``; ``counts`` holds the live entries per queue.
+    A pick drops the task from ``index`` and pops the entry it took if that
+    is on top.  Others die lazily: a heap discards an entry whose ``seq``
+    is not its task's indexed one when it reaches the top, and a heap
+    holding over twice its queue's live entries (plus 16) is rebuilt.  A
+    priority-aware pick filtered by a sync set smaller than the queued
+    count looks the set's tasks up in ``index``; any other pick searches
+    heaps from the top, popping the entries it must skip aside and pushing
+    them back.
     """
 
     def __init__(self, cfg: PolicyConfig, graph, thread_count: int):
@@ -213,9 +219,9 @@ class ReadyQueues:
         self.priority_aware = cfg.priority_aware
         self.fcfs = cfg.kind is PolicyKind.GLOBAL_FCFS
         count = 1 if self.fcfs else thread_count
-        self.queues = [[] if self.priority_aware else deque() for _ in range(count)]
-        self.lows = [[] for _ in range(count)]
-        self.counts = [0] * count  # live entries per priority-aware queue
+        self.near = [[] for _ in range(count)]
+        self.far = [[] for _ in range(count)]
+        self.counts = [0] * count
         self.index = {}
         self.victims = [_victims(own, count) for own in range(count)]
         self.seq = 0
@@ -223,32 +229,23 @@ class ReadyQueues:
             self.push(pos, root, self.specs[root].priority, back=True)
 
     def push(self, thread: int, task: int, priority: int, back: bool = False):
-        self.seq += 1
-        own = thread % len(self.queues)
-        entry = (-priority, self.seq, task)
-        if self.priority_aware:
-            heappush(self.queues[own], entry)
-            heappush(self.lows[own], (priority, entry))
-            self.index[task] = (own, entry)
-            self.counts[own] += 1
-        elif back or self.fcfs:
-            self.queues[own].appendleft(entry)
-        else:
-            self.queues[own].append(entry)
+        self.seq = seq = self.seq + 1
+        own = thread % len(self.near)
+        rank = priority if self.priority_aware else 0
+        order = seq if back or self.fcfs or self.priority_aware else -seq
+        entry = (-rank, order, task, priority, seq)
+        heappush(self.near[own], entry)
+        heappush(self.far[own], (rank, -order, task, priority, seq))
+        self.index[task] = (own, entry)
+        self.counts[own] += 1
 
     def lengths(self) -> list:
         """One length per queue, in queue order (see ``on_spawn``)."""
-        if self.priority_aware:
-            return list(self.counts)
-        return [len(queue) for queue in self.queues]
-
-    def _entries(self):
-        if self.priority_aware:
-            return (entry for _, entry in self.index.values())
-        return (entry for queue in self.queues for entry in queue)
+        return list(self.counts)
 
     def _live(self, entry) -> bool:
-        return self.index.get(entry[2], (None, None))[1] is entry
+        found = self.index.get(entry[2])
+        return found is not None and found[1][4] == entry[4]
 
     def pick(self, thread: int, movable: Callable[[int], bool], allowed=None):
         """Remove and return ``(task, stolen)`` for a free thread, or None.
@@ -263,52 +260,44 @@ class ReadyQueues:
         Priority-aware semantics take the smallest pickable entry across
         all queues, preferring the own queue on priority ties.
         """
-        own = thread % len(self.queues)
-        if not self.priority_aware:
-            pickable = movable if allowed is None else lambda t: t in allowed and movable(t)
-            own_queue = self.queues[own]
-            last = len(own_queue) - 1
-            for back, entry in enumerate(reversed(own_queue)):
-                if pickable(entry[2]):
-                    del own_queue[last - back]
-                    return entry[2], False
-            for victim in self.victims[own]:
-                queue = self.queues[victim]
-                for pos, entry in enumerate(queue):
-                    if pickable(entry[2]):
-                        del queue[pos]
-                        return entry[2], True
-            return None
-
-        if allowed is not None and len(allowed) < len(self.index):
+        own = thread % len(self.near)
+        if self.priority_aware and allowed is not None and len(allowed) < len(self.index):
             found = [self.index[t] for t in allowed if t in self.index and movable(t)]
             own_best = min((e for queue, e in found if queue == own), default=None)
             steal_best = min((e for queue, e in found if queue != own), default=None)
         else:
-            own_best = self._top_pickable(own, movable, allowed, None)
-            # Only a victim entry of strictly higher priority beats the own one.
+            own_best = self._top_pickable(self.near[own], movable, allowed, None)
             steal_best = None
-            bound = None if own_best is None else own_best[:1]
-            for victim in self.victims[own]:
-                steal_best = self._top_pickable(victim, movable, allowed, bound) or steal_best
-                bound = steal_best or bound
+            if self.priority_aware:
+                # Only a victim entry of strictly higher priority beats the own one.
+                bound = None if own_best is None else own_best[:1]
+                for victim in self.victims[own]:
+                    steal_best = self._top_pickable(self.near[victim], movable, allowed, bound) or steal_best
+                    bound = steal_best or bound
+            elif own_best is None:
+                for victim in self.victims[own]:
+                    steal_best = self._top_pickable(self.far[victim], movable, allowed, None)
+                    if steal_best is not None:
+                        break
         stolen = steal_best is not None and (own_best is None or steal_best[0] < own_best[0])
         best = steal_best if stolen else own_best
         if best is None:
             return None
         queue, _ = self.index.pop(best[2])
-        self.counts[queue] -= 1
-        low = self.lows[queue]
-        if len(low) > 2 * self.counts[queue] + 16:  # a pick leaves a dead low entry
-            low[:] = [item for item in low if self._live(item[1])]
-            heapify(low)
+        count = self.counts[queue] = self.counts[queue] - 1
+        for heap in (self.near[queue], self.far[queue]):
+            if heap[0] is best:
+                heappop(heap)
+            if len(heap) > 2 * count + 16:  # every pick leaves dead entries behind
+                heap[:] = [entry for entry in heap if self._live(entry)]
+                heapify(heap)
         return best[2], stolen
 
-    def _top_pickable(self, queue: int, movable, allowed, bound):
+    def _top_pickable(self, heap: list, movable, allowed, bound):
         """Smallest live pickable entry of a heap below ``bound`` (None:
         unbounded), or None.  Unpickable entries are popped aside and pushed
         back afterwards."""
-        heap, found, aside = self.queues[queue], None, []
+        found, aside = None, []
         while heap and (bound is None or heap[0] < bound):
             entry = heap[0]
             if not self._live(entry):
@@ -324,29 +313,25 @@ class ReadyQueues:
 
     def any_pickable(self, movable: Callable[[int], bool], allowed=None) -> bool:
         """Would ``pick`` with the same arguments find a task?"""
-        return any(
-            (allowed is None or task in allowed) and movable(task) for _, _, task in self._entries()
-        )
+        return any((allowed is None or task in allowed) and movable(task) for task in self.index)
 
     def lowest_pending(self, thread: int) -> Optional[int]:
         """Lowest priority pending in the thread's own queue, or None."""
-        own = thread % len(self.queues)
-        if not self.priority_aware:
-            return -max(self.queues[own])[0] if self.queues[own] else None
-        low = self.lows[own]
-        while low and not self._live(low[0][1]):
-            heappop(low)
-        return low[0][0] if low else None
+        own = thread % len(self.near)
+        if self.priority_aware:
+            top = self._top_pickable(self.far[own], lambda task: True, None, None)
+            return None if top is None else top[0]
+        near = self.near[own]
+        if len(near) > self.counts[own]:  # drop dead entries so the scan needs no liveness test
+            near[:] = [entry for entry in near if self._live(entry)]
+            heapify(near)
+        return min(map(itemgetter(3), near), default=None)  # entry priorities
 
     def max_priority(self) -> Optional[int]:
         """Highest priority pending in any queue, loop chunks excluded
         (chunks of one burst must not escalate each other), or None."""
         return max(
-            (
-                -neg_priority
-                for neg_priority, _, task in self._entries()
-                if self.specs[task].label != LOOP_CHUNK_LABEL
-            ),
+            (entry[3] for _, entry in self.index.values() if self.specs[entry[2]].label != LOOP_CHUNK_LABEL),
             default=None,
         )
 

@@ -202,6 +202,12 @@ class TestOnIdle:
         queues = [q(entry(1, 10)), q(entry(2, 20), entry(3, 21), entry(4, 22))]
         assert_pick(pol.reference(), 0, queues, lambda t: t not in (10, 20), 21, True)
 
+    def test_unaware_steal_under_small_sync_set_takes_far_end(self):
+        # only priority-aware picks look a small sync set up through the index
+        queues = [q(entry(1, 10)), q(entry(2, 20), entry(3, 21), entry(4, 22))]
+        rq = ready(pol.extended(priority_aware=False), *queues)
+        assert rq.pick(0, anything, {21, 22}) == (21, True)
+
     def test_nothing_pickable_returns_none(self):
         queues = [q(entry(1, 10)), q(entry(2, 20))]
         for cfg in (pol.reference(), pol.extended()):
@@ -456,12 +462,14 @@ class CountingSet(set):
 
 
 class TestPickWork:
-    """Work bounds of the priority-aware queues, as call counts."""
+    """Work and memory bounds of the indexed heaps, as call counts and
+    heap sizes."""
 
-    def test_picking_all_roots_is_linear_in_movable_calls(self):
+    @pytest.mark.parametrize("cfg", [pol.extended(), pol.reference()], ids=["extended", "reference"])
+    def test_picking_all_roots_is_linear_in_movable_calls(self, cfg):
         n = 5000
         graph = TaskGraph(tasks=tuple(TaskSpec(id=i) for i in range(n)), roots=tuple(range(n)))
-        rq = ReadyQueues(pol.extended(), graph, 8)
+        rq = ReadyQueues(cfg, graph, 8)
         calls = []
 
         def movable(task_id):
@@ -489,13 +497,13 @@ class TestPickWork:
         assert rq.pick(0, movable, allowed) == (2000, True)
         assert len(calls) + allowed.lookups <= 3
 
-    def test_fair_yields_pop_each_dead_low_entry_once(self, monkeypatch):
+    def test_fair_yields_pop_each_dead_entry_once(self, monkeypatch):
         rq = ReadyQueues(pol.extended(), TaskGraph(), 1)
-        low_pops = []
+        dead_pops = {"near": [], "far": []}
 
         def heappop(heap):
-            if any(heap is low for low in rq.lows):
-                low_pops.append(heap[0])
+            if not rq._live(heap[0]):
+                dead_pops["near" if heap is rq.near[0] else "far"].append(heap[0])
             return heapq.heappop(heap)
 
         monkeypatch.setattr(pol, "heappop", heappop)
@@ -504,11 +512,13 @@ class TestPickWork:
             rq.push(0, 1, rq.lowest_pending(0) - 1, back=True)  # fair yield of poller 1
             assert rq.pick(0, lambda t: t != 0) == (1, False)
         assert rq.lowest_pending(0) == 0
-        assert len(low_pops) <= 2000
+        for popped in dead_pops.values():
+            assert len(popped) == len(set(popped)) <= 2000
 
-    def test_dead_low_entries_stay_bounded(self):
-        # every pick leaves a dead low entry behind; without fair yields
-        # nothing pops them, so a low heap is rebuilt from its live entries
+    def test_dead_entries_stay_bounded(self):
+        # every pick leaves a dead entry in one heap or both; without fair
+        # yields nothing pops the far ones, so a heap is rebuilt from its
+        # live entries
         n = 2000
         graph = TaskGraph(
             tasks=tuple(TaskSpec(id=i, priority=i % 7) for i in range(n)), roots=tuple(range(n))
@@ -516,13 +526,27 @@ class TestPickWork:
         rq = ReadyQueues(pol.extended(), graph, 8)
         for step in range(n):
             rq.pick(step % 8, lambda t: True)
-            assert all(len(low) <= 2 * count + 16 for low, count in zip(rq.lows, rq.counts))
+            for heaps in (rq.near, rq.far):
+                assert all(len(heap) <= 2 * count + 16 for heap, count in zip(heaps, rq.counts))
             if step % 97 == 0:
                 for queue in range(8):
                     pending = [-e[0] for q, e in rq.index.values() if q == queue]
                     assert rq.lowest_pending(queue) == min(pending, default=None)
         assert rq.lengths() == [0] * 8
-        assert all(len(low) <= 16 for low in rq.lows)
+        assert all(len(heap) <= 16 for heap in rq.near + rq.far)
+
+    def test_stealing_a_whole_queue_keeps_its_near_heap_bounded(self):
+        # the thief reads the victim's far heap; the victim's near heap
+        # keeps a dead entry per steal until it is rebuilt
+        n = 2000
+        rq = ReadyQueues(pol.reference(), TaskGraph(), 2)
+        for task_id in range(n):
+            rq.push(1, task_id, 0)
+        for task_id in range(n):
+            assert rq.pick(0, lambda t: True) == (task_id, True)
+            assert len(rq.near[1]) <= 2 * rq.counts[1] + 16
+        assert rq.lengths() == [0, 0]
+        assert rq.pick(1, lambda t: True) is None
 
 
 def none():

@@ -279,7 +279,13 @@ def scale_time(graph, k):
     return TaskGraph(tasks=tasks, roots=graph.roots)
 
 
-SCALING_POLICIES = [pol.reference(), pol.reference(queue_bound=2), pol.fcfs(), pol.extended()]
+SCALING_POLICIES = [
+    pol.reference(),
+    pol.reference(queue_bound=2),
+    pol.fcfs(),
+    pol.extended(),
+    pol.extended(priority_aware=False),
+]
 
 
 @settings(max_examples=300, deadline=None)
@@ -310,6 +316,7 @@ METAMORPHIC_POLICIES = [
     pol.fcfs(),
     pol.extended(),
     pol.extended(queue_bound=2),
+    pol.extended(priority_aware=False),
 ]
 
 
