@@ -8,10 +8,10 @@ to exactly one trace on any platform.
 
 Execution model
 ---------------
-Threads hold a stack of task frames.  A compute action occupies the
+Threads hold a stack of task runs.  A compute action occupies the
 thread for its full duration (no preemption); spawns, polls and waits
 are task scheduling points.  An undeferred spawn suspends the parent
-frame and runs the child on top of it.  A thread whose top frame is
+run and runs the child on top of it.  A thread whose top run is
 suspended in a wait (or between poll retries) acts as a helper and may
 pick other ready work; a latency wait restricts helping to the wait's
 own synchronization set.  At every timestamp the engine processes, in
@@ -245,6 +245,7 @@ class _Run:
         "started",
         "completed",
         "home",
+        "nested",
         "priority",
         "children",
         "parent",
@@ -264,6 +265,7 @@ class _Run:
         self.started = False
         self.completed = False
         self.home = None
+        self.nested = False  # pushed by an undeferred spawn, not picked
         self.priority = spec.priority
         self.children = []
         self.parent = None
@@ -277,14 +279,6 @@ class _Run:
         self.poll_spun = False
         self.poll_token = None
         self.poll_failed_at = -1  # engine progress at the last failed check
-
-
-class _Frame:
-    __slots__ = ("run", "nested")
-
-    def __init__(self, run, nested):
-        self.run = run
-        self.nested = nested
 
 
 class _Thread:
@@ -320,7 +314,6 @@ class _Engine:
         self.events = []
         self.progress = 0
         self.completed_count = 0
-        self.last_time = 0
         self.outcome = None
         self.idle_waits = 0  # idle-until-complete waits in force
 
@@ -328,14 +321,6 @@ class _Engine:
 
     def _emit(self, time, kind, task, thread):
         self.events.append(TraceEvent(time, kind, task, thread))
-        if time > self.last_time:
-            self.last_time = time
-
-    def _record_segment(self, thread, task, start, end, kind):
-        if end > start:
-            self.segments.append(Segment(thread, task, start, end, kind))
-            if end > self.last_time:
-                self.last_time = end
 
     # -- wait bookkeeping ------------------------------------------------
 
@@ -367,8 +352,8 @@ class _Engine:
         if not self.idle_waits:
             return None
         allowed = None
-        for frame in th.stack:
-            wait = frame.run.wait
+        for run in th.stack:
+            wait = run.wait
             if wait is not None and wait.allowed is not None:
                 allowed = wait.allowed if allowed is None else (allowed & wait.allowed)
         return allowed
@@ -379,7 +364,7 @@ class _Engine:
         return run.poll_token is not None and run.poll_failed_at == self.progress
 
     def _blocked(self, run: _Run) -> bool:
-        """Can this top frame not advance on its own?  Its wait is
+        """Can this top run not advance on its own?  Its wait is
         unsatisfied, or its undeferred child yielded, was requeued and has
         not completed."""
         if run.blocked_child is not None:
@@ -407,7 +392,7 @@ class _Engine:
                     return False
                 continue
             if th.stack:
-                top = th.stack[-1].run
+                top = th.stack[-1]
                 if self._poll_blocked(top):
                     continue
                 if not self._blocked(top):
@@ -447,24 +432,18 @@ class _Engine:
 
     # -- segment lifecycle ---------------------------------------------------
 
-    def _start_compute(self, th: _Thread, run: _Run, nested: bool, duration: int, now: int):
+    def _start_segment(self, th: _Thread, run: _Run, kind, duration: int, now: int, target=None):
         th.seg_task = run.spec.id
         th.seg_start = now
         th.seg_end = now + duration
-        th.seg_kind = SegmentKind.UNDEFERRED if nested else SegmentKind.COMPUTE
-        th.seg_target = None
-
-    def _start_spin(self, th: _Thread, run: _Run, target: int, cost: int, now: int):
-        th.seg_task = run.spec.id
-        th.seg_start = now
-        th.seg_end = now + cost
-        th.seg_kind = SegmentKind.POLL_SPIN
+        th.seg_kind = kind
         th.seg_target = target
 
     def _finish_segment(self, th: _Thread, now: int):
         run = self.runs[th.seg_task]
         kind = th.seg_kind
-        self._record_segment(th.idx, th.seg_task, th.seg_start, now, kind)
+        if now > th.seg_start:
+            self.segments.append(Segment(th.idx, th.seg_task, th.seg_start, now, kind))
         if kind is not SegmentKind.POLL_SPIN:
             run.pc += 1
             self.progress += 1
@@ -479,8 +458,7 @@ class _Engine:
         if any state changed."""
         progressed = False
         while self.outcome is None and th.seg_task is None and th.stack:
-            frame = th.stack[-1]
-            run = frame.run
+            run = th.stack[-1]
 
             if run.blocked_child is not None:
                 if self.runs[run.blocked_child].completed:
@@ -509,7 +487,8 @@ class _Engine:
             action = run.spec.actions[run.pc]
 
             if isinstance(action, Compute):
-                self._start_compute(th, run, frame.nested, action.duration, now)
+                kind = SegmentKind.UNDEFERRED if run.nested else SegmentKind.COMPUTE
+                self._start_segment(th, run, kind, action.duration, now)
                 progressed = True
                 break
 
@@ -532,7 +511,7 @@ class _Engine:
                 run.poll_token = token
                 if action.poll_cost > 0 and not run.poll_spun:
                     run.poll_spun = True
-                    self._start_spin(th, run, action.target, action.poll_cost, now)
+                    self._start_segment(th, run, SegmentKind.POLL_SPIN, action.poll_cost, now, action.target)
                     progressed = True
                     break
                 run.poll_spun = False
@@ -605,8 +584,9 @@ class _Engine:
             run.blocked_child = child_spec.id
             child.started = True
             child.home = th.idx
+            child.nested = True
             self.progress += 1
-            th.stack.append(_Frame(child, nested=True))
+            th.stack.append(child)
             return
 
         if isinstance(decision, pol.ScatterTo):
@@ -638,7 +618,8 @@ class _Engine:
             run.started = True
             run.home = th.idx
             self.progress += 1
-        th.stack.append(_Frame(run, nested=False))
+        run.nested = False
+        th.stack.append(run)
         self._run_thread(th, now)
         return True
 
@@ -696,11 +677,16 @@ class _Engine:
                 self.outcome = Outcome.TIME_LIMIT_EXCEEDED
                 break
             now = nxt
+        # Both lists are appended only at `now`, which never decreases.
+        makespan = max(
+            self.segments[-1].end if self.segments else 0,
+            self.events[-1].time if self.events else 0,
+        )
         return ScheduleTrace(
             thread_count=self.cfg.thread_count,
             segments=tuple(self.segments),
             events=tuple(self.events),
-            makespan=self.last_time,
+            makespan=makespan,
             outcome=self.outcome,
         )
 
