@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schedsim import policies as pol
 from schedsim.analysis import validate_trace
 from schedsim.engine import (
+    _Engine,
     EventKind,
     Outcome,
     ScheduleTrace,
@@ -26,7 +28,7 @@ from schedsim.task_graph import (
     YieldMode,
 )
 
-from test_critical_path_pins import spawn_chain
+from test_critical_path_pins import spawn_chain, tied_forest
 
 
 POLICIES = [pol.reference(), pol.fcfs(), pol.extended()]
@@ -462,3 +464,45 @@ class TestDeepTrees:
         trace = simulate(g, SimConfig(thread_count=2, policy=pol.extended()))
         assert trace.outcome is Outcome.COMPLETED
         assert validate_trace(g, trace) == []
+
+
+class PerPickFilterEngine(_Engine):
+    """The engine with the per-pick latency rule as a model: every pick is
+    filtered by the intersection of the sync sets of all latency waits on
+    the thread's stack, each rebuilt from the graph."""
+
+    def _pick_filter(self, th):
+        allowed = None
+        for run in th.stack:
+            if run.wait is None:
+                continue
+            action = run.spec.actions[run.pc]  # a wait holds its pc until it exits
+            if pol.on_wait(self.policy, action.mode) is pol.WaitDecision.IDLE_UNTIL_COMPLETE:
+                tasks = self._wait_allowed_tasks(run.wait)
+                allowed = tasks if allowed is None else allowed & tasks
+        return allowed
+
+
+@st.composite
+def latency_graph(draw):
+    """A forest of nested latency and throughput waits, or a spawn chain
+    whose every link ends in a latency wait."""
+    rng = SplitMix64(draw(st.integers(0, 2**64 - 1)))
+    if draw(st.booleans()):
+        return tied_forest(rng, draw(st.integers(1, 6)), latency=True)
+    wait = draw(st.sampled_from([TaskgroupEnd, TaskwaitChildren]))
+    defer = draw(st.sampled_from([DeferMode.RUNTIME_CHOICE, DeferMode.UNDEFERRED]))
+    return spawn_chain(draw(st.integers(1, 40)), lambda: wait(WaitMode.LATENCY), rng, defer)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    latency_graph(),
+    st.integers(1, 4),
+    st.sampled_from([pol.extended(), pol.extended(queue_bound=2), pol.extended(priority_aware=False)]),
+)
+def test_latency_filters_match_per_pick_model(graph, threads, policy):
+    cfg = SimConfig(thread_count=threads, policy=policy)
+    engine = _Engine(graph, cfg)
+    trace = engine.run()
+    assert trace.to_json() == PerPickFilterEngine(graph, cfg).run().to_json()
