@@ -235,7 +235,7 @@ class _WaitState:
     def __init__(self, kind, members):
         self.kind = kind  # "children" | "group"
         self.members = members
-        self.allowed = None  # sync set, for an idle-until-complete wait
+        self.allowed = None  # narrowed sync set, for an idle-until-complete wait
 
 
 class _Run:
@@ -285,6 +285,7 @@ class _Thread:
     __slots__ = (
         "idx",
         "stack",
+        "filters",
         "seg_task",
         "seg_start",
         "seg_end",
@@ -295,6 +296,10 @@ class _Thread:
     def __init__(self, idx):
         self.idx = idx
         self.stack = []
+        # One narrowed sync set per latency wait on the stack, innermost
+        # last: a waiting run neither yields nor migrates, and its wait
+        # exits only while it is the top of this stack.
+        self.filters = []
         self.seg_task = None
         self.seg_start = 0
         self.seg_end = 0
@@ -315,7 +320,6 @@ class _Engine:
         self.progress = 0
         self.completed_count = 0
         self.outcome = None
-        self.idle_waits = 0  # idle-until-complete waits in force
 
     # -- small helpers ---------------------------------------------------
 
@@ -347,16 +351,8 @@ class _Engine:
         return allowed
 
     def _pick_filter(self, th: _Thread):
-        """Intersection of latency-wait sync sets on this thread's stack,
-        or None when unrestricted."""
-        if not self.idle_waits:
-            return None
-        allowed = None
-        for run in th.stack:
-            wait = run.wait
-            if wait is not None and wait.allowed is not None:
-                allowed = wait.allowed if allowed is None else (allowed & wait.allowed)
-        return allowed
+        """The innermost narrowed latency filter, or None when unrestricted."""
+        return th.filters[-1] if th.filters else None
 
     # -- starvation accounting ---------------------------------------------
 
@@ -472,7 +468,7 @@ class _Engine:
                 if self._wait_satisfied(run.wait):
                     self._emit(now, EventKind.WAIT_EXITED, run.spec.id, th.idx)
                     if run.wait.allowed is not None:
-                        self.idle_waits -= 1
+                        th.filters.pop()
                     run.wait = None
                     run.pc += 1
                     progressed = True
@@ -553,8 +549,9 @@ class _Engine:
                     continue
                 run.wait = wait
                 if decision is WaitDecision.IDLE_UNTIL_COMPLETE:
-                    wait.allowed = self._wait_allowed_tasks(wait)
-                    self.idle_waits += 1
+                    allowed = self._wait_allowed_tasks(wait)
+                    wait.allowed = allowed & th.filters[-1] if th.filters else allowed
+                    th.filters.append(wait.allowed)
                 progressed = True
                 break
 

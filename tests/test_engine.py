@@ -506,3 +506,5 @@ def test_latency_filters_match_per_pick_model(graph, threads, policy):
     engine = _Engine(graph, cfg)
     trace = engine.run()
     assert trace.to_json() == PerPickFilterEngine(graph, cfg).run().to_json()
+    if trace.outcome is Outcome.COMPLETED:
+        assert all(th.filters == [] for th in engine.threads)
