@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heapify, heappop, heappush
-from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .task_graph import DeferMode, TaskSpec, YieldMode, WaitMode
@@ -197,12 +196,12 @@ class ReadyQueues:
 
     Every queue keeps two ``heapq`` min-heaps over its entries: ``near``
     yields the pick end first, ``far`` the far end.  A near entry is
-    ``(-rank, order, task, priority, seq)`` and its far twin ``(rank,
-    -order, task, priority, seq)``, ``seq`` being the enqueue stamp.  With
-    priority awareness the rank is the priority and the order ``seq``;
-    without it every rank is 0 and the order ``-seq`` for a pick-end push
-    and ``seq`` for a ``back`` push (every fcfs push), so a queue reads as
-    a double-ended queue.  ``index`` maps each queued task to its
+    ``(-rank, order, task, seq)`` and its far twin ``(rank, -order, task,
+    seq)``, ``seq`` being the enqueue stamp.  With priority awareness the
+    rank is the priority and the order ``seq``; without it every rank is 0
+    and the order ``-seq`` for a pick-end push and ``seq`` for a ``back``
+    push (every fcfs push), so a queue reads as a double-ended queue and
+    keeps no priorities: none can reach a decision.  ``index`` maps each queued task to its
     ``(queue, near entry)``; ``counts`` holds the live entries per queue.
     A pick drops the task from ``index`` and pops the entry it took if that
     is on top.  Others die lazily: a heap discards an entry whose ``seq``
@@ -233,9 +232,9 @@ class ReadyQueues:
         own = thread % len(self.near)
         rank = priority if self.priority_aware else 0
         order = seq if back or self.fcfs or self.priority_aware else -seq
-        entry = (-rank, order, task, priority, seq)
+        entry = (-rank, order, task, seq)
         heappush(self.near[own], entry)
-        heappush(self.far[own], (rank, -order, task, priority, seq))
+        heappush(self.far[own], (rank, -order, task, seq))
         self.index[task] = (own, entry)
         self.counts[own] += 1
 
@@ -245,7 +244,7 @@ class ReadyQueues:
 
     def _live(self, entry) -> bool:
         found = self.index.get(entry[2])
-        return found is not None and found[1][4] == entry[4]
+        return found is not None and found[1][3] == entry[3]
 
     def pick(self, thread: int, movable: Callable[[int], bool], allowed=None):
         """Remove and return ``(task, stolen)`` for a free thread, or None.
@@ -316,22 +315,21 @@ class ReadyQueues:
         return any((allowed is None or task in allowed) and movable(task) for task in self.index)
 
     def lowest_pending(self, thread: int) -> Optional[int]:
-        """Lowest priority pending in the thread's own queue, or None."""
-        own = thread % len(self.near)
-        if self.priority_aware:
-            top = self._top_pickable(self.far[own], lambda task: True, None, None)
-            return None if top is None else top[0]
-        near = self.near[own]
-        if len(near) > self.counts[own]:  # drop dead entries so the scan needs no liveness test
-            near[:] = [entry for entry in near if self._live(entry)]
-            heapify(near)
-        return min(map(itemgetter(3), near), default=None)  # entry priorities
+        """Lowest priority pending in the thread's own queue, or None (also
+        without priority awareness)."""
+        if not self.priority_aware:
+            return None
+        top = self._top_pickable(self.far[thread % len(self.far)], lambda task: True, None, None)
+        return None if top is None else top[0]
 
     def max_priority(self) -> Optional[int]:
         """Highest priority pending in any queue, loop chunks excluded
-        (chunks of one burst must not escalate each other), or None."""
+        (chunks of one burst must not escalate each other), or None (also
+        without priority awareness)."""
+        if not self.priority_aware:
+            return None
         return max(
-            (entry[3] for _, entry in self.index.values() if self.specs[entry[2]].label != LOOP_CHUNK_LABEL),
+            (-entry[0] for _, entry in self.index.values() if self.specs[entry[2]].label != LOOP_CHUNK_LABEL),
             default=None,
         )
 

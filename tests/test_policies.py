@@ -275,6 +275,20 @@ class TestReadyQueues:
         assert rq.lowest_pending(0) == -3
         assert ready(pol.extended(), q(), q(entry(3, 12, -9))).lowest_pending(0) is None
 
+    @pytest.mark.parametrize(
+        "cfg", [pol.reference(), pol.fcfs(), pol.extended(priority_aware=False)], ids=["reference", "fcfs", "unaware"]
+    )
+    def test_unaware_queues_keep_no_priorities(self, cfg):
+        # without priority awareness no priority reaches a decision, so
+        # the entries hold none and neither query reads one
+        rq = ReadyQueues(cfg, TaskGraph(), 2)
+        for task_id, priority in enumerate((5, -3, 0, 9)):
+            rq.push(task_id % 2, task_id, priority, back=task_id == 3)
+        assert rq.lowest_pending(0) is None
+        assert rq.lowest_pending(1) is None
+        assert rq.max_priority() is None
+        assert all(len(entry) == 4 for heap in rq.near + rq.far for entry in heap)
+
     def test_max_priority_skips_loop_chunks(self):
         specs = (task(), task(label=pol.LOOP_CHUNK_LABEL), task())
         graph = TaskGraph(tasks=tuple(TaskSpec(id=i, label=s.label) for i, s in enumerate(specs)))
@@ -344,46 +358,43 @@ class ScanQueues:
 
 
 class DequeQueues:
-    """Ready queues without priority awareness as deques of ``(priority,
-    task)``, the right end being the pick end: LIFO own pick, FIFO steal
-    from round-robin victims, ``back`` (every push, for fcfs) at the far
-    end.  The rule the near/far heaps must reproduce."""
+    """Ready queues without priority awareness as deques of tasks, the
+    right end being the pick end: LIFO own pick, FIFO steal from
+    round-robin victims, ``back`` (every push, for fcfs) at the far end.
+    No priority is kept.  The rule the near/far heaps must reproduce."""
 
     def __init__(self, graph, queue_count, back_only=False):
-        self.specs = graph.tasks
         self.queues = [deque() for _ in range(queue_count)]
         self.back_only = back_only
         for pos, root in enumerate(graph.roots):
-            self.push(pos, root, self.specs[root].priority, back=True)
+            self.push(pos, root, 0, back=True)
 
     def push(self, thread, task, priority, back=False):
         queue = self.queues[thread % len(self.queues)]
         if back or self.back_only:
-            queue.appendleft((priority, task))
+            queue.appendleft(task)
         else:
-            queue.append((priority, task))
+            queue.append(task)
 
     def pick(self, thread, pickable):
         own = thread % len(self.queues)
         queue = self.queues[own]
-        for pos in reversed(range(len(queue))):
-            if pickable(queue[pos][1]):
-                task = queue[pos][1]
-                del queue[pos]
+        for task in reversed(queue):
+            if pickable(task):
+                queue.remove(task)
                 return task, False
         for victim in [(own + off) % len(self.queues) for off in range(1, len(self.queues))]:
-            queue = self.queues[victim]
-            for pos, (_, task) in enumerate(queue):
+            for task in self.queues[victim]:
                 if pickable(task):
-                    del queue[pos]
+                    self.queues[victim].remove(task)
                     return task, True
         return None
 
     def lowest_pending(self, thread):
-        return min((priority for priority, _ in self.queues[thread % len(self.queues)]), default=None)
+        return None
 
     def max_priority(self):
-        return _max_unchunked(self.specs, (pending for queue in self.queues for pending in queue))
+        return None
 
 
 def drive_against_model(data, cfg, model):
