@@ -363,27 +363,22 @@ def on_yield(
     RequeueFront puts the poller at the pick end of the yielding
     thread's own queue, RequeueBack at the far end (see ``ReadyQueues``).
     ``lowest_pending()`` returns the lowest priority pending in that
-    queue, or None if it is empty; it is called only for a fair yield.
+    queue, or None if it is empty or keeps no priorities; it is called
+    only for a fair yield.
 
     The reference runtime ignores the proposed yield clauses: every
     yield requeues the continuation at the front of the pickup order, so
     the owning thread takes the newest task again and consumers churn.
     A fair yield goes to the back with priority one below the lowest
-    pending priority, guaranteeing every queued task starts first.
+    pending priority, guaranteeing every queued task starts first.  fcfs
+    follows the extended rules without fair yields; its one queue puts
+    every push at the far end.
     """
     if cfg.kind is PolicyKind.REFERENCE_DEQUE:
         return RequeueFront()
-
-    if cfg.kind is PolicyKind.GLOBAL_FCFS:
-        if mode is YieldMode.LATENCY:
-            return ResumeImmediately()
-        return RequeueBack(task_priority)
-
-    # Extended.
     if mode is YieldMode.LATENCY:
         return ResumeImmediately()
-    fair = cfg.fair_yield and mode in (YieldMode.DEFAULT, YieldMode.THROUGHPUT)
-    if fair:
+    if cfg.fair_yield:
         lowest = lowest_pending()
         return RequeueBack(task_priority if lowest is None else lowest - 1)
     if mode is YieldMode.THROUGHPUT:

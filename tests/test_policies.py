@@ -588,8 +588,10 @@ class TestOnYield:
     def test_latency_resumes_immediately(self):
         assert on_yield(pol.extended(), 0, YieldMode.LATENCY, none) == ResumeImmediately()
 
-    def test_fcfs_goes_to_back(self):
-        assert on_yield(pol.fcfs(), 2, YieldMode.DEFAULT, none) == RequeueBack(2)
+    def test_fcfs_follows_extended_without_fair_yield(self):
+        # the shared queue puts a front requeue at the far end as well
+        for mode in YieldMode:
+            assert on_yield(pol.fcfs(), 2, mode, none) == on_yield(pol.extended(fair_yield=False), 2, mode, none)
 
     def test_lowest_pending_read_only_for_fair_yields(self):
         def unread():
