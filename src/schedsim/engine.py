@@ -436,12 +436,11 @@ class _Engine:
         th.seg_target = target
 
     def _finish_segment(self, th: _Thread, now: int):
-        run = self.runs[th.seg_task]
         kind = th.seg_kind
         if now > th.seg_start:
             self.segments.append(Segment(th.idx, th.seg_task, th.seg_start, now, kind))
         if kind is not SegmentKind.POLL_SPIN:
-            run.pc += 1
+            self.runs[th.seg_task].pc += 1
             self.progress += 1
         th.seg_task = None
         th.seg_kind = None
