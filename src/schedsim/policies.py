@@ -201,16 +201,16 @@ class ReadyQueues:
     rank is the priority and the order ``seq``; without it every rank is 0
     and the order ``-seq`` for a pick-end push and ``seq`` for a ``back``
     push (every fcfs push), so a queue reads as a double-ended queue and
-    keeps no priorities: none can reach a decision.  ``index`` maps each queued task to its
-    ``(queue, near entry)``; ``counts`` holds the live entries per queue.
-    A pick drops the task from ``index`` and pops the entry it took if that
-    is on top.  Others die lazily: a heap discards an entry whose ``seq``
-    is not its task's indexed one when it reaches the top, and a heap
-    holding over twice its queue's live entries (plus 16) is rebuilt.  A
-    priority-aware pick filtered by a sync set smaller than the queued
-    count looks the set's tasks up in ``index``; any other pick searches
-    heaps from the top, popping the entries it must skip aside and pushing
-    them back.
+    keeps no priorities: none can reach a decision.  ``index`` maps each
+    queued task to its ``(queue, near entry)``; ``counts`` holds the live
+    entries per queue.  A pick drops the task from ``index`` and pops the
+    entry it took if that is on top.  Others die lazily: a heap discards
+    an entry whose ``seq`` is not its task's indexed one when it reaches
+    the top, and a heap holding over twice its queue's live entries (plus
+    16) is rebuilt.  A priority-aware pick filtered by a sync set smaller
+    than the queued count looks the set's tasks up in ``index``; any other
+    pick searches heaps from the top, popping the entries it must skip
+    aside and pushing them back.
     """
 
     def __init__(self, cfg: PolicyConfig, graph, thread_count: int):
@@ -315,8 +315,8 @@ class ReadyQueues:
         return any((allowed is None or task in allowed) and movable(task) for task in self.index)
 
     def lowest_pending(self, thread: int) -> Optional[int]:
-        """Lowest priority pending in the thread's own queue, or None (also
-        without priority awareness)."""
+        """Lowest priority pending in the thread's own queue, or None when
+        it is empty or keeps no priorities."""
         if not self.priority_aware:
             return None
         top = self._top_pickable(self.far[thread % len(self.far)], lambda task: True, None, None)
@@ -324,8 +324,8 @@ class ReadyQueues:
 
     def max_priority(self) -> Optional[int]:
         """Highest priority pending in any queue, loop chunks excluded
-        (chunks of one burst must not escalate each other), or None (also
-        without priority awareness)."""
+        (chunks of one burst must not escalate each other), or None when
+        none qualifies or the queues keep no priorities."""
         if not self.priority_aware:
             return None
         return max(
