@@ -32,6 +32,7 @@ import io
 import json
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from . import jsontext
 from . import policies as pol
@@ -82,8 +83,7 @@ class EventKind(str, Enum):
     COMPLETED = "completed"
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     thread: int
     task: int
     start: int
@@ -91,8 +91,7 @@ class Segment:
     kind: SegmentKind
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     time: int
     kind: EventKind
     task: int
@@ -115,13 +114,17 @@ class SimConfig:
 _read_segment_kind = jsontext.enum_reader(SegmentKind)
 _read_event_kind = jsontext.enum_reader(EventKind)
 _read_outcome = jsontext.enum_reader(Outcome)
-_SEGMENT_KIND_TEXT = jsontext.enum_text(SegmentKind)
-_EVENT_KIND_TEXT = jsontext.enum_text(EventKind)
 _OUTCOME_TEXT = jsontext.enum_text(Outcome)
-_SEGMENT_JSON = jsontext.record(
-    2, [("thread", "%d"), ("task", "%d"), ("start", "%d"), ("end", "%d"), ("kind", "%s")]
-)
-_EVENT_JSON = jsontext.record(2, [("time", "%d"), ("kind", "%s"), ("task", "%d"), ("thread", "%d")])
+_SEGMENT_JSON = {
+    kind: jsontext.record(
+        2, [("thread", "%d"), ("task", "%d"), ("start", "%d"), ("end", "%d"), ("kind", text)]
+    )
+    for kind, text in jsontext.enum_text(SegmentKind).items()
+}
+_EVENT_JSON = {
+    kind: jsontext.record(2, [("time", "%d"), ("kind", text), ("task", "%d"), ("thread", "%d")])
+    for kind, text in jsontext.enum_text(EventKind).items()
+}
 _TRACE_JSON = jsontext.record(
     0,
     [
@@ -151,25 +154,8 @@ class ScheduleTrace:
                 "thread_count": self.thread_count,
                 "makespan": self.makespan,
                 "outcome": self.outcome.value,
-                "segments": [
-                    {
-                        "thread": s.thread,
-                        "task": s.task,
-                        "start": s.start,
-                        "end": s.end,
-                        "kind": s.kind.value,
-                    }
-                    for s in self.segments
-                ],
-                "events": [
-                    {
-                        "time": e.time,
-                        "kind": e.kind.value,
-                        "task": e.task,
-                        "thread": e.thread,
-                    }
-                    for e in self.events
-                ],
+                "segments": [dict(s._asdict(), kind=s.kind.value) for s in self.segments],
+                "events": [dict(e._asdict(), kind=e.kind.value) for e in self.events],
             }
         )
         return out
@@ -179,18 +165,15 @@ class ScheduleTrace:
         return ScheduleTrace(
             int(data["thread_count"]),
             tuple(
-                Segment(
-                    int(s["thread"]),
-                    int(s["task"]),
-                    int(s["start"]),
-                    int(s["end"]),
-                    _read_segment_kind(s["kind"]),
+                Segment._make(
+                    (int(s["thread"]), int(s["task"]), int(s["start"]), int(s["end"]),
+                     _read_segment_kind(s["kind"]))
                 )
                 for s in data["segments"]
             ),
             tuple(
-                TraceEvent(
-                    int(e["time"]), _read_event_kind(e["kind"]), int(e["task"]), int(e["thread"])
+                TraceEvent._make(
+                    (int(e["time"]), _read_event_kind(e["kind"]), int(e["task"]), int(e["thread"]))
                 )
                 for e in data["events"]
             ),
@@ -200,13 +183,9 @@ class ScheduleTrace:
 
     def to_json(self, meta: dict | None = None) -> str:
         """Exactly ``json.dumps(self.to_dict(meta), indent=2)``."""
-        segments = [
-            _SEGMENT_JSON % (s.thread, s.task, s.start, s.end, _SEGMENT_KIND_TEXT[s.kind])
-            for s in self.segments
-        ]
-        events = [
-            _EVENT_JSON % (e.time, _EVENT_KIND_TEXT[e.kind], e.task, e.thread) for e in self.events
-        ]
+        # Positional reads: a named tuple's field names cost a descriptor call each.
+        segments = [_SEGMENT_JSON[s[4]] % s[:4] for s in self.segments]
+        events = [_EVENT_JSON[e[1]] % (e[0], e[2], e[3]) for e in self.events]
         values = (
             self.thread_count,
             self.makespan,
@@ -234,7 +213,7 @@ class _WaitState:
 
     def __init__(self, kind, members):
         self.kind = kind  # "children" | "group"
-        self.members = members
+        self.members = members  # read for a latency sync set; counts settle the wait
         self.allowed = None  # narrowed sync set, for an idle-until-complete wait
 
 
@@ -249,6 +228,7 @@ class _Run:
         "priority",
         "children",
         "parent",
+        "pending",
         "open",
         "group_mark",
         "chunk_scatters",
@@ -269,8 +249,9 @@ class _Run:
         self.priority = spec.priority
         self.children = []
         self.parent = None
-        # This run while it is not completed, plus each child whose
-        # subtree is not done; 0 once the whole subtree has completed.
+        self.pending = 0  # spawned children that have not completed
+        # This run while it is not completed, plus each child whose subtree
+        # is not done: 0 once the subtree has completed, 1 at a settled group.
         self.open = 1
         self.group_mark = 0
         self.chunk_scatters = 0
@@ -286,6 +267,7 @@ class _Thread:
         "idx",
         "stack",
         "filters",
+        "futile",
         "seg_task",
         "seg_start",
         "seg_end",
@@ -300,6 +282,9 @@ class _Thread:
         # last: a waiting run neither yields nor migrates, and its wait
         # exits only while it is the top of this stack.
         self.filters = []
+        # (ready.seq, filter) at the last failed pick: picks only remove entries
+        # and queued tasks keep `started` and `home`, so it fails while both match.
+        self.futile = None
         self.seg_task = None
         self.seg_start = 0
         self.seg_end = 0
@@ -328,10 +313,13 @@ class _Engine:
 
     # -- wait bookkeeping ------------------------------------------------
 
-    def _wait_satisfied(self, wait: _WaitState) -> bool:
-        if wait.kind == "children":
-            return all(self.runs[c].completed for c in wait.members)
-        return all(self.runs[c].open == 0 for c in wait.members)
+    def _wait_satisfied(self, run: _Run, kind: str) -> bool:
+        """A children wait holds once every child has completed, a group
+        wait once only the run itself is open: the children spawned before
+        the previous group end had done their subtrees when it exited."""
+        if kind == "children":
+            return run.pending == 0
+        return run.open == 1
 
     def _wait_allowed_tasks(self, wait: _WaitState) -> set:
         """The tasks a helper at `wait` may pick: the children waited on,
@@ -365,7 +353,7 @@ class _Engine:
         not completed."""
         if run.blocked_child is not None:
             return not self.runs[run.blocked_child].completed
-        return run.wait is not None and not self._wait_satisfied(run.wait)
+        return run.wait is not None and not self._wait_satisfied(run, run.wait.kind)
 
     def _movable(self, thread_idx):
         """Predicate over task ids: may this thread take the task, latency
@@ -411,6 +399,8 @@ class _Engine:
     def _complete_task(self, th: _Thread, run: _Run, now: int):
         th.stack.pop()
         run.completed = True
+        if run.parent is not None:
+            run.parent.pending -= 1
         # Each run's count reaches 0 once, so the cascade is linear overall.
         node = run
         node.open -= 1
@@ -464,7 +454,7 @@ class _Engine:
                 break
 
             if run.wait is not None:
-                if self._wait_satisfied(run.wait):
+                if self._wait_satisfied(run, run.wait.kind):
                     self._emit(now, EventKind.WAIT_EXITED, run.spec.id, th.idx)
                     if run.wait.allowed is not None:
                         th.filters.pop()
@@ -541,7 +531,7 @@ class _Engine:
                 self._emit(now, EventKind.WAIT_ENTERED, run.spec.id, th.idx)
                 decision = pol.on_wait(self.policy, action.mode)
                 wait = _WaitState(kind, members)
-                if self._wait_satisfied(wait):
+                if self._wait_satisfied(run, kind):
                     self._emit(now, EventKind.WAIT_EXITED, run.spec.id, th.idx)
                     run.pc += 1
                     progressed = True
@@ -572,6 +562,7 @@ class _Engine:
         self._emit(now, EventKind.SPAWNED, child_spec.id, th.idx)
         run.children.append(child_spec.id)
         child.parent = run
+        run.pending += 1
         run.open += 1
 
         if isinstance(decision, pol.ExecuteUndeferred):
@@ -603,8 +594,12 @@ class _Engine:
     def _try_pick(self, th: _Thread, now: int) -> bool:
         if th.seg_task is not None or self.outcome is not None:
             return False
-        picked = self.ready.pick(th.idx, self._movable(th.idx), self._pick_filter(th))
+        allowed = self._pick_filter(th)
+        if th.futile == (self.ready.seq, allowed):
+            return False
+        picked = self.ready.pick(th.idx, self._movable(th.idx), allowed)
         if picked is None:
+            th.futile = (self.ready.seq, allowed)
             return False
         task_id, stolen = picked
         run = self.runs[task_id]

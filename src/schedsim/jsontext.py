@@ -19,8 +19,8 @@ def record(depth: int, fields) -> str:
     """%-format template of one object nested `depth` levels deep.
 
     `fields` lists (key, conversion) pairs in output order; "%s" takes
-    text that is already JSON.  The template starts with its own
-    indentation, as an array item does.
+    text that is already JSON, and JSON text without "%" is kept as is.
+    The template starts with its own indentation, as an array item does.
     """
     pad = INDENT * depth
     lines = ",\n".join(f"{pad}{INDENT}{quote(key)}: {conv}" for key, conv in fields)

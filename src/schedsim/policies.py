@@ -201,16 +201,21 @@ class ReadyQueues:
     rank is the priority and the order ``seq``; without it every rank is 0
     and the order ``-seq`` for a pick-end push and ``seq`` for a ``back``
     push (every fcfs push), so a queue reads as a double-ended queue and
-    keeps no priorities: none can reach a decision.  ``index`` maps each
-    queued task to its ``(queue, near entry)``; ``counts`` holds the live
-    entries per queue.  A pick drops the task from ``index`` and pops the
-    entry it took if that is on top.  Others die lazily: a heap discards
-    an entry whose ``seq`` is not its task's indexed one when it reaches
-    the top, and a heap holding over twice its queue's live entries (plus
-    16) is rebuilt.  A priority-aware pick filtered by a sync set smaller
-    than the queued count looks the set's tasks up in ``index``; any other
-    pick searches heaps from the top, popping the entries it must skip
-    aside and pushing them back.
+    keeps no priorities.  Only unaware steals and aware ``lowest_pending``
+    read ``far``: a push skips an empty one, a read rebuilds it from the
+    live near entries.  ``index`` maps each queued task to its ``(queue,
+    near entry)``; ``counts`` holds the live entries per queue, and bit
+    ``q`` of ``filled`` is set while ``counts[q]`` is not 0, so steals
+    walk only those queues, round-robin.  A pick drops the task from
+    ``index`` and pops the entry it took if that is on top.  Other dead
+    entries are discarded on reaching a heap's top, or by a rebuild of a
+    heap holding over twice its queue's live entries (plus 16).  A
+    priority-aware pick filtered by a sync set smaller than the queued
+    count looks the set's tasks up in ``index``; any other pick searches
+    heaps from the top, popping the entries it must skip aside and
+    pushing them back.  The first ``max_priority`` call counts the live
+    non-chunk entries per priority into ``ranks``, which pushes and picks
+    then keep, with a max-heap of the priorities pruned at its top.
     """
 
     def __init__(self, cfg: PolicyConfig, graph, thread_count: int):
@@ -221,8 +226,11 @@ class ReadyQueues:
         self.near = [[] for _ in range(count)]
         self.far = [[] for _ in range(count)]
         self.counts = [0] * count
+        self.filled = 0
+        self.walks = [(0, [])] * count  # per thread: (filled, _walk) at its last steal
         self.index = {}
-        self.victims = [_victims(own, count) for own in range(count)]
+        self.ranks = None  # priority -> live non-chunk entries, once max_priority is read
+        self.rank_heap = []  # negated priorities, each key of ranks once
         self.seq = 0
         for pos, root in enumerate(graph.roots):
             self.push(pos, root, self.specs[root].priority, back=True)
@@ -234,9 +242,13 @@ class ReadyQueues:
         order = seq if back or self.fcfs or self.priority_aware else -seq
         entry = (-rank, order, task, seq)
         heappush(self.near[own], entry)
-        heappush(self.far[own], (rank, -order, task, seq))
+        if self.far[own]:
+            heappush(self.far[own], (rank, -order, task, seq))
         self.index[task] = (own, entry)
         self.counts[own] += 1
+        self.filled |= 1 << own
+        if self.ranks is not None:
+            self._tally(task, priority, 1)
 
     def lengths(self) -> list:
         """One length per queue, in queue order (see ``on_spawn``)."""
@@ -245,6 +257,31 @@ class ReadyQueues:
     def _live(self, entry) -> bool:
         found = self.index.get(entry[2])
         return found is not None and found[1][3] == entry[3]
+
+    def _far(self, queue: int) -> list:
+        far = self.far[queue]
+        if not far and self.counts[queue]:
+            far[:] = [(-e[0], -e[1], e[2], e[3]) for e in self.near[queue] if self._live(e)]
+            heapify(far)
+        return far
+
+    def _walk(self, own: int) -> list:
+        """The filled queues but ``own``, in ``_victims`` order; cached per thread."""
+        mask, walk = self.walks[own]
+        if mask != self.filled:
+            mask, walk = self.filled, []
+            for part in (mask >> (own + 1) << (own + 1), mask & ((1 << own) - 1)):
+                while part:
+                    walk.append((part & -part).bit_length() - 1)
+                    part &= part - 1
+            self.walks[own] = (mask, walk)
+        return walk
+
+    def _tally(self, task: int, priority: int, step: int):
+        if self.specs[task].label != LOOP_CHUNK_LABEL:
+            if priority not in self.ranks:
+                heappush(self.rank_heap, -priority)
+            self.ranks[priority] = self.ranks.get(priority, 0) + step
 
     def pick(self, thread: int, movable: Callable[[int], bool], allowed=None):
         """Remove and return ``(task, stolen)`` for a free thread, or None.
@@ -270,12 +307,12 @@ class ReadyQueues:
             if self.priority_aware:
                 # Only a victim entry of strictly higher priority beats the own one.
                 bound = None if own_best is None else own_best[:1]
-                for victim in self.victims[own]:
+                for victim in self._walk(own):
                     steal_best = self._top_pickable(self.near[victim], movable, allowed, bound) or steal_best
                     bound = steal_best or bound
             elif own_best is None:
-                for victim in self.victims[own]:
-                    steal_best = self._top_pickable(self.far[victim], movable, allowed, None)
+                for victim in self._walk(own):
+                    steal_best = self._top_pickable(self._far(victim), movable, allowed, None)
                     if steal_best is not None:
                         break
         stolen = steal_best is not None and (own_best is None or steal_best[0] < own_best[0])
@@ -284,8 +321,12 @@ class ReadyQueues:
             return None
         queue, _ = self.index.pop(best[2])
         count = self.counts[queue] = self.counts[queue] - 1
+        if not count:
+            self.filled &= ~(1 << queue)
+        if self.ranks is not None:
+            self._tally(best[2], -best[0], -1)
         for heap in (self.near[queue], self.far[queue]):
-            if heap[0] is best:
+            if heap and heap[0] is best:
                 heappop(heap)
             if len(heap) > 2 * count + 16:  # every pick leaves dead entries behind
                 heap[:] = [entry for entry in heap if self._live(entry)]
@@ -319,7 +360,7 @@ class ReadyQueues:
         it is empty or keeps no priorities."""
         if not self.priority_aware:
             return None
-        top = self._top_pickable(self.far[thread % len(self.far)], lambda task: True, None, None)
+        top = self._top_pickable(self._far(thread % len(self.far)), lambda task: True, None, None)
         return None if top is None else top[0]
 
     def max_priority(self) -> Optional[int]:
@@ -328,10 +369,14 @@ class ReadyQueues:
         none qualifies or the queues keep no priorities."""
         if not self.priority_aware:
             return None
-        return max(
-            (-entry[0] for _, entry in self.index.values() if self.specs[entry[2]].label != LOOP_CHUNK_LABEL),
-            default=None,
-        )
+        if self.ranks is None:
+            self.ranks = {}
+            for _, entry in self.index.values():
+                self._tally(entry[2], -entry[0], 1)
+        heap = self.rank_heap
+        while heap and not self.ranks[-heap[0]]:
+            del self.ranks[-heappop(heap)]
+        return -heap[0] if heap else None
 
 
 # --- yield decisions -----------------------------------------------------

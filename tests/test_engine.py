@@ -8,9 +8,11 @@ from schedsim.engine import (
     EventKind,
     Outcome,
     ScheduleTrace,
+    Segment,
     SegmentKind,
     SimConfig,
     InvalidGraphError,
+    TraceEvent,
     simulate,
 )
 from schedsim.policies import ConfigError
@@ -219,6 +221,91 @@ class TestWaits:
         )
         trace = simulate(g, SimConfig(thread_count=1, policy=pol.reference()))
         assert trace.makespan == 1
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=POLICY_IDS)
+    def test_group_after_a_child_wait_waits_for_the_grandchild(self, policy):
+        # Child 1 completes at t=1 while its child 2 runs on to t=10 on a
+        # third thread: the child wait exits at 1, the group over the
+        # same child only at 10.
+        g = TaskGraph(
+            tasks=(
+                TaskSpec(id=0, actions=(Spawn(1), TaskwaitChildren(), TaskgroupEnd(), Compute(1))),
+                TaskSpec(id=1, actions=(Spawn(2), Compute(1))),
+                TaskSpec(id=2, actions=(Compute(10),)),
+            ),
+            roots=(0,),
+        )
+        trace = simulate(g, SimConfig(thread_count=3, policy=policy))
+        done = {e.task: e.time for e in trace.events if e.kind is EventKind.COMPLETED}
+        exits = [e.time for e in trace.events if e.kind is EventKind.WAIT_EXITED]
+        assert (done[1], done[2]) == (1, 10)
+        assert exits == [1, 10]
+        assert trace.makespan == 11
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=POLICY_IDS)
+    def test_child_wait_exits_when_the_last_child_completes(self, policy):
+        # the children complete in reverse spawn order
+        g = TaskGraph(
+            tasks=(
+                TaskSpec(id=0, actions=(Spawn(1), Spawn(2), Spawn(3), TaskwaitChildren(), Compute(1))),
+                TaskSpec(id=1, actions=(Compute(9),)),
+                TaskSpec(id=2, actions=(Compute(5),)),
+                TaskSpec(id=3, actions=(Compute(2),)),
+            ),
+            roots=(0,),
+        )
+        trace = simulate(g, SimConfig(thread_count=4, policy=policy))
+        assert [(e.time, e.task) for e in trace.events if e.kind is EventKind.COMPLETED] == [
+            (2, 3),
+            (5, 2),
+            (9, 1),
+            (10, 0),
+        ]
+        assert [e.time for e in trace.events if e.kind is EventKind.WAIT_EXITED] == [9]
+
+
+class PickRecordingEngine(_Engine):
+    """Records ``(thread, time, helper, picked)`` for every pick attempt by
+    a thread that is not computing."""
+
+    def __init__(self, graph, cfg):
+        super().__init__(graph, cfg)
+        self.attempts = []
+
+    def _try_pick(self, th, now):
+        free = th.seg_task is None and self.outcome is None
+        helper = bool(th.stack)
+        picked = super()._try_pick(th, now)
+        if free:
+            self.attempts.append((th.idx, now, helper, picked))
+        return picked
+
+
+class TestPicks:
+    def test_failed_helper_picks_once_another_thread_pushes(self):
+        # At t=3 helper thread 0 (root 0 waits on 2) finds only the tied
+        # poller 4, started on thread 1.  Helper thread 1 then resumes 4,
+        # whose poll now passes and which spawns 6: thread 0 steals 6 at
+        # the same timestamp.
+        g = TaskGraph(
+            tasks=(
+                TaskSpec(id=0, actions=(Spawn(2), Spawn(3), TaskwaitChildren())),
+                TaskSpec(id=1, actions=(Spawn(4), Spawn(5), TaskwaitChildren())),
+                TaskSpec(id=2, actions=(Compute(10),)),
+                TaskSpec(id=3, actions=(Compute(3),)),
+                TaskSpec(id=4, actions=(PollOutcome(target=3, poll_cost=0), Spawn(6), Compute(1))),
+                TaskSpec(id=5, actions=(Compute(3),)),
+                TaskSpec(id=6, actions=(Compute(1),)),
+            ),
+            roots=(0, 1),
+        )
+        engine = PickRecordingEngine(g, SimConfig(thread_count=3, policy=pol.extended()))
+        trace = engine.run()
+        at_3 = [(thread, helper, picked) for thread, now, helper, picked in engine.attempts if now == 3]
+        assert at_3 == [(0, True, False), (1, True, True), (0, True, True)]
+        assert TraceEvent(3, EventKind.STOLEN, 6, 0) in trace.events
+        assert Segment(0, 6, 3, 4, SegmentKind.COMPUTE) in trace.segments
+        assert trace.makespan == 10
 
 
 class TestPolls:

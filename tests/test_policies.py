@@ -1,4 +1,5 @@
 import heapq
+import random
 from collections import deque
 
 import pytest
@@ -558,6 +559,93 @@ class TestPickWork:
             assert len(rq.near[1]) <= 2 * rq.counts[1] + 16
         assert rq.lengths() == [0, 0]
         assert rq.pick(1, lambda t: True) is None
+
+
+class TestQueueBookkeeping:
+    """The mask of filled queues, the counted ``max_priority`` and the far
+    heaps built on first read, against the scans they replace."""
+
+    @pytest.mark.parametrize("count", range(1, 10))
+    def test_steals_walk_the_filled_victims_round_robin(self, count):
+        rq = ReadyQueues(pol.reference(), TaskGraph(), count)
+        for own in range(count):
+            for mask in range(1 << count):
+                rq.filled = mask
+                assert rq._walk(own) == [v for v in pol._victims(own, count) if mask >> v & 1]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_counted_max_priority_matches_a_scan(self, seed):
+        rng = random.Random(seed)
+        size, threads = 40, 4
+        specs = tuple(TaskSpec(id=i, label=rng.choice(["", "", pol.LOOP_CHUNK_LABEL])) for i in range(size))
+        graph = TaskGraph(tasks=specs, roots=tuple(range(rng.randint(0, 10))))
+        rq = ReadyQueues(pol.extended(), graph, threads)
+        queued = set(graph.roots)
+        first_read = rng.randint(0, 100)
+        for step in range(300):
+            if rng.random() < 0.5 and len(queued) < size:
+                task_id = rng.choice(sorted(set(range(size)) - queued))
+                rq.push(rng.randrange(threads), task_id, rng.randint(-3, 3), rng.random() < 0.3)
+                queued.add(task_id)
+            else:
+                stuck = set(rng.sample(range(size), 8))
+                picked = rq.pick(rng.randrange(threads), lambda t: t not in stuck)
+                if picked is not None:
+                    queued.remove(picked[0])
+            assert rq.filled == sum(1 << queue for queue, count in enumerate(rq.counts) if count)
+            if step >= first_read:
+                scan = max(
+                    (-e[0] for _, e in rq.index.values() if specs[e[2]].label != pol.LOOP_CHUNK_LABEL),
+                    default=None,
+                )
+                assert rq.max_priority() == scan
+
+    def test_a_priority_counted_out_can_return(self):
+        chunk = TaskSpec(id=4, label=pol.LOOP_CHUNK_LABEL)
+        graph = TaskGraph(tasks=tuple(TaskSpec(id=i) for i in range(4)) + (chunk,))
+        rq = ReadyQueues(pol.extended(), graph, 2)
+        rq.push(0, 0, 5)
+        rq.push(1, 1, 2)
+        assert rq.max_priority() == 5
+        # priority 5 drops to no entry and returns before the next read
+        assert rq.pick(0, lambda t: t == 0) == (0, False)
+        rq.push(0, 0, 5)
+        assert rq.max_priority() == 5
+        # it drops again, is pruned by a read, returns and drops once more
+        assert rq.pick(0, lambda t: t == 0) == (0, False)
+        assert rq.max_priority() == 2
+        rq.push(1, 2, 5)
+        assert rq.max_priority() == 5
+        assert rq.pick(0, lambda t: t == 2) == (2, True)
+        rq.push(0, 4, 9)  # a loop chunk does not count
+        assert rq.max_priority() == 2
+        assert rq.pick(1, lambda t: t == 1) == (1, False)
+        assert rq.max_priority() is None
+        rq.push(0, 3, 5)
+        assert rq.max_priority() == 5
+
+    def test_far_heaps_are_built_on_first_read(self):
+        n = 40
+        graph = TaskGraph(tasks=tuple(TaskSpec(id=i) for i in range(n)), roots=tuple(range(n)))
+        for rq in (ReadyQueues(pol.fcfs(), graph, 4), ReadyQueues(pol.reference(), graph, 1)):
+            assert [rq.pick(0, anything)[0] for _ in range(n)] == list(range(n))
+            rq.push(0, 0, 0)
+            assert rq.pick(0, anything) == (0, False)
+            assert rq.far == [[]]
+        rq = ReadyQueues(pol.reference(), graph, 2)
+        for _ in range(n // 2):
+            assert not rq.pick(0, anything)[1]
+        assert rq.far == [[], []]
+        assert rq.pick(0, anything) == (n - 1, True)  # the newest root of queue 1
+        live = sorted(task for queue, (_, _, task, _) in rq.index.values() if queue == 1)
+        assert sorted(e[2] for e in rq.far[1] if rq._live(e)) == live
+        rq.push(1, 0, 0)
+        assert sorted(e[2] for e in rq.far[1] if rq._live(e)) == [0] + live
+        assert rq.far[0] == []
+        aware = ReadyQueues(pol.extended(), graph, 2)
+        assert aware.far == [[], []]
+        assert aware.lowest_pending(1) == 0
+        assert aware.far[0] == [] and len(aware.far[1]) == n // 2
 
 
 def none():
