@@ -133,11 +133,12 @@ def _policy_from_args(args) -> policies.PolicyConfig:
 
 
 def _parse(path: str, parse, what: str):
-    """Parse a JSON file; a document of the wrong shape is a ValueError."""
+    """Parse a JSON file; a document of the wrong shape, a number too large
+    for an integer field or nesting too deep to decode is a ValueError."""
     text = Path(path).read_text()
     try:
         return parse(text)
-    except TypeError as exc:
+    except (TypeError, OverflowError, RecursionError) as exc:
         raise ValueError(f"{path}: malformed {what} file: {exc}") from None
 
 

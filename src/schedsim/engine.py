@@ -32,6 +32,7 @@ import io
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import NamedTuple
 
 from . import jsontext
@@ -96,6 +97,11 @@ class TraceEvent(NamedTuple):
     kind: EventKind
     task: int
     thread: int
+
+
+# Build records from one tuple in C; a named tuple's own __new__ is Python.
+_new_segment = partial(tuple.__new__, Segment)
+_new_event = partial(tuple.__new__, TraceEvent)
 
 
 @dataclass(frozen=True)
@@ -302,6 +308,8 @@ class _Engine:
         self.ready = pol.ReadyQueues(cfg.policy, graph, cfg.thread_count)
         self.segments = []
         self.events = []
+        self.spinners = {}  # poll target -> threads that started a spin on it
+        self.cut = False  # a spin was cut short since the settle pass began
         self.progress = 0
         self.completed_count = 0
         self.outcome = None
@@ -309,7 +317,7 @@ class _Engine:
     # -- small helpers ---------------------------------------------------
 
     def _emit(self, time, kind, task, thread):
-        self.events.append(TraceEvent(time, kind, task, thread))
+        self.events.append(_new_event((time, kind, task, thread)))
 
     # -- wait bookkeeping ------------------------------------------------
 
@@ -412,9 +420,10 @@ class _Engine:
         self._emit(now, EventKind.COMPLETED, run.spec.id, th.idx)
         # Truncate spins waiting on this task: the spin loop notices the
         # completion at its next iteration, i.e. immediately in sim time.
-        for waiter in self.threads:
+        for waiter in self.spinners.pop(run.spec.id, ()):
             if waiter.seg_target == run.spec.id and waiter.seg_end > now:
                 waiter.seg_end = now
+                self.cut = True
 
     # -- segment lifecycle ---------------------------------------------------
 
@@ -424,11 +433,13 @@ class _Engine:
         th.seg_end = now + duration
         th.seg_kind = kind
         th.seg_target = target
+        if target is not None:
+            self.spinners.setdefault(target, []).append(th)
 
     def _finish_segment(self, th: _Thread, now: int):
         kind = th.seg_kind
         if now > th.seg_start:
-            self.segments.append(Segment(th.idx, th.seg_task, th.seg_start, now, kind))
+            self.segments.append(_new_segment((th.idx, th.seg_task, th.seg_start, now, kind)))
         if kind is not SegmentKind.POLL_SPIN:
             self.runs[th.seg_task].pc += 1
             self.progress += 1
@@ -592,7 +603,7 @@ class _Engine:
     # -- picking ---------------------------------------------------------------
 
     def _try_pick(self, th: _Thread, now: int) -> bool:
-        if th.seg_task is not None or self.outcome is not None:
+        if self.outcome is not None:
             return False
         allowed = self._pick_filter(th)
         if th.futile == (self.ready.seq, allowed):
@@ -620,10 +631,13 @@ class _Engine:
         while self.outcome is None:
             # Settle all due completions and zero-time transitions before
             # anyone picks: wait exits and the spawns they trigger must be
-            # visible to every pick decision at this timestamp.
+            # visible to every pick decision at this timestamp.  Another
+            # pass can change something only for a thread left free with a
+            # stack, or one whose spin was cut short: a busy thread's
+            # segment ends later, and an empty stack has nothing to run.
             stepping = True
             while stepping and self.outcome is None:
-                stepping = False
+                stepping = waiting = self.cut = False
                 for th in self.threads:
                     if th.seg_task is not None and th.seg_end <= now:
                         self._finish_segment(th, now)
@@ -631,6 +645,8 @@ class _Engine:
                     if th.seg_task is None and th.stack:
                         if self._run_thread(th, now):
                             stepping = True
+                        waiting = waiting or (th.seg_task is None and bool(th.stack))
+                stepping = stepping and (waiting or self.cut)
             if self.outcome is not None:
                 break
             picked = False
@@ -638,16 +654,17 @@ class _Engine:
                 if not th.stack and self._try_pick(th, now):
                     picked = True
             for th in self.threads:  # then wait/poll helpers
-                if th.stack and self._try_pick(th, now):
+                if th.seg_task is None and th.stack and self._try_pick(th, now):
                     picked = True
             if not picked:
                 break
 
     def _next_time(self, now: int):
-        return min(
-            (th.seg_end for th in self.threads if th.seg_task is not None and th.seg_end > now),
-            default=None,
-        )
+        nxt = None
+        for th in self.threads:
+            if th.seg_task is not None and now < th.seg_end and (nxt is None or th.seg_end < nxt):
+                nxt = th.seg_end
+        return nxt
 
     def run(self) -> ScheduleTrace:
         now = 0

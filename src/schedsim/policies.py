@@ -209,7 +209,12 @@ class ReadyQueues:
     walk only those queues, round-robin.  A pick drops the task from
     ``index`` and pops the entry it took if that is on top.  Other dead
     entries are discarded on reaching a heap's top, or by a rebuild of a
-    heap holding over twice its queue's live entries (plus 16).  A
+    heap holding over twice its queue's live entries (plus 16).  With
+    priority awareness and more than one queue, ``steals`` is one more
+    heap holding every queue's near entries, pruned the same way against
+    all live entries: the entries compare in the one global pick order,
+    so a steal takes its top pickable entry rather than probing every
+    victim (an own entry there would have been the own pick).  A
     priority-aware pick filtered by a sync set smaller than the queued
     count looks the set's tasks up in ``index``; any other pick searches
     heaps from the top, popping the entries it must skip aside and
@@ -226,6 +231,7 @@ class ReadyQueues:
         self.near = [[] for _ in range(count)]
         self.far = [[] for _ in range(count)]
         self.counts = [0] * count
+        self.steals = [] if self.priority_aware and count > 1 else None
         self.filled = 0
         self.walks = [(0, [])] * count  # per thread: (filled, _walk) at its last steal
         self.index = {}
@@ -242,6 +248,8 @@ class ReadyQueues:
         order = seq if back or self.fcfs or self.priority_aware else -seq
         entry = (-rank, order, task, seq)
         heappush(self.near[own], entry)
+        if self.steals is not None:
+            heappush(self.steals, entry)
         if self.far[own]:
             heappush(self.far[own], (rank, -order, task, seq))
         self.index[task] = (own, entry)
@@ -304,13 +312,12 @@ class ReadyQueues:
         else:
             own_best = self._top_pickable(self.near[own], movable, allowed, None)
             steal_best = None
-            if self.priority_aware:
-                # Only a victim entry of strictly higher priority beats the own one.
+            if self.steals is not None:
+                # Only a victim entry of strictly higher priority beats the own
+                # one; every own entry above that bound is unpickable.
                 bound = None if own_best is None else own_best[:1]
-                for victim in self._walk(own):
-                    steal_best = self._top_pickable(self.near[victim], movable, allowed, bound) or steal_best
-                    bound = steal_best or bound
-            elif own_best is None:
+                steal_best = self._top_pickable(self.steals, movable, allowed, bound)
+            elif own_best is None and not self.priority_aware:
                 for victim in self._walk(own):
                     steal_best = self._top_pickable(self._far(victim), movable, allowed, None)
                     if steal_best is not None:
@@ -325,10 +332,13 @@ class ReadyQueues:
             self.filled &= ~(1 << queue)
         if self.ranks is not None:
             self._tally(best[2], -best[0], -1)
-        for heap in (self.near[queue], self.far[queue]):
+        heaps = [(self.near[queue], count), (self.far[queue], count)]
+        if self.steals is not None:
+            heaps.append((self.steals, len(self.index)))
+        for heap, live in heaps:
             if heap and heap[0] is best:
                 heappop(heap)
-            if len(heap) > 2 * count + 16:  # every pick leaves dead entries behind
+            if len(heap) > 2 * live + 16:  # every pick leaves dead entries behind
                 heap[:] = [entry for entry in heap if self._live(entry)]
                 heapify(heap)
         return best[2], stolen

@@ -119,11 +119,11 @@ class TaskGraph:
     def __len__(self) -> int:
         return len(self.tasks)
 
-    @cached_property
-    def _critical_path(self):
-        # Kept in the instance __dict__, outside the dataclass fields, so
-        # ==, hash, repr and JSON ignore it.
-        return _longest_chain(self)
+    # Per-graph results, kept in the instance __dict__, outside the
+    # dataclass fields, so ==, hash, repr and JSON ignore them.
+    _critical_path = cached_property(lambda self: _longest_chain(self))
+    _violations = cached_property(lambda self: tuple(_find_violations(self)))
+    _spawn_parents = cached_property(lambda self: _find_parents(self))
 
 
 @dataclass(frozen=True)
@@ -143,8 +143,13 @@ def spawn_parents(graph: TaskGraph) -> dict:
     """Map child id -> (parent id, action index of the spawn).
 
     Only the first spawn of each child is recorded; validate() flags
-    duplicates separately.
+    duplicates separately.  Computed once per graph; each call returns a
+    new dict.
     """
+    return dict(graph._spawn_parents)
+
+
+def _find_parents(graph: TaskGraph) -> dict:
     parents = {}
     for spec in graph.tasks:
         for idx, action in enumerate(spec.actions):
@@ -154,7 +159,12 @@ def spawn_parents(graph: TaskGraph) -> dict:
 
 
 def validate(graph: TaskGraph) -> list:
-    """Check every structural invariant; violations are data, not errors."""
+    """Check every structural invariant; violations are data, not errors.
+    Computed once per graph; each call returns a new list."""
+    return list(graph._violations)
+
+
+def _find_violations(graph: TaskGraph) -> list:
     violations = []
     n = len(graph.tasks)
     ids = [spec.id for spec in graph.tasks]
@@ -206,7 +216,7 @@ def validate(graph: TaskGraph) -> list:
 
     # Ancestor spawns show up as cycles of the parent relation.  Each task
     # has at most one parent, so one colouring walk visits every task once.
-    parents = spawn_parents(graph)
+    parents = graph._spawn_parents
     state = [0] * n  # 0 unvisited, 1 on the current walk, 2 finished
     on_cycle = []
     for task_id in range(n):
@@ -277,7 +287,7 @@ def _longest_chain(graph: TaskGraph):
         return first[task_id] + len(tasks[task_id].actions)
 
     edges = [[] for _ in range(total)]
-    for child, (parent, _) in spawn_parents(graph).items():
+    for child, (parent, _) in graph._spawn_parents.items():
         edges[up + child].append(up + parent)
     for spec in tasks:
         node = first[spec.id]

@@ -347,3 +347,50 @@ class TestMalformedFiles:
         graph, slow, _ = TestCompareReport().make_traces(tmp_path)
         bad = malformed(tmp_path, "bad.json", mutate, slow)
         self.assert_usage_error(main(["report", str(graph), str(bad)]), capsys)
+
+
+def huge_duration(graph):
+    action = next(a for t in graph["tasks"] for a in t["actions"] if a["type"] == "compute")
+    action["duration"] = "HUGE"
+    return graph
+
+
+def huge_root(graph):
+    graph["roots"][0] = "HUGE"
+    return graph
+
+
+def huge_start(trace):
+    trace["segments"][0]["start"] = "HUGE"
+    return trace
+
+
+def write_huge(path):
+    """Replace the "HUGE" marker by a number no int field can hold."""
+    path.write_text(path.read_text().replace('"HUGE"', "1e400"))
+    return path
+
+
+class TestUnreadableNumbersAndNesting:
+    """A number that overflows an integer field, or a document nested too
+    deep to decode, is a malformed file: one `error:` line, exit 2."""
+
+    def assert_one_error_line(self, code, capsys):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("mutate", [huge_duration, huge_root])
+    def test_simulate_huge_number(self, tmp_path, capsys, mutate):
+        graph = write_huge(malformed(tmp_path, "bad.json", mutate, starvation_graph(tmp_path)))
+        self.assert_one_error_line(main(["simulate", str(graph)]), capsys)
+
+    def test_report_huge_number(self, tmp_path, capsys):
+        graph, slow, _ = TestCompareReport().make_traces(tmp_path)
+        bad = write_huge(malformed(tmp_path, "bad.json", huge_start, slow))
+        self.assert_one_error_line(main(["report", str(graph), str(bad)]), capsys)
+
+    def test_simulate_deep_nesting(self, tmp_path, capsys):
+        graph = tmp_path / "deep.json"
+        graph.write_text("[" * 100_000 + "]" * 100_000)
+        self.assert_one_error_line(main(["simulate", str(graph)]), capsys)

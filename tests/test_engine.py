@@ -214,6 +214,25 @@ class TestWaits:
         trace = simulate(g, SimConfig(thread_count=2, policy=pol.extended()))
         assert [(s.thread, s.task, s.start) for s in trace.segments] == [(1, 3, 0), (1, 2, 50)]
 
+    @pytest.mark.parametrize("policy", POLICIES, ids=POLICY_IDS)
+    def test_completion_on_a_later_thread_releases_an_earlier_waiter(self, policy):
+        # Idle thread 1 steals child 1 at 0.  At 5 the settle pass visits
+        # waiting thread 0 before thread 1 completes the child, so it takes
+        # another pass at 5 for thread 0 to leave its wait.
+        g = TaskGraph(
+            tasks=(
+                TaskSpec(id=0, actions=(Spawn(1), TaskwaitChildren(), Compute(1))),
+                TaskSpec(id=1, actions=(Compute(5),)),
+            ),
+            roots=(0,),
+        )
+        trace = simulate(g, SimConfig(thread_count=2, policy=policy))
+        assert Segment(1, 1, 0, 5, SegmentKind.COMPUTE) in trace.segments
+        assert TraceEvent(5, EventKind.COMPLETED, 1, 1) in trace.events
+        assert TraceEvent(5, EventKind.WAIT_EXITED, 0, 0) in trace.events
+        assert Segment(0, 0, 5, 6, SegmentKind.COMPUTE) in trace.segments
+        assert trace.makespan == 6
+
     def test_wait_on_no_children_is_instant(self):
         g = TaskGraph(
             tasks=(TaskSpec(id=0, actions=(TaskwaitChildren(), Compute(1))),),
@@ -351,6 +370,20 @@ class TestPolls:
         )
         assert spins == [(0, 0, 0, 7), (1, 1, 0, 7)]
         assert trace.makespan == 7
+
+    @pytest.mark.parametrize("poller_thread", [0, 1])
+    def test_spin_cut_short_on_either_side_resumes_at_once(self, poller_thread):
+        # The target completes on the other thread at 7, before or after the
+        # settle pass visits the spinner; the spin ends at 7 either way and
+        # the poller computes from 7, with no timestamp in between.
+        poller = TaskSpec(id=0, actions=(PollOutcome(1, poll_cost=100), Compute(2)))
+        target = TaskSpec(id=1, actions=(Compute(7),))
+        roots = (0, 1) if poller_thread == 0 else (1, 0)
+        trace = simulate(TaskGraph((poller, target), roots), SimConfig(thread_count=2, policy=pol.reference()))
+        assert Segment(poller_thread, 0, 0, 7, SegmentKind.POLL_SPIN) in trace.segments
+        assert Segment(poller_thread, 0, 7, 9, SegmentKind.COMPUTE) in trace.segments
+        assert TraceEvent(7, EventKind.COMPLETED, 1, 1 - poller_thread) in trace.events
+        assert trace.makespan == 9
 
     def test_tied_poller_resumes_on_home_thread(self):
         g = TaskGraph(

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from schedsim import policies as pol
+from schedsim.engine import InvalidGraphError, SimConfig, simulate
 from schedsim.task_graph import (
     Compute,
     CyclicDependencyError,
@@ -15,6 +17,7 @@ from schedsim.task_graph import (
     critical_path,
     graph_from_json,
     graph_to_json,
+    spawn_parents,
     total_work,
     validate,
 )
@@ -125,6 +128,61 @@ class TestValidate:
         first = validate(g)
         second = validate(g)
         assert first == second == []
+
+
+def cyclic_graph():
+    return TaskGraph(
+        tasks=(
+            TaskSpec(id=0, actions=(Compute(1),)),
+            TaskSpec(id=1, actions=(Spawn(2),)),
+            TaskSpec(id=2, actions=(Spawn(1),)),
+        ),
+        roots=(0,),
+    )
+
+
+class TestPerGraphCache:
+    """validate and spawn_parents run once per graph; each call hands out
+    its own copy, and the cache is invisible to ==, hash, repr and JSON."""
+
+    def test_validate_returns_equal_distinct_lists(self):
+        g = cyclic_graph()
+        first, second = validate(g), validate(g)
+        assert first == second and first
+        assert first is not second
+
+    def test_changing_one_result_leaves_the_next(self):
+        g = cyclic_graph()
+        first = validate(g)
+        expected = list(first)
+        first.clear()
+        assert validate(g) == expected
+        parents = spawn_parents(g)
+        parents.clear()
+        assert spawn_parents(g) == {1: (2, 0), 2: (1, 0)}
+
+    def test_simulate_rejects_the_same_violations_every_call(self):
+        g = cyclic_graph()
+        cfg = SimConfig(thread_count=2, policy=pol.reference())
+        raised = []
+        for _ in range(3):
+            with pytest.raises(InvalidGraphError) as info:
+                simulate(g, cfg)
+            raised.append(info.value.violations)
+        assert raised[0] == raised[1] == raised[2] == validate(cyclic_graph())
+
+    @pytest.mark.parametrize("make", [chain_graph, cyclic_graph])
+    def test_identity_unchanged_after_validation(self, make):
+        g, fresh = make(), make()
+        before = (hash(g), repr(g), graph_to_json(g))
+        validate(g)
+        spawn_parents(g)
+        if not validate(g):
+            critical_path(g)
+        assert g == fresh and fresh == g
+        assert (hash(g), repr(g), graph_to_json(g)) == before == (
+            hash(fresh), repr(fresh), graph_to_json(fresh)
+        )
 
 
 class TestTotalWork:
