@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engine import EventKind, Outcome, ScheduleTrace, SegmentKind
+from .engine import MAX_THREADS, EventKind, Outcome, ScheduleTrace, SegmentKind
 from .task_graph import (
     Compute,
     TaskGraph,
@@ -91,16 +91,19 @@ class ComparisonReport:
 
 def _untrusted(graph: TaskGraph, trace: ScheduleTrace) -> list:
     """(violation kind, id, message) for each defect that makes `trace`
-    unfit to analyse against `graph`: ``NoThreads`` (a thread count below
-    1), then in trace order ``UnknownTask`` and ``UnknownThread`` (a task
-    outside the graph, a thread outside ``[0, thread_count)``),
-    ``EmptySegment`` and ``OutsideMakespan`` (outside ``[0, makespan]``)."""
+    unfit to analyse against `graph`: ``NoThreads`` or ``TooManyThreads``
+    (a thread count outside ``[1, MAX_THREADS]``), then in trace order
+    ``UnknownTask`` and ``UnknownThread`` (a task outside the graph, a
+    thread outside ``[0, thread_count)``), ``EmptySegment`` and
+    ``OutsideMakespan`` (outside ``[0, makespan]``)."""
     n = len(graph.tasks)
     threads = trace.thread_count
     makespan = trace.makespan
     found = []
     if threads < 1:
         found.append(("NoThreads", threads, f"trace has thread_count {threads}"))
+    elif threads > MAX_THREADS:
+        found.append(("TooManyThreads", threads, f"trace has thread_count {threads} > {MAX_THREADS}"))
 
     def refs(kind, record):
         if not 0 <= record.task < n:

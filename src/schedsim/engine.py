@@ -46,9 +46,11 @@ from .task_graph import (
     TaskgroupEnd,
     TaskwaitChildren,
     validate,
+    wait_members,
 )
 
 DEFAULT_MAX_VIRTUAL_TIME = 2**62
+MAX_THREADS = 1 << 16
 
 
 class EngineError(Exception):
@@ -111,8 +113,8 @@ class SimConfig:
     max_virtual_time: int = DEFAULT_MAX_VIRTUAL_TIME
 
     def __post_init__(self):
-        if self.thread_count < 1:
-            raise ConfigError("thread_count must be >= 1")
+        if not 1 <= self.thread_count <= MAX_THREADS:
+            raise ConfigError(f"thread_count must be in [1, {MAX_THREADS}]")
         if self.max_virtual_time <= 0:
             raise ConfigError("max_virtual_time must be positive")
 
@@ -214,29 +216,17 @@ class ScheduleTrace:
         return buf.getvalue()
 
 
-class _WaitState:
-    __slots__ = ("kind", "members", "allowed")
-
-    def __init__(self, kind, members):
-        self.kind = kind  # "children" | "group"
-        self.members = members  # read for a latency sync set; counts settle the wait
-        self.allowed = None  # narrowed sync set, for an idle-until-complete wait
-
-
 class _Run:
     __slots__ = (
         "spec",
         "pc",
-        "started",
         "completed",
         "home",
         "nested",
         "priority",
-        "children",
         "parent",
         "pending",
         "open",
-        "group_mark",
         "chunk_scatters",
         "blocked_child",
         "wait",
@@ -248,21 +238,18 @@ class _Run:
     def __init__(self, spec):
         self.spec = spec
         self.pc = 0
-        self.started = False
         self.completed = False
-        self.home = None
+        self.home = None  # the thread that started the run; None until then
         self.nested = False  # pushed by an undeferred spawn, not picked
         self.priority = spec.priority
-        self.children = []
         self.parent = None
         self.pending = 0  # spawned children that have not completed
         # This run while it is not completed, plus each child whose subtree
         # is not done: 0 once the subtree has completed, 1 at a settled group.
         self.open = 1
-        self.group_mark = 0
         self.chunk_scatters = 0
         self.blocked_child = None
-        self.wait = None
+        self.wait = None  # the wait action the run is stopped at
         self.poll_spun = False
         self.poll_token = None
         self.poll_failed_at = -1  # engine progress at the last failed check
@@ -289,7 +276,7 @@ class _Thread:
         # exits only while it is the top of this stack.
         self.filters = []
         # (ready.seq, filter) at the last failed pick: picks only remove entries
-        # and queued tasks keep `started` and `home`, so it fails while both match.
+        # and queued tasks keep `home`, so it fails while both match.
         self.futile = None
         self.seg_task = None
         self.seg_start = 0
@@ -321,25 +308,26 @@ class _Engine:
 
     # -- wait bookkeeping ------------------------------------------------
 
-    def _wait_satisfied(self, run: _Run, kind: str) -> bool:
+    def _wait_satisfied(self, run: _Run, wait) -> bool:
         """A children wait holds once every child has completed, a group
         wait once only the run itself is open: the children spawned before
         the previous group end had done their subtrees when it exited."""
-        if kind == "children":
+        if isinstance(wait, TaskwaitChildren):
             return run.pending == 0
         return run.open == 1
 
-    def _wait_allowed_tasks(self, wait: _WaitState) -> set:
-        """The tasks a helper at `wait` may pick: the children waited on,
-        or for a group its members' subtrees.  The subtrees are read from
-        the graph, so the set also holds what members spawn after the wait
-        is entered; a queued task's ancestors have all been spawned, so
-        for the tasks a pick looks at this is the spawned subtree."""
-        if wait.kind == "children":
-            return set(wait.members)
+    def _wait_allowed_tasks(self, run: _Run) -> set:
+        """The tasks a helper in the wait at `run.pc` may pick: the children
+        it covers (``wait_members``), or for a group end their subtrees read
+        from the graph, which also hold what members spawn after the wait is
+        entered; a queued task's ancestors have all been spawned, so for the
+        tasks a pick looks at this is the spawned subtree."""
+        members = wait_members(run.spec, run.pc)
+        if isinstance(run.wait, TaskwaitChildren):
+            return set(members)
         tasks = self.graph.tasks
         allowed = set()
-        stack = list(wait.members)
+        stack = members
         while stack:
             cur = stack.pop()
             allowed.add(cur)
@@ -361,7 +349,7 @@ class _Engine:
         not completed."""
         if run.blocked_child is not None:
             return not self.runs[run.blocked_child].completed
-        return run.wait is not None and not self._wait_satisfied(run, run.wait.kind)
+        return run.wait is not None and not self._wait_satisfied(run, run.wait)
 
     def _movable(self, thread_idx):
         """Predicate over task ids: may this thread take the task, latency
@@ -370,7 +358,7 @@ class _Engine:
 
         def movable(task_id) -> bool:
             run = runs[task_id]
-            return not (run.started and run.spec.tied and run.home != thread_idx)
+            return run.home is None or run.home == thread_idx or not run.spec.tied
 
         return movable
 
@@ -465,9 +453,9 @@ class _Engine:
                 break
 
             if run.wait is not None:
-                if self._wait_satisfied(run, run.wait.kind):
+                if self._wait_satisfied(run, run.wait):
                     self._emit(now, EventKind.WAIT_EXITED, run.spec.id, th.idx)
-                    if run.wait.allowed is not None:
+                    if pol.on_wait(self.policy, run.wait.mode) is WaitDecision.IDLE_UNTIL_COMPLETE:
                         th.filters.pop()
                     run.wait = None
                     run.pc += 1
@@ -532,26 +520,16 @@ class _Engine:
                 continue
 
             if isinstance(action, (TaskwaitChildren, TaskgroupEnd)):
-                if isinstance(action, TaskwaitChildren):
-                    members = tuple(run.children)
-                    kind = "children"
-                else:
-                    members = tuple(run.children[run.group_mark :])
-                    run.group_mark = len(run.children)
-                    kind = "group"
                 self._emit(now, EventKind.WAIT_ENTERED, run.spec.id, th.idx)
-                decision = pol.on_wait(self.policy, action.mode)
-                wait = _WaitState(kind, members)
-                if self._wait_satisfied(run, kind):
+                if self._wait_satisfied(run, action):
                     self._emit(now, EventKind.WAIT_EXITED, run.spec.id, th.idx)
                     run.pc += 1
                     progressed = True
                     continue
-                run.wait = wait
-                if decision is WaitDecision.IDLE_UNTIL_COMPLETE:
-                    allowed = self._wait_allowed_tasks(wait)
-                    wait.allowed = allowed & th.filters[-1] if th.filters else allowed
-                    th.filters.append(wait.allowed)
+                run.wait = action
+                if pol.on_wait(self.policy, action.mode) is WaitDecision.IDLE_UNTIL_COMPLETE:
+                    allowed = self._wait_allowed_tasks(run)
+                    th.filters.append(allowed & th.filters[-1] if th.filters else allowed)
                 progressed = True
                 break
 
@@ -571,7 +549,6 @@ class _Engine:
             max_queue_priority=self.ready.max_priority,
         )
         self._emit(now, EventKind.SPAWNED, child_spec.id, th.idx)
-        run.children.append(child_spec.id)
         child.parent = run
         run.pending += 1
         run.open += 1
@@ -580,7 +557,6 @@ class _Engine:
             if decision.forced:
                 self._emit(now, EventKind.THROTTLED, child_spec.id, th.idx)
             run.blocked_child = child_spec.id
-            child.started = True
             child.home = th.idx
             child.nested = True
             self.progress += 1
@@ -616,8 +592,7 @@ class _Engine:
         run = self.runs[task_id]
         if stolen:
             self._emit(now, EventKind.STOLEN, task_id, th.idx)
-        if not run.started:
-            run.started = True
+        if run.home is None:
             run.home = th.idx
             self.progress += 1
         run.nested = False

@@ -246,6 +246,24 @@ def total_work(graph: TaskGraph) -> int:
     return work
 
 
+def wait_members(spec: TaskSpec, idx: int) -> list:
+    """The children the wait at ``spec.actions[idx]`` covers, in spawn
+    order: those spawned since the previous wait of the same kind, which
+    let the task go on only once what it covered was done.  Reading every
+    wait of a task takes one pass over its actions per kind."""
+    actions = spec.actions
+    kind = type(actions[idx])
+    members = []
+    for pos in range(idx - 1, -1, -1):
+        action = actions[pos]
+        if isinstance(action, kind):
+            break
+        if isinstance(action, Spawn):
+            members.append(action.child)
+    members.reverse()
+    return members
+
+
 def critical_path(graph: TaskGraph):
     """Longest dependency-respecting chain of compute ticks.
 
@@ -253,8 +271,11 @@ def critical_path(graph: TaskGraph):
     compute along one maximal chain (consecutive repeats collapsed).
     Edge rules: action order within a task; a spawn precedes the child's
     first action; an undeferred spawn also serializes the child before
-    the parent's next action; waits are preceded by their whole
-    synchronization set; a poll is preceded by its target's completion.
+    the parent's next action; a wait is preceded by the children it
+    covers (``wait_members``): a children wait by their completions, a
+    group end by their subtrees, and what an earlier wait of the same
+    kind covered reaches the wait through that one; a poll is preceded
+    by its target's completion.
     Ties between equal-length chains pick the smallest (task, action)
     step by step.  Computed once per graph; each call returns a new list.
     """
@@ -292,22 +313,18 @@ def _longest_chain(graph: TaskGraph):
     for spec in tasks:
         node = first[spec.id]
         edges[node + len(spec.actions)].append(up + spec.id)
-        children_so_far = []
-        group_mark = 0
-        for action in spec.actions:
+        for idx, action in enumerate(spec.actions):
             edges[node].append(node + 1)
             if isinstance(action, Spawn):
                 edges[node].append(first[action.child])
-                children_so_far.append(action.child)
                 if action.defer is DeferMode.UNDEFERRED:
                     edges[done(action.child)].append(node + 1)
             elif isinstance(action, TaskwaitChildren):
-                for child in children_so_far:
+                for child in wait_members(spec, idx):
                     edges[done(child)].append(node)
             elif isinstance(action, TaskgroupEnd):
-                for member in children_so_far[group_mark:]:
+                for member in wait_members(spec, idx):
                     edges[up + member].append(node)
-                group_mark = len(children_so_far)
             elif isinstance(action, PollOutcome):
                 edges[done(action.target)].append(node)
             node += 1

@@ -12,6 +12,7 @@ from schedsim.analysis import (
     validate_trace,
 )
 from schedsim.engine import (
+    MAX_THREADS,
     EventKind,
     Outcome,
     ScheduleTrace,
@@ -251,6 +252,7 @@ class TestValidateTrace:
             (1, (0, 11), 10, [("OutsideMakespan", 0)], "segment of task 0 lies outside"),
             (1, (-1, 9), 10, [("OutsideMakespan", 0)], "segment of task 0 lies outside"),
             (1, (0, 10), 11, [("OutsideMakespan", 0)], "event of task 0 lies outside"),
+            (10**30, None, None, [("TooManyThreads", 10**30)], f"trace has thread_count {10**30} > {MAX_THREADS}"),
         ],
     )
     def test_untrusted_bounds_reported_not_raised(

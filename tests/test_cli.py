@@ -4,7 +4,7 @@ import pytest
 
 from schedsim.analysis import compare
 from schedsim.cli import main
-from schedsim.engine import ScheduleTrace
+from schedsim.engine import MAX_THREADS, ScheduleTrace
 from schedsim.task_graph import graph_from_json, validate
 
 
@@ -125,6 +125,12 @@ class TestSimulate:
         code = main(["simulate", str(graph), "--policy", "reference", "--threads", "2"])
         assert code == 3
         assert "starvation_detected" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("threads", [0, MAX_THREADS + 1])
+    def test_thread_count_out_of_range_exit_2(self, tmp_path, capsys, threads):
+        graph = starvation_graph(tmp_path)
+        assert main(["simulate", str(graph), "--threads", str(threads)]) == 2
+        assert f"thread_count must be in [1, {MAX_THREADS}]" in capsys.readouterr().err
 
     def test_starvation_extended_fair_yield_exit_0(self, tmp_path, capsys):
         graph = starvation_graph(tmp_path)
@@ -287,6 +293,11 @@ def no_threads(trace):
     return trace
 
 
+def huge_thread_count(trace):
+    trace["thread_count"] = 10**30
+    return trace
+
+
 def no_threads_no_records(trace):
     trace.update(thread_count=0, segments=[], events=[])
     return trace
@@ -314,6 +325,7 @@ TRACE_MUTATIONS = [
     thread_past_count,
     negative_thread,
     no_threads,
+    huge_thread_count,
     no_threads_no_records,
     swapped_segment,
     segment_past_makespan,

@@ -1,9 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schedsim import policies as pol
+from schedsim import engine, policies as pol
 from schedsim.analysis import validate_trace
 from schedsim.engine import (
+    MAX_THREADS,
     _Engine,
     EventKind,
     Outcome,
@@ -28,6 +29,7 @@ from schedsim.task_graph import (
     TaskwaitChildren,
     WaitMode,
     YieldMode,
+    wait_members,
 )
 
 from test_critical_path_pins import spawn_chain, tied_forest
@@ -77,6 +79,9 @@ class TestBasics:
             SimConfig(thread_count=0, policy=pol.reference())
         with pytest.raises(ConfigError):
             SimConfig(thread_count=1, policy=pol.reference(), max_virtual_time=0)
+        with pytest.raises(ConfigError, match="thread_count"):
+            SimConfig(thread_count=MAX_THREADS + 1, policy=pol.reference())
+        assert SimConfig(thread_count=MAX_THREADS, policy=pol.reference()).thread_count == MAX_THREADS
 
     def test_determinism_bit_identical(self):
         cfg = SimConfig(thread_count=3, policy=pol.extended())
@@ -281,6 +286,36 @@ class TestWaits:
             (10, 0),
         ]
         assert [e.time for e in trace.events if e.kind is EventKind.WAIT_EXITED] == [9]
+
+
+    @pytest.mark.parametrize(
+        "policy, reads", [(pol.reference(), []), (pol.extended(), [(0, 1), (0, 5)])]
+    )
+    def test_only_latency_waits_read_members(self, monkeypatch, policy, reads):
+        # Throughput waits, and latency waits a policy does not honor, are
+        # settled by counts alone.
+        calls = []
+
+        def counted(spec, idx):
+            calls.append((spec.id, idx))
+            return wait_members(spec, idx)
+
+        monkeypatch.setattr(engine, "wait_members", counted)
+        g = TaskGraph(
+            tasks=(
+                TaskSpec(id=0, actions=(
+                    Spawn(1), TaskwaitChildren(WaitMode.LATENCY), Spawn(2), TaskwaitChildren(),
+                    Spawn(3), TaskgroupEnd(WaitMode.LATENCY),
+                )),
+                TaskSpec(id=1, actions=(Compute(3),)),
+                TaskSpec(id=2, actions=(Compute(3),)),
+                TaskSpec(id=3, actions=(Compute(3),)),
+            ),
+            roots=(0,),
+        )
+        trace = simulate(g, SimConfig(thread_count=1, policy=policy))
+        assert trace.outcome is Outcome.COMPLETED
+        assert calls == reads
 
 
 class PickRecordingEngine(_Engine):
@@ -589,7 +624,11 @@ class TestDeepTrees:
 class PerPickFilterEngine(_Engine):
     """The engine with the per-pick latency rule as a model: every pick is
     filtered by the intersection of the sync sets of all latency waits on
-    the thread's stack, each rebuilt from the graph."""
+    the thread's stack, each rebuilt from the task's actions: a children
+    wait covers every child spawned before it, a group end the children
+    spawned since the previous group end and their subtrees.  The engine's
+    narrowed filter leaves out only children an earlier children wait saw
+    complete."""
 
     def _pick_filter(self, th):
         allowed = None
@@ -598,9 +637,29 @@ class PerPickFilterEngine(_Engine):
                 continue
             action = run.spec.actions[run.pc]  # a wait holds its pc until it exits
             if pol.on_wait(self.policy, action.mode) is pol.WaitDecision.IDLE_UNTIL_COMPLETE:
-                tasks = self._wait_allowed_tasks(run.wait)
+                tasks = self._sync_set(run.spec, run.pc)
                 allowed = tasks if allowed is None else allowed & tasks
+        if allowed is not None:
+            narrowed = super()._pick_filter(th)
+            assert narrowed <= allowed
+            assert all(self.runs[task].completed for task in allowed - narrowed)
         return allowed
+
+    def _sync_set(self, spec, pc):
+        children, mark = [], 0
+        for action in spec.actions[:pc]:
+            if isinstance(action, Spawn):
+                children.append(action.child)
+            elif isinstance(action, TaskgroupEnd):
+                mark = len(children)
+        if isinstance(spec.actions[pc], TaskwaitChildren):
+            return set(children)
+        tasks, stack = set(), children[mark:]
+        while stack:
+            cur = stack.pop()
+            tasks.add(cur)
+            stack.extend(a.child for a in self.graph.tasks[cur].actions if isinstance(a, Spawn))
+        return tasks
 
 
 @st.composite

@@ -12,6 +12,7 @@ from schedsim.task_graph import (
     Spawn,
     TaskGraph,
     TaskSpec,
+    TaskgroupEnd,
     TaskwaitChildren,
     Violation,
     critical_path,
@@ -20,6 +21,7 @@ from schedsim.task_graph import (
     spawn_parents,
     total_work,
     validate,
+    wait_members,
 )
 
 
@@ -218,6 +220,29 @@ class TestTotalWork:
             roots=(0, 1),
         )
         assert total_work(g) == 3
+
+
+class TestWaitMembers:
+    def test_each_kind_covers_the_children_since_its_previous_wait(self):
+        a, b, c = 1, 2, 3
+        spec = TaskSpec(
+            id=0,
+            actions=(
+                Spawn(a), TaskwaitChildren(), Spawn(b), TaskgroupEnd(),
+                Spawn(c), TaskwaitChildren(), TaskgroupEnd(),
+            ),
+        )
+        waits = [idx for idx, action in enumerate(spec.actions) if not isinstance(action, Spawn)]
+        # The second group end's members cross the child wait before it.
+        assert [wait_members(spec, idx) for idx in waits] == [[a], [a, b], [b, c], [c]]
+
+    @pytest.mark.parametrize("wait", [TaskwaitChildren, TaskgroupEnd])
+    def test_each_child_is_covered_once(self, wait):
+        n = 50
+        spec = TaskSpec(id=0, actions=[x for i in range(n) for x in (Spawn(i + 1), wait())])
+        members = [wait_members(spec, 2 * i + 1) for i in range(n)]
+        assert members == [[i + 1] for i in range(n)]
+        assert sum(map(len, members)) == n
 
 
 class TestCriticalPath:
