@@ -12,11 +12,11 @@ from fractions import Fraction
 
 from .engine import MAX_THREADS, EventKind, Outcome, ScheduleTrace, SegmentKind
 from .task_graph import (
-    Compute,
     TaskGraph,
     Violation,
     critical_path,
     spawn_parents,
+    task_work,
     total_work,
 )
 
@@ -95,7 +95,20 @@ def _untrusted(graph: TaskGraph, trace: ScheduleTrace) -> list:
     (a thread count outside ``[1, MAX_THREADS]``), then in trace order
     ``UnknownTask`` and ``UnknownThread`` (a task outside the graph, a
     thread outside ``[0, thread_count)``), ``EmptySegment`` and
-    ``OutsideMakespan`` (outside ``[0, makespan]``)."""
+    ``OutsideMakespan`` (outside ``[0, makespan]``).  The trace's cached
+    bounds decide; the ordered scan runs only to word a defect."""
+    bounds = trace._bounds
+    if (
+        1 <= trace.thread_count <= MAX_THREADS
+        and bounds.fits
+        and 0 <= bounds.task_min
+        and bounds.task_max < len(graph.tasks)
+    ):
+        return []
+    return _defects(graph, trace)
+
+
+def _defects(graph: TaskGraph, trace: ScheduleTrace) -> list:
     n = len(graph.tasks)
     threads = trace.thread_count
     makespan = trace.makespan
@@ -125,51 +138,46 @@ def _untrusted(graph: TaskGraph, trace: ScheduleTrace) -> list:
     return found
 
 
-def analyze(graph: TaskGraph, trace: ScheduleTrace) -> AnalysisReport:
-    """Compute the full metric set for one trace of `graph`."""
+def _check(graph: TaskGraph, trace: ScheduleTrace):
+    """Raise TraceMismatchError with the first defect ``_untrusted`` finds."""
     untrusted = _untrusted(graph, trace)
     if untrusted:
         raise TraceMismatchError(untrusted[0][2])
-    cp_length, cp_tasks = critical_path(graph)
-    cp_set = set(cp_tasks)
-    parents = spawn_parents(graph)
 
-    compute_ticks = 0
-    spin_ticks = 0
-    busy = [0] * trace.thread_count
+
+def analyze(graph: TaskGraph, trace: ScheduleTrace) -> AnalysisReport:
+    """Compute the full metric set for one trace of `graph`."""
+    _check(graph, trace)
+    facts = trace._facts
+    cp_length, cp_tasks = critical_path(graph)
+
     undeferred_on_cp = 0
-    for seg in trace.segments:
-        length = seg.end - seg.start
-        busy[seg.thread] += length
-        if seg.kind is SegmentKind.POLL_SPIN:
-            spin_ticks += length
-            continue
-        compute_ticks += length
-        if seg.kind is SegmentKind.UNDEFERRED:
-            parent = parents.get(seg.task)
+    if facts.undeferred:
+        cp_set = set(cp_tasks)
+        parents = spawn_parents(graph)
+        for task, count in facts.undeferred.items():
+            parent = parents.get(task)
             if parent is not None and parent[0] in cp_set:
-                undeferred_on_cp += 1
+                undeferred_on_cp += count
 
     makespan = trace.makespan
     if makespan > 0:
-        occupancy = Fraction(compute_ticks, makespan * trace.thread_count)
-        per_thread = tuple(Fraction(b, makespan) for b in busy)
+        occupancy = Fraction(facts.compute_ticks, makespan * trace.thread_count)
+        per_thread = tuple(Fraction(b, makespan) for b in facts.busy)
     else:
         occupancy = Fraction(0)
-        per_thread = tuple(Fraction(0) for _ in busy)
-
-    throttled = sum(1 for e in trace.events if e.kind is EventKind.THROTTLED)
+        per_thread = tuple(Fraction(0) for _ in facts.busy)
 
     return AnalysisReport(
         makespan=makespan,
         critical_path_length=cp_length,
         occupancy=occupancy,
         per_thread_busy=per_thread,
-        throttled_spawns=throttled,
+        throttled_spawns=facts.throttled,
         undeferred_on_critical_path=undeferred_on_cp,
         group_start_latency=_group_start_latency(graph, trace),
         starvation=trace.outcome is Outcome.STARVATION_DETECTED,
-        poll_spin_ticks=spin_ticks,
+        poll_spin_ticks=facts.spin_ticks,
     )
 
 
@@ -234,64 +242,39 @@ def validate_trace(graph: TaskGraph, trace: ScheduleTrace) -> list:
     Violations are returned as data; an empty list means the trace is
     consistent with the graph.
     """
-    violations = [Violation(violation, ident) for violation, ident, _ in _untrusted(graph, trace)]
-    if violations:
-        return violations
+    untrusted = _untrusted(graph, trace)
+    if untrusted:
+        return [Violation(violation, ident) for violation, ident, _ in untrusted]
+    facts = trace._facts
 
-    # Non-overlap, per thread.
-    per_thread = {}
-    for seg in trace.segments:
-        per_thread.setdefault(seg.thread, []).append(seg)
-    for thread, segs in sorted(per_thread.items()):
-        segs = sorted(segs, key=lambda s: (s.start, s.end))
-        for prev, cur in zip(segs, segs[1:]):
-            if cur.start < prev.end:
-                violations.append(Violation("OverlappingSegments", thread))
-                break
-
-    completions = {}
-    for event in trace.events:
-        if event.kind is EventKind.COMPLETED:
-            completions[event.task] = completions.get(event.task, 0) + 1
-    for task, count in sorted(completions.items()):
-        if count > 1:
-            violations.append(Violation("DuplicateCompletion", task))
+    violations = [Violation("OverlappingSegments", thread) for thread in facts.overlapping]
+    violations += [
+        Violation("DuplicateCompletion", task)
+        for task, count in enumerate(facts.completions)
+        if count > 1
+    ]
 
     # Work conservation and single execution only hold for complete runs.
     if trace.outcome is Outcome.COMPLETED:
-        expected = {}
-        for spec in graph.tasks:
-            expected[spec.id] = sum(
-                a.duration for a in spec.actions if isinstance(a, Compute)
-            )
-        executed = {task_id: 0 for task_id in expected}
-        for seg in trace.segments:
-            if seg.kind is not SegmentKind.POLL_SPIN:
-                executed[seg.task] += seg.end - seg.start
-        for task_id in sorted(expected):
-            if executed[task_id] != expected[task_id]:
-                violations.append(Violation("WorkNotConserved", task_id))
-        for task_id in sorted(expected):
-            if completions.get(task_id, 0) != 1:
-                violations.append(Violation("MissingCompletion", task_id))
+        work = task_work(graph)
+        n = len(work)
+        executed = facts.executed + (0,) * (n - len(facts.executed))
+        completions = facts.completions + (0,) * (n - len(facts.completions))
+        violations += [Violation("WorkNotConserved", t) for t in range(n) if executed[t] != work[t]]
+        violations += [Violation("MissingCompletion", t) for t in range(n) if completions[t] != 1]
 
         cp_length, _ = critical_path(graph)
         if trace.makespan < cp_length:
             violations.append(Violation("MakespanBelowCriticalPath", -1))
-        threads_used = {seg.thread for seg in trace.segments}
+        threads_used = sum(1 for ticks in facts.busy if ticks)
         if threads_used:
-            bound = -(-total_work(graph) // max(len(threads_used), 1))
+            bound = -(-total_work(graph) // threads_used)
             if trace.makespan < bound:
                 violations.append(Violation("MakespanBelowWorkBound", -1))
 
     # Tied residency holds regardless of outcome.
-    tied_thread = {}
-    for seg in trace.segments:
-        if graph.task(seg.task).tied:
-            home = tied_thread.setdefault(seg.task, seg.thread)
-            if home != seg.thread:
-                violations.append(Violation("TiedTaskMigrated", seg.task))
-
+    tasks = graph.tasks
+    violations += [Violation("TiedTaskMigrated", task) for task in facts.off_home if tasks[task].tied]
     return violations
 
 
@@ -305,7 +288,9 @@ _PALETTE = [
 
 def render_gantt_svg(graph: TaskGraph, trace: ScheduleTrace, width: int = 960) -> str:
     """One row per thread, a rectangle per executed segment colored by
-    task label, and a black tick at every spawn event."""
+    task label, and a black tick at every spawn event.  A trace that does
+    not fit the graph raises TraceMismatchError."""
+    _check(graph, trace)
     row_height = 28
     margin_left = 70
     margin_top = 24
@@ -317,6 +302,17 @@ def render_gantt_svg(graph: TaskGraph, trace: ScheduleTrace, width: int = 960) -
 
     labels = sorted({spec.label for spec in graph.tasks})
     color_of = {label: _PALETTE[i % len(_PALETTE)] for i, label in enumerate(labels)}
+    fills = [color_of[spec.label] for spec in graph.tasks]
+    segment_svg = {
+        kind: '<rect class="seg" x="%.2f" y="%d" width="%.2f" '
+        f'height="{row_height - 10}" fill="%s" fill-opacity="{opacity}">'
+        f"<title>task %d [%d,%d) {kind.value}</title></rect>"
+        for kind, opacity in (
+            (SegmentKind.COMPUTE, "1.0"),
+            (SegmentKind.POLL_SPIN, "0.45"),
+            (SegmentKind.UNDEFERRED, "1.0"),
+        )
+    }
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -332,22 +328,23 @@ def render_gantt_svg(graph: TaskGraph, trace: ScheduleTrace, width: int = 960) -
             f'<line x1="{margin_left}" y1="{y + row_height - 4}" '
             f'x2="{width - 10}" y2="{y + row_height - 4}" stroke="#ddd"/>'
         )
-    for seg in trace.segments:
-        x = margin_left + seg.start * scale
-        w = max((seg.end - seg.start) * scale, 0.5)
-        y = margin_top + seg.thread * row_height + 3
-        label = graph.task(seg.task).label
-        fill = color_of.get(label, "#999999")
-        opacity = "0.45" if seg.kind is SegmentKind.POLL_SPIN else "1.0"
-        parts.append(
-            f'<rect class="seg" x="{x:.2f}" y="{y}" width="{w:.2f}" '
-            f'height="{row_height - 10}" fill="{fill}" fill-opacity="{opacity}">'
-            f"<title>task {seg.task} [{seg.start},{seg.end}) {seg.kind.value}</title></rect>"
+    parts += [
+        segment_svg[kind]
+        % (
+            margin_left + start * scale,
+            margin_top + thread * row_height + 3,
+            max((end - start) * scale, 0.5),
+            fills[task],
+            task,
+            start,
+            end,
         )
-    for event in trace.events:
-        if event.kind is EventKind.SPAWNED:
-            x = margin_left + event.time * scale
-            y = margin_top + event.thread * row_height
+        for thread, task, start, end, kind in trace.segments
+    ]
+    for time, kind, _, thread in trace.events:
+        if kind is EventKind.SPAWNED:
+            x = margin_left + time * scale
+            y = margin_top + thread * row_height
             parts.append(
                 f'<line x1="{x:.2f}" y1="{y}" x2="{x:.2f}" '
                 f'y2="{y + row_height - 6}" stroke="black" stroke-width="1"/>'

@@ -133,8 +133,9 @@ def _policy_from_args(args) -> policies.PolicyConfig:
 
 
 def _parse(path: str, parse, what: str):
-    """Parse a JSON file; a document of the wrong shape, a number too large
-    for an integer field or nesting too deep to decode is a ValueError."""
+    """Parse a JSON file; a document of the wrong shape, a value of the
+    wrong type or too large for an integer field, or nesting too deep to
+    decode is a ValueError."""
     text = Path(path).read_text()
     try:
         return parse(text)

@@ -32,7 +32,9 @@ import io
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import cached_property, partial
+from itertools import chain, compress, repeat
+from operator import index, is_, itemgetter, le
 from typing import NamedTuple
 
 from . import jsontext
@@ -45,6 +47,7 @@ from .task_graph import (
     TaskGraph,
     TaskgroupEnd,
     TaskwaitChildren,
+    _collector_paused,
     validate,
     wait_members,
 )
@@ -145,6 +148,13 @@ _TRACE_JSON = jsontext.record(
 )
 
 
+_TRACE_FIELDS = itemgetter("thread_count", "makespan", "outcome", "segments", "events")
+_SEGMENT_COLUMNS = [
+    ("thread", index), ("task", index), ("start", index), ("end", index), ("kind", _read_segment_kind)
+]
+_EVENT_COLUMNS = [("time", index), ("kind", _read_event_kind), ("task", index), ("thread", index)]
+
+
 @dataclass(frozen=True)
 class ScheduleTrace:
     thread_count: int
@@ -152,6 +162,16 @@ class ScheduleTrace:
     events: tuple
     makespan: int
     outcome: Outcome
+
+    def __post_init__(self):
+        object.__setattr__(self, "segments", tuple(self.segments))
+        object.__setattr__(self, "events", tuple(self.events))
+
+    # Graph-independent facts, built on first read and kept in the instance
+    # __dict__, outside the dataclass fields, so ==, hash, repr and JSON
+    # ignore them; the records are tuples, so they cannot go stale.
+    _bounds = cached_property(lambda self: _trace_bounds(self))
+    _facts = cached_property(lambda self: _trace_facts(self))
 
     def to_dict(self, meta: dict | None = None) -> dict:
         out = {}
@@ -169,24 +189,17 @@ class ScheduleTrace:
         return out
 
     @staticmethod
+    @_collector_paused()
     def from_dict(data: dict) -> "ScheduleTrace":
+        """The trace `to_dict` wrote.  Integer fields take JSON integers
+        only: a float or a string there is a TypeError, not a truncation."""
+        thread_count, makespan, outcome, segments, events = _TRACE_FIELDS(data)
         return ScheduleTrace(
-            int(data["thread_count"]),
-            tuple(
-                Segment._make(
-                    (int(s["thread"]), int(s["task"]), int(s["start"]), int(s["end"]),
-                     _read_segment_kind(s["kind"]))
-                )
-                for s in data["segments"]
-            ),
-            tuple(
-                TraceEvent._make(
-                    (int(e["time"]), _read_event_kind(e["kind"]), int(e["task"]), int(e["thread"]))
-                )
-                for e in data["events"]
-            ),
-            int(data["makespan"]),
-            _read_outcome(data["outcome"]),
+            index(thread_count),
+            tuple(map(_new_segment, jsontext.columns(segments, _SEGMENT_COLUMNS))),
+            tuple(map(_new_event, jsontext.columns(events, _EVENT_COLUMNS))),
+            index(makespan),
+            _read_outcome(outcome),
         )
 
     def to_json(self, meta: dict | None = None) -> str:
@@ -204,6 +217,7 @@ class ScheduleTrace:
         return jsontext.document(_TRACE_JSON, values, meta)
 
     @staticmethod
+    @_collector_paused()
     def from_json(text: str) -> "ScheduleTrace":
         return ScheduleTrace.from_dict(json.loads(text))
 
@@ -214,6 +228,125 @@ class ScheduleTrace:
         for s in self.segments:
             writer.writerow([s.thread, s.task, s.start, s.end, s.kind.value])
         return buf.getvalue()
+
+
+class TraceBounds(NamedTuple):
+    """What the trust gate needs of a trace, read in C column by column:
+    the extremes of the task ids, and whether every record fits the trace
+    itself (threads in ``[0, thread_count)``, segments that end after they
+    start, everything within ``[0, makespan]``)."""
+
+    task_min: int
+    task_max: int
+    fits: bool
+
+
+class TraceFacts(NamedTuple):
+    """Graph-independent sums over a trace that fits its bounds, from one
+    positional pass over the segments and one over the events.  Per-task
+    tuples run to the largest task id in the trace."""
+
+    busy: tuple  # ticks per thread, spins included
+    compute_ticks: int
+    spin_ticks: int
+    executed: tuple  # non-spin ticks per task
+    completions: tuple  # completed events per task
+    undeferred: dict  # task -> its undeferred segments
+    off_home: tuple  # per segment on another thread than its task's first, its task
+    overlapping: tuple  # threads with overlapping segments, ascending
+    throttled: int
+
+
+_seg_thread, _seg_task, _seg_start, _seg_end = map(itemgetter, range(4))
+_event_time, _event_kind, _event_task, _event_thread = map(itemgetter, range(4))
+
+
+def _extent(*columns):
+    """(min, max) over (getter, records) columns, read in C without a list
+    of the values; (0, -1) when they hold no records."""
+    if not any(records for _, records in columns):
+        return 0, -1
+    low = min(min(map(get, records)) for get, records in columns if records)
+    high = max(max(map(get, records)) for get, records in columns if records)
+    return low, high
+
+
+def _trace_bounds(trace: ScheduleTrace) -> TraceBounds:
+    segments, events = trace.segments, trace.events
+    task_min, task_max = _extent((_seg_task, segments), (_event_task, events))
+    thread_min, thread_max = _extent((_seg_thread, segments), (_event_thread, events))
+    time_min, time_max = _extent((_event_time, events))
+    makespan = trace.makespan
+    fits = (
+        0 <= thread_min
+        and thread_max < trace.thread_count
+        and not any(map(le, map(_seg_end, segments), map(_seg_start, segments)))
+        and 0 <= min(map(_seg_start, segments), default=0)
+        and max(map(_seg_end, segments), default=0) <= makespan
+        and 0 <= time_min
+        and time_max <= makespan
+    )
+    return TraceBounds(task_min, task_max, fits)
+
+
+@_collector_paused()
+def _trace_facts(trace: ScheduleTrace) -> TraceFacts:
+    """Read only once the trace's bounds fit a graph: the pass indexes
+    lists by the thread and task ids of the records."""
+    tasks = trace._bounds.task_max + 1
+    busy = [0] * trace.thread_count
+    last_end = [0] * trace.thread_count
+    executed = [0] * tasks
+    home = [-1] * tasks
+    undeferred = {}
+    off_home = []
+    unordered = set()
+    spin = 0
+    spin_kind, undeferred_kind = SegmentKind.POLL_SPIN, SegmentKind.UNDEFERRED
+    for thread, task, start, end, kind in trace.segments:
+        length = end - start
+        busy[thread] += length
+        if start < last_end[thread]:
+            unordered.add(thread)
+        last_end[thread] = end
+        first = home[task]
+        if first != thread:
+            if first < 0:
+                home[task] = thread
+            else:
+                off_home.append(task)
+        if kind is spin_kind:
+            spin += length
+            continue
+        executed[task] += length
+        if kind is undeferred_kind:
+            undeferred[task] = undeferred.get(task, 0) + 1
+
+    # A thread whose segments run in start order, each after the previous
+    # one ended, has no overlap; the others are sorted and checked in full.
+    overlapping = []
+    for thread in sorted(unordered):
+        spans = sorted((s[2], s[3]) for s in trace.segments if s[0] == thread)
+        if any(cur[0] < prev[1] for prev, cur in zip(spans, spans[1:])):
+            overlapping.append(thread)
+
+    events = trace.events
+    kinds = list(map(_event_kind, events))
+    completions = [0] * tasks
+    for task in compress(map(_event_task, events), map(is_, kinds, repeat(EventKind.COMPLETED))):
+        completions[task] += 1
+
+    return TraceFacts(
+        busy=tuple(busy),
+        compute_ticks=sum(busy) - spin,
+        spin_ticks=spin,
+        executed=tuple(executed),
+        completions=tuple(completions),
+        undeferred=undeferred,
+        off_home=tuple(off_home),
+        overlapping=tuple(overlapping),
+        throttled=sum(map(is_, kinds, repeat(EventKind.THROTTLED))),
+    )
 
 
 class _Run:
@@ -674,6 +807,7 @@ class _Engine:
         )
 
 
+@_collector_paused()
 def simulate(graph: TaskGraph, cfg: SimConfig) -> ScheduleTrace:
     """Run one deterministic simulation of `graph` under `cfg`."""
     violations = validate(graph)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as quote
+from operator import itemgetter
 
 INDENT = "  "
 
@@ -51,15 +52,25 @@ def enum_text(enum) -> dict:
     return {member: quote(member.value) for member in enum}
 
 
+def columns(records, fields):
+    """One tuple of converted values per JSON object in `records`, read a
+    column at a time in C: `fields` lists (key, converter) pairs in tuple
+    order.  A missing key is a KeyError and a value its converter refuses
+    raises the converter's error, at the first record that has one."""
+    return zip(*[map(convert, map(itemgetter(key), records)) for key, convert in fields])
+
+
+class _Members(dict):
+    def __init__(self, enum):
+        super().__init__((member.value, member) for member in enum)
+        self.enum = enum
+
+    def __missing__(self, value):
+        return self.enum(value)
+
+
 def enum_reader(enum):
-    """value -> member through one dict lookup; anything else goes to
-    `enum(value)`, which returns a member or raises its own ValueError."""
-    members = {member.value: member for member in enum}
-
-    def read(value):
-        try:
-            return members[value]
-        except (KeyError, TypeError):
-            return enum(value)
-
-    return read
+    """value -> member through one dict lookup in C; another hashable value
+    goes to `enum(value)`, which returns a member or raises its own
+    ValueError, and an unhashable one is a TypeError."""
+    return _Members(enum).__getitem__

@@ -8,15 +8,38 @@ Time is measured in integer ticks so every derived quantity is exact.
 
 from __future__ import annotations
 
+import gc
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
+from operator import index, itemgetter
 from typing import Union
 
 from . import jsontext
 
 TaskId = int
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, and restore the caller's state
+    on the way out, also on an exception.
+
+    Wraps the bulk builders (``simulate``, the graph and trace decoders
+    and the per-trace facts pass): everything they build is acyclic and
+    freed by reference counting, so a collection there only walks the
+    heap and finds nothing.  Used as a decorator, as ``@_collector_paused()``.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 class DeferMode(str, Enum):
@@ -124,6 +147,7 @@ class TaskGraph:
     _critical_path = cached_property(lambda self: _longest_chain(self))
     _violations = cached_property(lambda self: tuple(_find_violations(self)))
     _spawn_parents = cached_property(lambda self: _find_parents(self))
+    _work = cached_property(lambda self: tuple(map(_task_work, self.tasks)))
 
 
 @dataclass(frozen=True)
@@ -238,12 +262,16 @@ def _find_violations(graph: TaskGraph) -> list:
 def total_work(graph: TaskGraph) -> int:
     """Sum of all compute durations; poll spinning is contention-dependent
     and excluded."""
-    work = 0
-    for spec in graph.tasks:
-        for action in spec.actions:
-            if isinstance(action, Compute):
-                work += action.duration
-    return work
+    return sum(graph._work)
+
+
+def task_work(graph: TaskGraph) -> tuple:
+    """Compute ticks per task, by task position; computed once per graph."""
+    return graph._work
+
+
+def _task_work(spec: TaskSpec) -> int:
+    return sum(a.duration for a in spec.actions if isinstance(a, Compute))
 
 
 def wait_members(spec: TaskSpec, idx: int) -> list:
@@ -406,11 +434,21 @@ def _action_to_dict(action: Action) -> dict:
 _read_defer = jsontext.enum_reader(DeferMode)
 _read_yield = jsontext.enum_reader(YieldMode)
 _read_wait = jsontext.enum_reader(WaitMode)
+_TASK_FIELDS = itemgetter("id", "priority", "tied", "label", "actions")
+
+
+@lru_cache(maxsize=1024)
+def _compute(duration: int) -> Compute:
+    """One Compute per duration, shared by every task that reads it: it is
+    frozen, and most graphs use a handful of durations."""
+    return Compute(duration)
+
+
 _ACTION_READERS = {
-    "compute": lambda d: Compute(int(d["duration"])),
-    "spawn": lambda d: Spawn(int(d["child"]), _read_defer(d["defer"])),
+    "compute": lambda d: _compute(index(d["duration"])),
+    "spawn": lambda d: Spawn(index(d["child"]), _read_defer(d["defer"])),
     "poll": lambda d: PollOutcome(
-        int(d["target"]), _read_yield(d["yield_mode"]), int(d["poll_cost"])
+        index(d["target"]), _read_yield(d["yield_mode"]), index(d["poll_cost"])
     ),
     "taskwait_children": lambda d: TaskwaitChildren(_read_wait(d["mode"])),
     "taskgroup_end": lambda d: TaskgroupEnd(_read_wait(d["mode"])),
@@ -444,18 +482,22 @@ def graph_to_dict(graph: TaskGraph, meta: dict | None = None) -> dict:
     return out
 
 
+@_collector_paused()
 def graph_from_dict(data: dict) -> TaskGraph:
-    tasks = tuple(
-        TaskSpec(
-            int(item["id"]),
-            tuple(map(_action_from_dict, item["actions"])),
-            int(item["priority"]),
-            bool(item["tied"]),
-            str(item["label"]),
+    """The graph `graph_to_dict` wrote.  Integer fields take JSON integers
+    only, ``tied`` a JSON boolean and ``label`` a string: any other value
+    there is a TypeError, never a silent conversion."""
+    tasks = []
+    for item in data["tasks"]:
+        ident, priority, tied, label, actions = _TASK_FIELDS(item)
+        if type(tied) is not bool:
+            raise TypeError(f"task {ident!r}: tied must be true or false, not {tied!r}")
+        if type(label) is not str:
+            raise TypeError(f"task {ident!r}: label must be a string, not {label!r}")
+        tasks.append(
+            TaskSpec(index(ident), tuple(map(_action_from_dict, actions)), index(priority), tied, label)
         )
-        for item in data["tasks"]
-    )
-    return TaskGraph(tasks, tuple(int(r) for r in data["roots"]))
+    return TaskGraph(tasks, tuple(map(index, data["roots"])))
 
 
 _DEFER_TEXT = jsontext.enum_text(DeferMode)
@@ -507,5 +549,6 @@ def graph_to_json(graph: TaskGraph, meta: dict | None = None) -> str:
     )
 
 
+@_collector_paused()
 def graph_from_json(text: str) -> TaskGraph:
     return graph_from_dict(json.loads(text))

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from schedsim import analysis, engine
 from schedsim import policies as pol
 from schedsim.analysis import (
     TraceMismatchError,
@@ -306,3 +307,93 @@ class TestRendering:
         data = report.to_dict()
         assert data["occupancy"] == "1"
         assert isinstance(data["per_thread_busy"][0], str)
+
+
+class TestRenderingTrustGate:
+    """The SVG reads the trace's task and thread ids as indices: a trace
+    that does not fit the graph is rejected before any row is drawn."""
+
+    @pytest.mark.parametrize(
+        "thread_count, task, message",
+        [
+            (1, -1, "segment references unknown task -1"),
+            (1, 1, "segment references unknown task 1"),
+            (10**30, 0, f"trace has thread_count {10**30} > {MAX_THREADS}"),
+        ],
+    )
+    def test_untrusted_trace_rejected(self, thread_count, task, message):
+        g = single_task_graph()
+        trace = ScheduleTrace(
+            thread_count=thread_count,
+            segments=(Segment(0, task, 0, 10, SegmentKind.COMPUTE),),
+            events=(TraceEvent(10, EventKind.COMPLETED, 0, 0),),
+            makespan=10,
+            outcome=Outcome.COMPLETED,
+        )
+        with pytest.raises(TraceMismatchError, match=message):
+            render_gantt_svg(g, trace)
+
+
+class TestPerTraceCache:
+    """Facts about a trace are computed once and kept outside its fields."""
+
+    def analysed(self):
+        g = two_task_graph()
+        trace = run(g, threads=2)
+        before = (trace.to_json(), repr(trace), hash(trace))
+        assert validate_trace(g, trace) == []
+        analyze(g, trace)
+        render_gantt_svg(g, trace)
+        return g, trace, before
+
+    def test_facts_do_not_change_identity_or_bytes(self):
+        g, trace, before = self.analysed()
+        assert "_facts" in trace.__dict__ and "_bounds" in trace.__dict__
+        assert (trace.to_json(), repr(trace), hash(trace)) == before
+        fresh = run(g, threads=2)
+        assert "_facts" not in fresh.__dict__
+        assert fresh == trace and hash(fresh) == hash(trace)
+        back = ScheduleTrace.from_json(trace.to_json())
+        assert back == trace and back.to_json() == before[0]
+
+    def test_records_are_stored_as_tuples(self):
+        trace = ScheduleTrace(
+            thread_count=1,
+            segments=[Segment(0, 0, 0, 10, SegmentKind.COMPUTE)],
+            events=[TraceEvent(10, EventKind.COMPLETED, 0, 0)],
+            makespan=10,
+            outcome=Outcome.COMPLETED,
+        )
+        assert type(trace.segments) is tuple and type(trace.events) is tuple
+        assert validate_trace(single_task_graph(), trace) == []
+
+    def test_compare_builds_one_fact_set_per_trace(self, monkeypatch):
+        built = []
+        build = engine._trace_facts
+        monkeypatch.setattr(engine, "_trace_facts", lambda trace: built.append(trace) or build(trace))
+        g = gen_enclave_pattern(
+            EnclaveWorkloadParams(
+                K=2, timesteps=1, enclaves_per_traversal=(6, 2), traversal_cell_cost=1,
+                enclave_cost_range=(1, 3), cells_per_traversal=(4, 4), seed=3,
+            )
+        )
+        baseline = run(g, threads=2)
+        variants = [
+            run(g, threads=2, policy=pol.fcfs()),
+            run(g, threads=3),
+            run(g, threads=2, policy=pol.extended()),
+        ]
+        for variant in variants:
+            compare(g, baseline, variant)
+        assert [id(trace) for trace in built] == [id(t) for t in [baseline, *variants]]
+
+    def test_valid_traces_skip_the_ordered_scan(self, monkeypatch):
+        scans = []
+        scan = analysis._defects
+        monkeypatch.setattr(analysis, "_defects", lambda g, t: scans.append(t) or scan(g, t))
+        g, trace, _ = self.analysed()
+        compare(g, trace, trace)
+        assert scans == []
+        bad = ScheduleTrace(1, (Segment(0, 5, 0, 10, SegmentKind.COMPUTE),), (), 10, Outcome.COMPLETED)
+        assert [v.kind for v in validate_trace(g, bad)] == ["UnknownTask"]
+        assert scans == [bad]

@@ -406,3 +406,64 @@ class TestUnreadableNumbersAndNesting:
         graph = tmp_path / "deep.json"
         graph.write_text("[" * 100_000 + "]" * 100_000)
         self.assert_one_error_line(main(["simulate", str(graph)]), capsys)
+
+
+def string_tied(graph):
+    graph["tasks"][0]["tied"] = "false"
+    return graph
+
+
+def number_label(graph):
+    graph["tasks"][0]["label"] = 7
+    return graph
+
+
+def float_duration(graph):
+    action = next(a for t in graph["tasks"] for a in t["actions"] if a["type"] == "compute")
+    action["duration"] = 2.9
+    return graph
+
+
+def float_start(trace):
+    seg = trace["segments"][0]
+    seg["start"] = seg["start"] + 0.9
+    return trace
+
+
+GRAPH_TYPE_MUTATIONS = [string_tied, number_label, float_duration]
+
+
+class TestFieldTypes:
+    """A value of the wrong JSON type is an input error, not a conversion:
+    "false" is not false, 7 is not a label, and 2.9 or 0.9 is not an
+    integer.  One `error:` line, exit 2."""
+
+    def assert_one_error_line(self, code, capsys):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("mutate", GRAPH_TYPE_MUTATIONS)
+    def test_simulate(self, tmp_path, capsys, mutate):
+        graph = malformed(tmp_path, "bad.json", mutate, starvation_graph(tmp_path))
+        self.assert_one_error_line(main(["simulate", str(graph)]), capsys)
+
+    @pytest.mark.parametrize("mutate", GRAPH_TYPE_MUTATIONS + [float_start])
+    def test_compare(self, tmp_path, capsys, mutate):
+        graph, slow, fast = TestCompareReport().make_traces(tmp_path)
+        if mutate is float_start:
+            fast = malformed(tmp_path, "bad.json", mutate, fast)
+        else:
+            graph = malformed(tmp_path, "bad.json", mutate, graph)
+        capsys.readouterr()
+        self.assert_one_error_line(main(["compare", str(graph), str(slow), str(fast)]), capsys)
+
+    @pytest.mark.parametrize("mutate", GRAPH_TYPE_MUTATIONS + [float_start])
+    def test_report(self, tmp_path, capsys, mutate):
+        graph, slow, _ = TestCompareReport().make_traces(tmp_path)
+        if mutate is float_start:
+            slow = malformed(tmp_path, "bad.json", mutate, slow)
+        else:
+            graph = malformed(tmp_path, "bad.json", mutate, graph)
+        capsys.readouterr()
+        self.assert_one_error_line(main(["report", str(graph), str(slow)]), capsys)
