@@ -33,7 +33,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from operator import index, is_, itemgetter, le
 from typing import NamedTuple
 
