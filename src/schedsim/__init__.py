@@ -1,55 +1,27 @@
-"""Deterministic what-if simulator for OpenMP-style task scheduling."""
+"""Deterministic what-if simulator for OpenMP-style task scheduling.
 
-from .task_graph import (
-    Action,
-    Compute,
-    CyclicDependencyError,
-    DeferMode,
-    PollOutcome,
-    Spawn,
-    TaskGraph,
-    TaskSpec,
-    TaskgroupEnd,
-    TaskwaitChildren,
-    WaitMode,
-    YieldMode,
-    critical_path,
-    total_work,
-    validate,
-)
-from .policies import PolicyConfig, PolicyKind, extended, fcfs, reference
-from .engine import Outcome, ScheduleTrace, SimConfig, simulate
-from .analysis import analyze, compare, render_gantt_svg, validate_trace
+Each public name loads its home module on first use (PEP 562)."""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Action",
-    "Compute",
-    "CyclicDependencyError",
-    "DeferMode",
-    "Outcome",
-    "PolicyConfig",
-    "PolicyKind",
-    "PollOutcome",
-    "ScheduleTrace",
-    "SimConfig",
-    "Spawn",
-    "TaskGraph",
-    "TaskSpec",
-    "TaskgroupEnd",
-    "TaskwaitChildren",
-    "WaitMode",
-    "YieldMode",
-    "analyze",
-    "compare",
-    "critical_path",
-    "extended",
-    "fcfs",
-    "reference",
-    "render_gantt_svg",
-    "simulate",
-    "total_work",
-    "validate",
-    "validate_trace",
-]
+_HOMES = {
+    "task_graph": "Action Compute CyclicDependencyError DeferMode PollOutcome Spawn TaskGraph TaskSpec "
+    "TaskgroupEnd TaskwaitChildren WaitMode YieldMode critical_path total_work validate",
+    "policies": "PolicyConfig PolicyKind extended fcfs reference",
+    "trace": "Outcome ScheduleTrace",
+    "engine": "SimConfig simulate",
+    "analysis": "analyze compare render_gantt_svg validate_trace",
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value

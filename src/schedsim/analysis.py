@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engine import MAX_THREADS, EventKind, Outcome, ScheduleTrace, SegmentKind
+from .trace import MAX_THREADS, EventKind, Outcome, ScheduleTrace, SegmentKind
 from .task_graph import (
     TaskGraph,
     Violation,

@@ -12,8 +12,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import analysis, engine, generators, policies
 from .task_graph import (
+    DEFAULT_MAX_VIRTUAL_TIME,
     DeferMode,
     WaitMode,
     YieldMode,
@@ -45,6 +45,7 @@ def _write(path: str, text: str):
 
 
 def _gen_from_args(args) -> "generators.TaskGraph":
+    from . import generators
     # argparse supplies every default but the sizes and the --k-long lists.
     def pick(name, default=None):
         value = getattr(args, name)
@@ -99,6 +100,7 @@ def _gen_from_args(args) -> "generators.TaskGraph":
 
 
 def run_generate(args) -> int:
+    from . import generators
     try:
         graph = _gen_from_args(args)
     except (generators.InvalidParamsError, TypeError, ValueError, OSError) as exc:
@@ -112,7 +114,8 @@ def run_generate(args) -> int:
 # --- simulate ---------------------------------------------------------------
 
 
-def _policy_from_args(args) -> policies.PolicyConfig:
+def _policy_from_args(args) -> "policies.PolicyConfig":
+    from . import policies
     bound = None if args.no_throttle else args.queue_bound
     if args.policy == "reference":
         return policies.reference(queue_bound=bound)
@@ -152,6 +155,7 @@ def _load_graph(path: str):
 
 
 def run_simulate(args) -> int:
+    from . import engine, policies
     try:
         graph = _load_graph(args.graph)
         cfg = engine.SimConfig(
@@ -179,10 +183,12 @@ def run_simulate(args) -> int:
 
 
 def run_compare(args) -> int:
+    from . import analysis
+    from .trace import ScheduleTrace
     try:
         graph = _load_graph(args.graph)
-        baseline = _parse(args.baseline, engine.ScheduleTrace.from_json, "trace")
-        variant = _parse(args.variant, engine.ScheduleTrace.from_json, "trace")
+        baseline = _parse(args.baseline, ScheduleTrace.from_json, "trace")
+        variant = _parse(args.variant, ScheduleTrace.from_json, "trace")
         report = analysis.compare(graph, baseline, variant)
     except (OSError, ValueError, KeyError, analysis.TraceMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -197,9 +203,11 @@ def run_compare(args) -> int:
 
 
 def run_report(args) -> int:
+    from . import analysis
+    from .trace import ScheduleTrace
     try:
         graph = _load_graph(args.graph)
-        trace = _parse(args.trace, engine.ScheduleTrace.from_json, "trace")
+        trace = _parse(args.trace, ScheduleTrace.from_json, "trace")
         report = analysis.analyze(graph, trace)
     except (OSError, ValueError, KeyError, analysis.TraceMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -262,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--latency-wait", dest="latency_wait", action="store_true")
     sim.add_argument("--priority-steal", dest="priority_steal", action="store_true")
     sim.add_argument("--scatter-defer", dest="scatter_defer", action="store_true")
-    sim.add_argument("--max-time", dest="max_time", type=int, default=engine.DEFAULT_MAX_VIRTUAL_TIME)
+    sim.add_argument("--max-time", dest="max_time", type=int, default=DEFAULT_MAX_VIRTUAL_TIME)
     sim.add_argument("-o", "--output")
     sim.add_argument("--csv")
     sim.set_defaults(func=run_simulate)

@@ -10,6 +10,7 @@ only the values are formatted per record.
 from __future__ import annotations
 
 import json
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as quote
 from operator import itemgetter
 
@@ -52,12 +53,30 @@ def enum_text(enum) -> dict:
     return {member: quote(member.value) for member in enum}
 
 
-def columns(records, fields):
-    """One tuple of converted values per JSON object in `records`, read a
-    column at a time in C: `fields` lists (key, converter) pairs in tuple
-    order.  A missing key is a KeyError and a value its converter refuses
-    raises the converter's error, at the first record that has one."""
-    return zip(*[map(convert, map(itemgetter(key), records)) for key, convert in fields])
+_EXPECTED = {int: "an integer", bool: "true or false", str: "a string"}
+
+
+def typed(values: list, kind: type, name: str) -> list:
+    """`values` if each has exactly JSON type `kind` (int, bool or str),
+    told by one pass over their types in C; else a TypeError naming the
+    first other value as ``name.format(position)``."""
+    if {kind}.issuperset(map(type, values)):
+        return values
+    pos, value = next((pos, v) for pos, v in enumerate(values) if type(v) is not kind)
+    raise TypeError(f"{name.format(pos)}: expected {_EXPECTED[kind]}, got {json.dumps(value, default=repr)}")
+
+
+def records(cls, items, fields, name: str) -> tuple:
+    """One `cls` tuple per JSON object in `items`, built in C a column at a
+    time from (key, reader) `fields`: a JSON type, checked by ``typed`` as
+    ``f"{name} {position}, {key}"``, or a converter for each value."""
+    columns = [
+        typed(list(map(itemgetter(key), items)), read, f"{name} {{}}, {key}")
+        if isinstance(read, type)
+        else map(read, map(itemgetter(key), items))
+        for key, read in fields
+    ]
+    return tuple(map(tuple.__new__, repeat(cls), zip(*columns)))
 
 
 class _Members(dict):

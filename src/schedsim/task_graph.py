@@ -14,12 +14,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from operator import index, itemgetter
+from itertools import starmap
 from typing import Union
 
 from . import jsontext
 
 TaskId = int
+DEFAULT_MAX_VIRTUAL_TIME = 2**62  # where a simulation stops unless told otherwise
 
 
 @contextmanager
@@ -434,7 +435,6 @@ def _action_to_dict(action: Action) -> dict:
 _read_defer = jsontext.enum_reader(DeferMode)
 _read_yield = jsontext.enum_reader(YieldMode)
 _read_wait = jsontext.enum_reader(WaitMode)
-_TASK_FIELDS = itemgetter("id", "priority", "tied", "label", "actions")
 
 
 @lru_cache(maxsize=1024)
@@ -444,24 +444,43 @@ def _compute(duration: int) -> Compute:
     return Compute(duration)
 
 
-_ACTION_READERS = {
-    "compute": lambda d: _compute(index(d["duration"])),
-    "spawn": lambda d: Spawn(index(d["child"]), _read_defer(d["defer"])),
+def _int(value, key: str) -> int:  # for a value that failed a reader's type test
+    return jsontext.typed([value], int, key)[0]
+
+
+class _Readers(dict):
+    def __missing__(self, kind):
+        raise ValueError(f"unknown action type {kind!r}")
+
+
+_ACTION_READERS = _Readers({
+    "compute": lambda d: _compute(v if type(v := d["duration"]) is int else _int(v, "duration")),
+    "spawn": lambda d: Spawn(v if type(v := d["child"]) is int else _int(v, "child"), _read_defer(d["defer"])),
     "poll": lambda d: PollOutcome(
-        index(d["target"]), _read_yield(d["yield_mode"]), index(d["poll_cost"])
+        v if type(v := d["target"]) is int else _int(v, "target"),
+        _read_yield(d["yield_mode"]),
+        c if type(c := d["poll_cost"]) is int else _int(c, "poll_cost"),
     ),
     "taskwait_children": lambda d: TaskwaitChildren(_read_wait(d["mode"])),
     "taskgroup_end": lambda d: TaskgroupEnd(_read_wait(d["mode"])),
-}
+})
 
 
-def _action_from_dict(data: dict) -> Action:
-    kind = data["type"]
-    try:
-        read = _ACTION_READERS[kind]
-    except (KeyError, TypeError):
-        raise ValueError(f"unknown action type {kind!r}") from None
-    return read(data)
+def _read_actions(actions: list) -> tuple:
+    return tuple([_ACTION_READERS[action["type"]](action) for action in actions])
+
+
+def _action_problem(tasks: list):
+    """Which action of `tasks` raised a TypeError, sought once one has."""
+    for pos, task in enumerate(tasks):
+        for at, action in enumerate(task["actions"]):
+            try:
+                _read_actions([action])
+            except TypeError as exc:
+                return f"task {pos}, action {at}, {exc}"
+
+
+_TASK_COLUMNS = [("id", int), ("actions", _read_actions), ("priority", int), ("tied", bool), ("label", str)]
 
 
 def graph_to_dict(graph: TaskGraph, meta: dict | None = None) -> dict:
@@ -486,18 +505,14 @@ def graph_to_dict(graph: TaskGraph, meta: dict | None = None) -> dict:
 def graph_from_dict(data: dict) -> TaskGraph:
     """The graph `graph_to_dict` wrote.  Integer fields take JSON integers
     only, ``tied`` a JSON boolean and ``label`` a string: any other value
-    there is a TypeError, never a silent conversion."""
-    tasks = []
-    for item in data["tasks"]:
-        ident, priority, tied, label, actions = _TASK_FIELDS(item)
-        if type(tied) is not bool:
-            raise TypeError(f"task {ident!r}: tied must be true or false, not {tied!r}")
-        if type(label) is not str:
-            raise TypeError(f"task {ident!r}: label must be a string, not {label!r}")
-        tasks.append(
-            TaskSpec(index(ident), tuple(map(_action_from_dict, actions)), index(priority), tied, label)
-        )
-    return TaskGraph(tasks, tuple(map(index, data["roots"])))
+    there is a TypeError that names the task, the action and the field,
+    never a silent conversion."""
+    items = data["tasks"]
+    try:
+        tasks = list(starmap(TaskSpec, jsontext.records(tuple, items, _TASK_COLUMNS, "task")))
+    except TypeError as exc:
+        raise TypeError(_action_problem(items) or str(exc)) from None
+    return TaskGraph(tasks, jsontext.typed(list(data["roots"]), int, "root {}"))
 
 
 _DEFER_TEXT = jsontext.enum_text(DeferMode)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from schedsim import analysis, engine
+from schedsim import analysis, trace as trace_mod
 from schedsim import policies as pol
 from schedsim.analysis import (
     TraceMismatchError,
@@ -369,8 +369,8 @@ class TestPerTraceCache:
 
     def test_compare_builds_one_fact_set_per_trace(self, monkeypatch):
         built = []
-        build = engine._trace_facts
-        monkeypatch.setattr(engine, "_trace_facts", lambda trace: built.append(trace) or build(trace))
+        build = trace_mod._trace_facts
+        monkeypatch.setattr(trace_mod, "_trace_facts", lambda trace: built.append(trace) or build(trace))
         g = gen_enclave_pattern(
             EnclaveWorkloadParams(
                 K=2, timesteps=1, enclaves_per_traversal=(6, 2), traversal_cell_cost=1,

@@ -5,7 +5,8 @@ import pytest
 from schedsim.analysis import compare
 from schedsim.cli import main
 from schedsim.engine import MAX_THREADS, ScheduleTrace
-from schedsim.task_graph import graph_from_json, validate
+from schedsim import task_graph
+from schedsim.task_graph import graph_from_dict, graph_from_json, validate
 
 
 def generate(tmp_path, name, *args):
@@ -430,7 +431,23 @@ def float_start(trace):
     return trace
 
 
-GRAPH_TYPE_MUTATIONS = [string_tied, number_label, float_duration]
+def bool_duration(graph):
+    action = next(a for t in graph["tasks"] for a in t["actions"] if a["type"] == "compute")
+    action["duration"] = True
+    return graph
+
+
+def bool_start(trace):
+    trace["segments"][0]["start"] = False
+    return trace
+
+
+def bool_thread_count(trace):
+    trace["thread_count"] = True
+    return trace
+
+
+GRAPH_TYPE_MUTATIONS = [string_tied, number_label, float_duration, bool_duration]
 
 
 class TestFieldTypes:
@@ -467,3 +484,99 @@ class TestFieldTypes:
             graph = malformed(tmp_path, "bad.json", mutate, graph)
         capsys.readouterr()
         self.assert_one_error_line(main(["report", str(graph), str(slow)]), capsys)
+
+
+def first_compute(graph):
+    """(task position, action position) of the first compute action."""
+    return next(
+        (pos, at)
+        for pos, task in enumerate(graph["tasks"])
+        for at, action in enumerate(task["actions"])
+        if action["type"] == "compute"
+    )
+
+
+class TestBooleansAndNamedFields:
+    """A JSON boolean is not an integer, though Python counts it as one;
+    the error names the record and the field that holds the bad value."""
+
+    def error_of(self, code, capsys):
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize("value, shown", [(True, "true"), (2.9, "2.9"), ("5", '"5"'), (None, "null")])
+    def test_graph_field_named(self, tmp_path, capsys, value, shown):
+        source = starvation_graph(tmp_path)
+        pos, at = first_compute(json.loads(source.read_text()))
+
+        def mutate(graph):
+            graph["tasks"][pos]["actions"][at]["duration"] = value
+            return graph
+
+        graph = malformed(tmp_path, "bad.json", mutate, source)
+        err = self.error_of(main(["simulate", str(graph)]), capsys)
+        assert f"task {pos}, action {at}, duration: expected an integer, got {shown}" in err
+
+    def test_task_and_root_fields_named(self, tmp_path, capsys):
+        source = starvation_graph(tmp_path)
+
+        def bool_priority(graph):
+            graph["tasks"][2]["priority"] = False
+            return graph
+
+        graph = malformed(tmp_path, "bad.json", bool_priority, source)
+        err = self.error_of(main(["simulate", str(graph)]), capsys)
+        assert "task 2, priority: expected an integer, got false" in err
+
+        graph = malformed(tmp_path, "bad.json", lambda g: dict(g, roots=[True]), source)
+        err = self.error_of(main(["simulate", str(graph)]), capsys)
+        assert "root 0: expected an integer, got true" in err
+
+    @pytest.mark.parametrize(
+        "mutate, named",
+        [
+            (bool_start, "segment 0, start: expected an integer, got false"),
+            (bool_thread_count, "thread_count: expected an integer, got true"),
+            (float_start, "segment 0, start: expected an integer, got"),
+        ],
+    )
+    def test_trace_field_named(self, tmp_path, capsys, mutate, named):
+        graph, slow, _ = TestCompareReport().make_traces(tmp_path)
+        bad = malformed(tmp_path, "bad.json", mutate, slow)
+        capsys.readouterr()
+        err = self.error_of(main(["report", str(graph), str(bad)]), capsys)
+        assert named in err
+
+    def test_event_field_named(self, tmp_path, capsys):
+        graph, slow, _ = TestCompareReport().make_traces(tmp_path)
+
+        def bool_task(trace):
+            trace["events"][1]["task"] = True
+            return trace
+
+        bad = malformed(tmp_path, "bad.json", bool_task, slow)
+        capsys.readouterr()
+        err = self.error_of(main(["compare", str(graph), str(slow), str(bad)]), capsys)
+        assert "event 1, task: expected an integer, got true" in err
+
+    def test_decoders_reject_booleans(self, tmp_path):
+        graph_path, slow, _ = TestCompareReport().make_traces(tmp_path)
+        graph = json.loads(graph_path.read_text())
+        pos, at = first_compute(graph)
+        graph["tasks"][pos]["actions"][at]["duration"] = True
+        with pytest.raises(TypeError, match="duration"):
+            graph_from_dict(graph)
+        trace = json.loads(slow.read_text())
+        trace["segments"][0]["start"] = False
+        with pytest.raises(TypeError, match="start"):
+            ScheduleTrace.from_dict(trace)
+
+    def test_valid_graph_skips_the_diagnostic_pass(self, tmp_path, monkeypatch):
+        text = starvation_graph(tmp_path).read_text()
+
+        def fail(tasks):
+            raise AssertionError("diagnostic pass ran on a valid graph")
+
+        monkeypatch.setattr(task_graph, "_action_problem", fail)
+        assert graph_from_json(text) == graph_from_json(text)
