@@ -18,6 +18,9 @@ pick other ready work; a latency wait restricts helping to the wait's
 own synchronization set.  At every timestamp the engine processes, in
 ascending thread order: due segment completions and zero-time
 transitions first, then picks by idle threads, then picks by helpers.
+That order fixes every trace byte, and the hot path keeps it while it
+skips work that cannot change a byte: the pick passes run only while
+some queue holds an entry, as a pick from empty queues finds nothing.
 
 Poll cadence: a completion check that succeeds is free.  A failed check
 spins for up to ``poll_cost`` ticks (the spin ends early if the target
@@ -41,6 +44,7 @@ from .task_graph import (
     TaskGraph,
     TaskgroupEnd,
     TaskwaitChildren,
+    WaitMode,
     _collector_paused,
     validate,
     wait_members,
@@ -52,6 +56,11 @@ from .trace import MAX_THREADS, EventKind, Outcome, ScheduleTrace, Segment, Segm
 # Build records from one tuple in C; a named tuple's own __new__ is Python.
 _new_segment = partial(tuple.__new__, Segment)
 _new_event = partial(tuple.__new__, TraceEvent)
+# Enum members as globals: reading one off its class is a descriptor call.
+_COMPUTE, _POLL_SPIN, _UNDEFERRED = SegmentKind.COMPUTE, SegmentKind.POLL_SPIN, SegmentKind.UNDEFERRED
+_SPAWNED, _STOLEN, _SCATTERED, _THROTTLED = EventKind.SPAWNED, EventKind.STOLEN, EventKind.SCATTERED, EventKind.THROTTLED
+_YIELDED, _WAIT_ENTERED, _WAIT_EXITED = EventKind.YIELDED, EventKind.WAIT_ENTERED, EventKind.WAIT_EXITED
+_COMPLETED, _LATENCY = EventKind.COMPLETED, WaitMode.LATENCY
 
 
 class EngineError(Exception):
@@ -119,6 +128,7 @@ class _Run:
 class _Thread:
     __slots__ = (
         "idx",
+        "movable",
         "stack",
         "filters",
         "futile",
@@ -129,8 +139,9 @@ class _Thread:
         "seg_target",
     )
 
-    def __init__(self, idx):
+    def __init__(self, idx, movable):
         self.idx = idx
+        self.movable = movable  # may this thread take a task, latency waits aside?
         self.stack = []
         # One narrowed sync set per latency wait on the stack, innermost
         # last: a waiting run neither yields nor migrates, and its wait
@@ -151,8 +162,10 @@ class _Engine:
         self.graph = graph
         self.cfg = cfg
         self.policy = cfg.policy
+        # The policy's wait rule, read once: only a latency wait may idle.
+        self.idle_latency = pol.on_wait(cfg.policy, WaitMode.LATENCY) is WaitDecision.IDLE_UNTIL_COMPLETE
         self.runs = [_Run(spec) for spec in graph.tasks]
-        self.threads = [_Thread(i) for i in range(cfg.thread_count)]
+        self.threads = [_Thread(i, self._movable(i)) for i in range(cfg.thread_count)]
         self.ready = pol.ReadyQueues(cfg.policy, graph, cfg.thread_count)
         self.segments = []
         self.events = []
@@ -162,20 +175,7 @@ class _Engine:
         self.completed_count = 0
         self.outcome = None
 
-    # -- small helpers ---------------------------------------------------
-
-    def _emit(self, time, kind, task, thread):
-        self.events.append(_new_event((time, kind, task, thread)))
-
     # -- wait bookkeeping ------------------------------------------------
-
-    def _wait_satisfied(self, run: _Run, wait) -> bool:
-        """A children wait holds once every child has completed, a group
-        wait once only the run itself is open: the children spawned before
-        the previous group end had done their subtrees when it exited."""
-        if isinstance(wait, TaskwaitChildren):
-            return run.pending == 0
-        return run.open == 1
 
     def _wait_allowed_tasks(self, run: _Run) -> set:
         """The tasks a helper in the wait at `run.pc` may pick: the children
@@ -206,11 +206,12 @@ class _Engine:
 
     def _blocked(self, run: _Run) -> bool:
         """Can this top run not advance on its own?  Its wait is
-        unsatisfied, or its undeferred child yielded, was requeued and has
-        not completed."""
+        unsatisfied (the rule ``_run_thread`` states), or its undeferred
+        child yielded, was requeued and has not completed."""
         if run.blocked_child is not None:
             return not self.runs[run.blocked_child].completed
-        return run.wait is not None and not self._wait_satisfied(run, run.wait)
+        wait = run.wait
+        return wait is not None and (run.pending > 0 if type(wait) is TaskwaitChildren else run.open > 1)
 
     def _movable(self, thread_idx):
         """Predicate over task ids: may this thread take the task, latency
@@ -229,7 +230,7 @@ class _Engine:
         blocked with nothing it may pick."""
         for th in self.threads:
             if th.seg_task is not None:
-                if th.seg_kind is not SegmentKind.POLL_SPIN:
+                if th.seg_kind is not _POLL_SPIN:
                     return False
                 continue
             if th.stack:
@@ -238,7 +239,7 @@ class _Engine:
                     continue
                 if not self._blocked(top):
                     return False
-            if self.ready.any_pickable(self._movable(th.idx), self._pick_filter(th)):
+            if self.ready.any_pickable(th.movable, self._pick_filter(th)):
                 return False
         return True
 
@@ -266,83 +267,89 @@ class _Engine:
             node.open -= 1
         self.completed_count += 1
         self.progress += 1
-        self._emit(now, EventKind.COMPLETED, run.spec.id, th.idx)
+        task = run.spec.id
+        self.events.append(_new_event((now, _COMPLETED, task, th.idx)))
         # Truncate spins waiting on this task: the spin loop notices the
         # completion at its next iteration, i.e. immediately in sim time.
-        for waiter in self.spinners.pop(run.spec.id, ()):
-            if waiter.seg_target == run.spec.id and waiter.seg_end > now:
+        for waiter in self.spinners.pop(task, ()):
+            if waiter.seg_target == task and waiter.seg_end > now:
                 waiter.seg_end = now
                 self.cut = True
-
-    # -- segment lifecycle ---------------------------------------------------
-
-    def _start_segment(self, th: _Thread, run: _Run, kind, duration: int, now: int, target=None):
-        th.seg_task = run.spec.id
-        th.seg_start = now
-        th.seg_end = now + duration
-        th.seg_kind = kind
-        th.seg_target = target
-        if target is not None:
-            self.spinners.setdefault(target, []).append(th)
-
-    def _finish_segment(self, th: _Thread, now: int):
-        kind = th.seg_kind
-        if now > th.seg_start:
-            self.segments.append(_new_segment((th.idx, th.seg_task, th.seg_start, now, kind)))
-        if kind is not SegmentKind.POLL_SPIN:
-            self.runs[th.seg_task].pc += 1
-            self.progress += 1
-        th.seg_task = None
-        th.seg_kind = None
-        th.seg_target = None
 
     # -- the per-thread state machine ----------------------------------------
 
     def _run_thread(self, th: _Thread, now: int) -> bool:
-        """Advance the thread through zero-time transitions.  Returns True
-        if any state changed."""
+        """Advance a free thread through zero-time transitions until it
+        starts a segment, blocks or empties its stack.  Returns True if any
+        state changed."""
+        if self.outcome is not None:
+            return False
+        stack = th.stack
+        events = self.events
+        idx = th.idx
         progressed = False
-        while self.outcome is None and th.seg_task is None and th.stack:
-            run = th.stack[-1]
+        while stack:
+            run = stack[-1]
 
             if run.blocked_child is not None:
-                if self.runs[run.blocked_child].completed:
-                    run.blocked_child = None
-                    run.pc += 1
-                    progressed = True
-                    continue
-                break
+                if not self.runs[run.blocked_child].completed:
+                    break
+                run.blocked_child = None
+                run.pc += 1
+                progressed = True
+                continue
 
-            if run.wait is not None:
-                if self._wait_satisfied(run, run.wait):
-                    self._emit(now, EventKind.WAIT_EXITED, run.spec.id, th.idx)
-                    if pol.on_wait(self.policy, run.wait.mode) is WaitDecision.IDLE_UNTIL_COMPLETE:
-                        th.filters.pop()
-                    run.wait = None
-                    run.pc += 1
-                    progressed = True
-                    continue
-                break
+            wait = run.wait
+            if wait is not None:
+                # A children wait holds once every child has completed, a
+                # group wait once only the run itself is open: the children
+                # spawned before the previous group end had done their
+                # subtrees when it exited.
+                if run.pending > 0 if type(wait) is TaskwaitChildren else run.open > 1:
+                    break
+                events.append(_new_event((now, _WAIT_EXITED, run.spec.id, idx)))
+                if wait.mode is _LATENCY and self.idle_latency:
+                    th.filters.pop()
+                run.wait = None
+                run.pc += 1
+                progressed = True
+                continue
 
-            if run.pc >= len(run.spec.actions):
+            actions = run.spec.actions
+            if run.pc >= len(actions):
                 self._complete_task(th, run, now)
                 progressed = True
                 continue
 
-            action = run.spec.actions[run.pc]
+            action = actions[run.pc]
+            kind = type(action)
 
-            if isinstance(action, Compute):
-                kind = SegmentKind.UNDEFERRED if run.nested else SegmentKind.COMPUTE
-                self._start_segment(th, run, kind, action.duration, now)
-                progressed = True
-                break
+            if kind is Compute:
+                th.seg_task = run.spec.id
+                th.seg_start = now
+                th.seg_end = now + action.duration
+                th.seg_kind = _UNDEFERRED if run.nested else _COMPUTE
+                return True
 
-            if isinstance(action, Spawn):
+            if kind is Spawn:
                 progressed = True
                 self._do_spawn(th, run, action, now)
                 continue
 
-            if isinstance(action, PollOutcome):
+            if kind is TaskwaitChildren or kind is TaskgroupEnd:
+                events.append(_new_event((now, _WAIT_ENTERED, run.spec.id, idx)))
+                if run.pending > 0 if kind is TaskwaitChildren else run.open > 1:
+                    run.wait = action
+                    if action.mode is _LATENCY and self.idle_latency:
+                        allowed = self._wait_allowed_tasks(run)
+                        th.filters.append(allowed & th.filters[-1] if th.filters else allowed)
+                    return True
+                events.append(_new_event((now, _WAIT_EXITED, run.spec.id, idx)))
+                run.pc += 1
+                progressed = True
+                continue
+
+            if kind is PollOutcome:
                 target = self.runs[action.target]
                 if target.completed:
                     run.poll_spun = False
@@ -356,9 +363,13 @@ class _Engine:
                 run.poll_token = token
                 if action.poll_cost > 0 and not run.poll_spun:
                     run.poll_spun = True
-                    self._start_segment(th, run, SegmentKind.POLL_SPIN, action.poll_cost, now, action.target)
-                    progressed = True
-                    break
+                    th.seg_task = run.spec.id
+                    th.seg_start = now
+                    th.seg_end = now + action.poll_cost
+                    th.seg_kind = _POLL_SPIN
+                    th.seg_target = action.target
+                    self.spinners.setdefault(action.target, []).append(th)
+                    return True
                 run.poll_spun = False
                 self._note_failed_poll(run)
                 if self.outcome is not None:
@@ -367,32 +378,18 @@ class _Engine:
                     self.policy,
                     run.priority,
                     action.yield_mode,
-                    lambda: self.ready.lowest_pending(th.idx),
+                    lambda: self.ready.lowest_pending(idx),
                 )
-                self._emit(now, EventKind.YIELDED, run.spec.id, th.idx)
+                events.append(_new_event((now, _YIELDED, run.spec.id, idx)))
                 progressed = True
                 if isinstance(decision, pol.ResumeImmediately):
                     break  # stay resident; retry after at most one pick
-                th.stack.pop()
+                stack.pop()
                 back = isinstance(decision, pol.RequeueBack)
                 if back:
                     run.priority = decision.priority
-                self.ready.push(th.idx, run.spec.id, run.priority, back)
+                self.ready.push(idx, run.spec.id, run.priority, back)
                 continue
-
-            if isinstance(action, (TaskwaitChildren, TaskgroupEnd)):
-                self._emit(now, EventKind.WAIT_ENTERED, run.spec.id, th.idx)
-                if self._wait_satisfied(run, action):
-                    self._emit(now, EventKind.WAIT_EXITED, run.spec.id, th.idx)
-                    run.pc += 1
-                    progressed = True
-                    continue
-                run.wait = action
-                if pol.on_wait(self.policy, action.mode) is WaitDecision.IDLE_UNTIL_COMPLETE:
-                    allowed = self._wait_allowed_tasks(run)
-                    th.filters.append(allowed & th.filters[-1] if th.filters else allowed)
-                progressed = True
-                break
 
             raise EngineError(f"unknown action {action!r}")
         return progressed
@@ -400,40 +397,37 @@ class _Engine:
     def _do_spawn(self, th: _Thread, run: _Run, action: Spawn, now: int):
         child = self.runs[action.child]
         child_spec = child.spec
+        task = child_spec.id
+        ready = self.ready
         decision = pol.on_spawn(
-            self.policy,
-            th.idx,
-            child_spec,
-            self.ready.lengths(),
-            defer=action.defer,
-            scatter_cursor=run.chunk_scatters,
-            max_queue_priority=self.ready.max_priority,
+            self.policy, th.idx, child_spec, ready.counts, action.defer, run.chunk_scatters, ready.max_priority
         )
-        self._emit(now, EventKind.SPAWNED, child_spec.id, th.idx)
+        events = self.events
+        events.append(_new_event((now, _SPAWNED, task, th.idx)))
         child.parent = run
         run.pending += 1
         run.open += 1
+        kind = type(decision)
 
-        if isinstance(decision, pol.ExecuteUndeferred):
+        if kind is pol.EnqueueLocal:
+            if decision.priority is not None:
+                child.priority = decision.priority
+            ready.push(th.idx, task, child.priority)
+        elif kind is pol.ScatterTo:
+            child.priority = decision.priority
+            ready.push(decision.thread, task, child.priority)
+            events.append(_new_event((now, _SCATTERED, task, decision.thread)))
+            if child_spec.label == pol.LOOP_CHUNK_LABEL:
+                run.chunk_scatters += 1
+        else:
             if decision.forced:
-                self._emit(now, EventKind.THROTTLED, child_spec.id, th.idx)
-            run.blocked_child = child_spec.id
+                events.append(_new_event((now, _THROTTLED, task, th.idx)))
+            run.blocked_child = task
             child.home = th.idx
             child.nested = True
             self.progress += 1
             th.stack.append(child)
             return
-
-        if isinstance(decision, pol.ScatterTo):
-            child.priority = decision.priority
-            self.ready.push(decision.thread, child_spec.id, child.priority)
-            self._emit(now, EventKind.SCATTERED, child_spec.id, decision.thread)
-            if child_spec.label == pol.LOOP_CHUNK_LABEL:
-                run.chunk_scatters += 1
-        else:
-            if decision.priority is not None:
-                child.priority = decision.priority
-            self.ready.push(th.idx, child_spec.id, child.priority)
 
         run.pc += 1
 
@@ -443,16 +437,17 @@ class _Engine:
         if self.outcome is not None:
             return False
         allowed = self._pick_filter(th)
-        if th.futile == (self.ready.seq, allowed):
+        ready = self.ready
+        if th.futile == (ready.seq, allowed):
             return False
-        picked = self.ready.pick(th.idx, self._movable(th.idx), allowed)
+        picked = ready.pick(th.idx, th.movable, allowed)
         if picked is None:
-            th.futile = (self.ready.seq, allowed)
+            th.futile = (ready.seq, allowed)
             return False
         task_id, stolen = picked
         run = self.runs[task_id]
         if stolen:
-            self._emit(now, EventKind.STOLEN, task_id, th.idx)
+            self.events.append(_new_event((now, _STOLEN, task_id, th.idx)))
         if run.home is None:
             run.home = th.idx
             self.progress += 1
@@ -464,6 +459,10 @@ class _Engine:
     # -- main loop ----------------------------------------------------------------
 
     def _process(self, now: int):
+        threads = self.threads
+        runs = self.runs
+        segments = self.segments
+        queued = self.ready.index
         while self.outcome is None:
             # Settle all due completions and zero-time transitions before
             # anyone picks: wait exits and the spawns they trigger must be
@@ -474,23 +473,34 @@ class _Engine:
             stepping = True
             while stepping and self.outcome is None:
                 stepping = waiting = self.cut = False
-                for th in self.threads:
-                    if th.seg_task is not None and th.seg_end <= now:
-                        self._finish_segment(th, now)
+                for th in threads:
+                    task = th.seg_task
+                    if task is not None:
+                        if th.seg_end > now:
+                            continue
+                        kind = th.seg_kind
+                        if now > th.seg_start:
+                            segments.append(_new_segment((th.idx, task, th.seg_start, now, kind)))
+                        if kind is not _POLL_SPIN:
+                            runs[task].pc += 1
+                            self.progress += 1
+                        th.seg_task = th.seg_kind = th.seg_target = None
                         stepping = True
-                    if th.seg_task is None and th.stack:
+                    if th.stack:
                         if self._run_thread(th, now):
                             stepping = True
-                        waiting = waiting or (th.seg_task is None and bool(th.stack))
+                        if not waiting and th.seg_task is None and th.stack:
+                            waiting = True
                 stepping = stepping and (waiting or self.cut)
             if self.outcome is not None:
                 break
+            # Picks run only while some queue holds an entry.
             picked = False
-            for th in self.threads:  # idle threads pick first
-                if not th.stack and self._try_pick(th, now):
+            for th in threads:  # idle threads pick first
+                if not th.stack and queued and self._try_pick(th, now):
                     picked = True
-            for th in self.threads:  # then wait/poll helpers
-                if th.seg_task is None and th.stack and self._try_pick(th, now):
+            for th in threads:  # then wait/poll helpers
+                if th.seg_task is None and th.stack and queued and self._try_pick(th, now):
                     picked = True
             if not picked:
                 break

@@ -69,14 +69,30 @@ def typed(values: list, kind: type, name: str) -> list:
 def records(cls, items, fields, name: str) -> tuple:
     """One `cls` tuple per JSON object in `items`, built in C a column at a
     time from (key, reader) `fields`: a JSON type, checked by ``typed`` as
-    ``f"{name} {position}, {key}"``, or a converter for each value."""
-    columns = [
-        typed(list(map(itemgetter(key), items)), read, f"{name} {{}}, {key}")
-        if isinstance(read, type)
-        else map(read, map(itemgetter(key), items))
-        for key, read in fields
-    ]
-    return tuple(map(tuple.__new__, repeat(cls), zip(*columns)))
+    ``f"{name} {position}, {key}"``, or a converter for each value.  Once
+    a TypeError is raised, an item that is not an object is named first."""
+    try:
+        columns = [
+            typed(list(map(itemgetter(key), items)), read, f"{name} {{}}, {key}")
+            if isinstance(read, type)
+            else map(read, map(itemgetter(key), items))
+            for key, read in fields
+        ]
+        return tuple(map(tuple.__new__, repeat(cls), zip(*columns)))
+    except TypeError:
+        problem = not_object(items, name)
+        if problem:
+            raise TypeError(problem) from None
+        raise
+
+
+def not_object(items, name: str):
+    """``f"{name} {position}: ..."`` for the first item of `items` that is
+    not a JSON object, or None when every one is."""
+    for pos, item in enumerate(items):
+        if type(item) is not dict:
+            return f"{name} {pos}: expected an object, got {json.dumps(item, default=repr)}"
+    return None
 
 
 class _Members(dict):

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heapify, heappop, heappush
+from math import inf
 from typing import Callable, Optional, Sequence
 
 from .task_graph import DeferMode, TaskSpec, YieldMode, WaitMode
@@ -132,8 +133,11 @@ def _victims(spawning_thread: int, thread_count: int) -> list:
     ]
 
 
-def _has_space(cfg: PolicyConfig, length: int) -> bool:
-    return cfg.queue_bound is None or length < cfg.queue_bound
+# The decisions that carry nothing spawn-specific, shared: they are frozen.
+_ENQUEUE_LOCAL = EnqueueLocal()
+_REQUESTED_UNDEFERRED = ExecuteUndeferred(forced=False)
+_FORCED_UNDEFERRED = ExecuteUndeferred(forced=True)
+_UNDEFERRED, _MUST_DEFER = DeferMode.UNDEFERRED, DeferMode.MUST_DEFER
 
 
 def on_spawn(
@@ -147,9 +151,9 @@ def on_spawn(
 ):
     """Decide placement for a newly created task.
 
-    ``queue_lengths`` has one entry per queue (``ReadyQueues.lengths``):
-    one per thread, or a single shared entry for fcfs; the spawning
-    thread's own queue is ``spawning_thread % len(queue_lengths)``.
+    ``queue_lengths`` has one entry per queue (``ReadyQueues.counts``,
+    read only): one per thread, or a single shared entry for fcfs; the
+    spawning thread's own queue is ``spawning_thread % len(queue_lengths)``.
     ``scatter_cursor`` counts earlier scatters by the same parent so loop
     chunks land one per victim before falling back to the local queue.
     ``max_queue_priority()`` returns the highest priority pending in any
@@ -157,9 +161,11 @@ def on_spawn(
     the same burst must not escalate each other.  It is called only for
     a loop chunk under ``scatter_on_overflow``.
     """
-    if defer is DeferMode.UNDEFERRED:
-        return ExecuteUndeferred(forced=False)
+    if defer is _UNDEFERRED:
+        return _REQUESTED_UNDEFERRED
 
+    # A queue has space while it holds fewer entries than the bound.
+    bound = inf if cfg.queue_bound is None else cfg.queue_bound
     local_len = queue_lengths[spawning_thread % len(queue_lengths)]
 
     if cfg.scatter_on_overflow and task.label == LOOP_CHUNK_LABEL:
@@ -168,20 +174,20 @@ def on_spawn(
         top = max_queue_priority()
         priority = task.priority if top is None else top + 1
         victims = _victims(spawning_thread, len(queue_lengths))
-        spacious = [v for v in victims if _has_space(cfg, queue_lengths[v])]
+        spacious = [v for v in victims if queue_lengths[v] < bound]
         if scatter_cursor < len(spacious):
             return ScatterTo(spacious[scatter_cursor], priority)
-        if _has_space(cfg, local_len):
+        if local_len < bound:
             return EnqueueLocal(priority=priority)
-        return ExecuteUndeferred(forced=True)
+        return _FORCED_UNDEFERRED
 
-    if _has_space(cfg, local_len):
-        return EnqueueLocal()
-    if cfg.scatter_on_overflow and defer is DeferMode.MUST_DEFER:
+    if local_len < bound:
+        return _ENQUEUE_LOCAL
+    if cfg.scatter_on_overflow and defer is _MUST_DEFER:
         for victim in _victims(spawning_thread, len(queue_lengths)):
-            if _has_space(cfg, queue_lengths[victim]):
+            if queue_lengths[victim] < bound:
                 return ScatterTo(victim, MIN_PRIORITY)
-    return ExecuteUndeferred(forced=True)
+    return _FORCED_UNDEFERRED
 
 
 # --- ready queues ----------------------------------------------------------
@@ -258,10 +264,6 @@ class ReadyQueues:
         if self.ranks is not None:
             self._tally(task, priority, 1)
 
-    def lengths(self) -> list:
-        """One length per queue, in queue order (see ``on_spawn``)."""
-        return list(self.counts)
-
     def _live(self, entry) -> bool:
         found = self.index.get(entry[2])
         return found is not None and found[1][3] == entry[3]
@@ -306,7 +308,7 @@ class ReadyQueues:
         """
         own = thread % len(self.near)
         if self.priority_aware and allowed is not None and len(allowed) < len(self.index):
-            found = [self.index[t] for t in allowed if t in self.index and movable(t)]
+            found = [self.index[t] for t in self.index.keys() & allowed if movable(t)]
             own_best = min((e for queue, e in found if queue == own), default=None)
             steal_best = min((e for queue, e in found if queue != own), default=None)
         else:

@@ -410,26 +410,7 @@ def _longest_chain(graph: TaskGraph):
 # Layout: {"tasks": [...], "roots": [...]}; each task
 # {"id", "priority", "tied", "label", "actions": [...]}; action objects
 # are discriminated by their "type" field.  Field names are stable, and
-# graph_to_json writes exactly json.dumps(graph_to_dict(...), indent=2).
-
-
-def _action_to_dict(action: Action) -> dict:
-    if isinstance(action, Compute):
-        return {"type": "compute", "duration": action.duration}
-    if isinstance(action, Spawn):
-        return {"type": "spawn", "child": action.child, "defer": action.defer.value}
-    if isinstance(action, PollOutcome):
-        return {
-            "type": "poll",
-            "target": action.target,
-            "yield_mode": action.yield_mode.value,
-            "poll_cost": action.poll_cost,
-        }
-    if isinstance(action, TaskwaitChildren):
-        return {"type": "taskwait_children", "mode": action.mode.value}
-    if isinstance(action, TaskgroupEnd):
-        return {"type": "taskgroup_end", "mode": action.mode.value}
-    raise TypeError(f"unknown action {action!r}")
+# graph_to_json writes the layout exactly as json.dumps(doc, indent=2) would.
 
 
 _read_defer = jsontext.enum_reader(DeferMode)
@@ -471,39 +452,28 @@ def _read_actions(actions: list) -> tuple:
 
 
 def _action_problem(tasks: list):
-    """Which action of `tasks` raised a TypeError, sought once one has."""
-    for pos, task in enumerate(tasks):
+    """Which task or action of `tasks` raised a TypeError, sought once one
+    has: the first that is not a JSON object, else the first action that
+    fails to read."""
+    problem = jsontext.not_object(tasks, "task")
+    for pos, task in enumerate(() if problem else tasks):
+        problem = jsontext.not_object(task["actions"], f"task {pos}, action")
+        if problem:
+            return problem
         for at, action in enumerate(task["actions"]):
             try:
                 _read_actions([action])
             except TypeError as exc:
                 return f"task {pos}, action {at}, {exc}"
+    return problem
 
 
 _TASK_COLUMNS = [("id", int), ("actions", _read_actions), ("priority", int), ("tied", bool), ("label", str)]
 
 
-def graph_to_dict(graph: TaskGraph, meta: dict | None = None) -> dict:
-    out = {}
-    if meta:
-        out["meta"] = dict(meta)
-    out["tasks"] = [
-        {
-            "id": spec.id,
-            "priority": spec.priority,
-            "tied": spec.tied,
-            "label": spec.label,
-            "actions": [_action_to_dict(a) for a in spec.actions],
-        }
-        for spec in graph.tasks
-    ]
-    out["roots"] = list(graph.roots)
-    return out
-
-
 @_collector_paused()
 def graph_from_dict(data: dict) -> TaskGraph:
-    """The graph `graph_to_dict` wrote.  Integer fields take JSON integers
+    """The graph of a parsed graph file.  Integer fields take JSON integers
     only, ``tied`` a JSON boolean and ``label`` a string: any other value
     there is a TypeError that names the task, the action and the field,
     never a silent conversion."""

@@ -5,7 +5,7 @@ import pytest
 from schedsim.analysis import compare
 from schedsim.cli import main
 from schedsim.engine import MAX_THREADS, ScheduleTrace
-from schedsim import task_graph
+from schedsim import jsontext, task_graph
 from schedsim.task_graph import graph_from_dict, graph_from_json, validate
 
 
@@ -580,3 +580,73 @@ class TestBooleansAndNamedFields:
 
         monkeypatch.setattr(task_graph, "_action_problem", fail)
         assert graph_from_json(text) == graph_from_json(text)
+
+    def test_valid_files_skip_the_object_check(self, tmp_path, monkeypatch):
+        graph, slow, _ = TestCompareReport().make_traces(tmp_path)
+
+        def fail(items, name):
+            raise AssertionError(f"object check ran on valid {name} records")
+
+        monkeypatch.setattr(jsontext, "not_object", fail)
+        assert graph_from_json(graph.read_text()).tasks
+        assert ScheduleTrace.from_json(slow.read_text()).segments
+
+
+def set_task(pos, value):
+    def mutate(graph):
+        graph["tasks"][pos] = value
+        return graph
+    return mutate
+
+
+def set_action(pos, at, value):
+    def mutate(graph):
+        graph["tasks"][pos]["actions"][at] = value
+        return graph
+    return mutate
+
+
+def set_record(key, pos, value):
+    def mutate(trace):
+        trace[key][pos] = value
+        return trace
+    return mutate
+
+
+class TestNonObjectRecords:
+    """A task, action, segment or event that is not a JSON object is named
+    by its position: one `error:` line, exit 2."""
+
+    def error_of(self, code, capsys):
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize(
+        "mutate, named",
+        [
+            (set_task(5, 7), "task 5: expected an object, got 7"),
+            (set_task(0, None), "task 0: expected an object, got null"),
+            (set_action(2, 0, None), "task 2, action 0: expected an object, got null"),
+            (set_action(3, 0, [1, 2]), "task 3, action 0: expected an object, got [1, 2]"),
+        ],
+    )
+    def test_graph_record_named(self, tmp_path, capsys, mutate, named):
+        graph = malformed(tmp_path, "bad.json", mutate, starvation_graph(tmp_path))
+        err = self.error_of(main(["simulate", str(graph)]), capsys)
+        assert f"malformed graph file: {named}\n" in err
+
+    @pytest.mark.parametrize(
+        "mutate, named",
+        [
+            (set_record("events", 3, None), "event 3: expected an object, got null"),
+            (set_record("events", 0, 5), "event 0: expected an object, got 5"),
+            (set_record("segments", 2, "x"), 'segment 2: expected an object, got "x"'),
+        ],
+    )
+    def test_trace_record_named(self, tmp_path, capsys, mutate, named):
+        graph, slow, _ = TestCompareReport().make_traces(tmp_path)
+        bad = malformed(tmp_path, "bad.json", mutate, slow)
+        capsys.readouterr()
+        err = self.error_of(main(["report", str(graph), str(bad)]), capsys)
+        assert f"malformed trace file: {named}\n" in err

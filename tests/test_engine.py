@@ -320,13 +320,17 @@ class TestWaits:
 
 class PickRecordingEngine(_Engine):
     """Records ``(thread, time, helper, picked)`` for every pick attempt by
-    a thread that is not computing."""
+    a thread that is not computing, and the time of every attempt made
+    while no queue holds an entry."""
 
     def __init__(self, graph, cfg):
         super().__init__(graph, cfg)
         self.attempts = []
+        self.unqueued = []
 
     def _try_pick(self, th, now):
+        if not self.ready.index:
+            self.unqueued.append(now)
         free = th.seg_task is None and self.outcome is None
         helper = bool(th.stack)
         picked = super()._try_pick(th, now)
@@ -360,6 +364,18 @@ class TestPicks:
         assert TraceEvent(3, EventKind.STOLEN, 6, 0) in trace.events
         assert Segment(0, 6, 3, 4, SegmentKind.COMPUTE) in trace.segments
         assert trace.makespan == 10
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=POLICY_IDS)
+    def test_no_pick_while_nothing_is_queued(self, policy):
+        # A spawn chain queues one task at a time, and a thief takes it at
+        # once: at most timestamps every queue is empty, and neither the
+        # 63 idle threads nor the waiting helpers may try to pick then.
+        g = spawn_chain(64, TaskwaitChildren, SplitMix64(5))
+        engine = PickRecordingEngine(g, SimConfig(thread_count=64, policy=policy))
+        trace = engine.run()
+        assert trace.outcome is Outcome.COMPLETED
+        assert sum(picked for *_, picked in engine.attempts) == len(g.tasks)
+        assert engine.unqueued == []
 
 
 class TestPolls:

@@ -23,9 +23,10 @@ from schedsim.task_graph import (
     WaitMode,
     YieldMode,
     graph_from_json,
-    graph_to_dict,
     graph_to_json,
 )
+
+from graph_model import graph_to_dict
 
 ints = st.one_of(
     st.integers(-3, 40),

@@ -51,7 +51,7 @@ def assert_pick(cfg, thread, queues, pickable, task, stolen):
     """The pick returns (task, stolen) and removes only that task's entry."""
     rq = ready(cfg, *queues)
     assert rq.pick(thread, pickable) == (task, stolen)
-    assert rq.lengths() == [len(queue) - any(e[2] == task for e in queue) for queue in queues]
+    assert rq.counts == [len(queue) - any(e[2] == task for e in queue) for queue in queues]
     for queue in queues:
         for _, _, queued in queue:
             assert rq.any_pickable(lambda t: t == queued) == (queued != task)
@@ -216,7 +216,7 @@ class TestOnIdle:
             assert rq.pick(0, lambda t: False) is None
             assert not rq.any_pickable(lambda t: False)
             assert rq.any_pickable(lambda t: t == 20)
-            assert rq.lengths() == [1, 1]
+            assert rq.counts == [1, 1]
 
     def test_priority_aware_picks_highest(self):
         queues = [q(entry(1, 10, 0), entry(2, 11, 9), entry(3, 12, 0)), q()]
@@ -253,7 +253,7 @@ class TestReadyQueues:
         pushes = [(10, False), (11, True), (12, False), (13, True), (14, False)]
         for task_id, back in pushes:
             rq.push(task_id % 4, task_id, 0, back)
-        assert rq.lengths() == [5]
+        assert rq.counts == [5]
         assert [rq.pick(t % 4, anything) for t in range(5)] == [(t, False) for t, _ in pushes]
 
     def test_back_goes_behind_the_pick_end(self):
@@ -266,7 +266,7 @@ class TestReadyQueues:
     def test_roots_pick_in_submission_order_per_queue(self):
         graph = TaskGraph(tasks=tuple(TaskSpec(id=i) for i in range(5)), roots=(4, 3, 2, 1, 0))
         rq = ReadyQueues(pol.reference(), graph, 2)
-        assert rq.lengths() == [3, 2]
+        assert rq.counts == [3, 2]
         # Own picks follow the submission order; a thief takes the far end.
         assert [rq.pick(0, anything) for _ in range(3)] == [(4, False), (2, False), (0, False)]
         assert [rq.pick(0, anything) for _ in range(2)] == [(1, True), (3, True)]
@@ -445,7 +445,7 @@ def drive_against_model(data, cfg, model, max_threads=4):
             assert rq.max_priority() == model.max_priority()
             pickable = queued - stuck if allowed is None else (queued & allowed) - stuck
             assert rq.any_pickable(lambda t: t not in stuck, allowed) == bool(pickable)
-        assert rq.lengths() == [len(queue) for queue in model.queues]
+        assert rq.counts == [len(queue) for queue in model.queues]
 
 
 @settings(max_examples=100, deadline=None)
@@ -545,7 +545,7 @@ class TestPickWork:
                 for queue in range(8):
                     pending = [-e[0] for q, e in rq.index.values() if q == queue]
                     assert rq.lowest_pending(queue) == min(pending, default=None)
-        assert rq.lengths() == [0] * 8
+        assert rq.counts == [0] * 8
         assert all(len(heap) <= 16 for heap in rq.near + rq.far)
 
     def test_stealing_a_whole_queue_keeps_its_near_heap_bounded(self):
@@ -558,7 +558,7 @@ class TestPickWork:
         for task_id in range(n):
             assert rq.pick(0, lambda t: True) == (task_id, True)
             assert len(rq.near[1]) <= 2 * rq.counts[1] + 16
-        assert rq.lengths() == [0, 0]
+        assert rq.counts == [0, 0]
         assert rq.pick(1, lambda t: True) is None
 
 
