@@ -14,7 +14,9 @@ reference policy:
   group's start.
 
 Every generator is a pure function of its parameters: the same seed
-always yields a byte-identical graph.
+always yields a byte-identical graph.  Each builds every immutable action
+once per distinct value (``task_graph._compute`` shares the Computes) and
+every task positionally, since a graph holds thousands of them.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 
 from .prng import SplitMix64
 from .task_graph import (
-    Compute,
     DeferMode,
     PollOutcome,
     Spawn,
@@ -32,6 +33,7 @@ from .task_graph import (
     TaskwaitChildren,
     WaitMode,
     YieldMode,
+    _compute,
 )
 
 TRAVERSAL_PRIORITY = 1  # traversals define the critical path
@@ -110,25 +112,22 @@ def _spawns_after_cell(cells: int, enclaves: int) -> list:
     return counts
 
 
-def _alloc(tasks: list, **spec_args) -> int:
-    """Append a TaskSpec with the next free id to `tasks`; return the id."""
-    task_id = len(tasks)
-    tasks.append(TaskSpec(id=task_id, **spec_args))
-    return task_id
-
-
 def gen_enclave_pattern(params: EnclaveWorkloadParams) -> TaskGraph:
     params.validate()
     rng = SplitMix64(params.seed)
     lo, hi = params.enclave_cost_range
 
+    cell = _compute(params.traversal_cell_cost)
+    wait = TaskwaitChildren(params.wait_mode)
+    defer, yield_mode = params.defer_mode, params.yield_mode
     tasks = []
     roots = []
 
     driver_id = None
     driver_actions = []
     if params.timesteps > 1:
-        driver_id = _alloc(tasks, actions=(), label="driver", tied=True)
+        driver_id = len(tasks)
+        tasks.append(None)  # filled in once its spawns are known
         roots.append(driver_id)
 
     enclaves_by_step = []  # per step, per traversal: list of enclave ids
@@ -141,33 +140,22 @@ def gen_enclave_pattern(params: EnclaveWorkloadParams) -> TaskGraph:
                 # Consume the previous step's outcomes of the predecessor
                 # traversal (deterministic cross-traversal dependency).
                 for target in enclaves_by_step[step - 1][(k - 1) % params.K]:
-                    actions.append(
-                        PollOutcome(target=target, yield_mode=params.yield_mode, poll_cost=0)
-                    )
+                    actions.append(PollOutcome(target, yield_mode, 0))
             cell_counts = _spawns_after_cell(
                 params.cells_per_traversal[k], params.enclaves_per_traversal[k]
             )
             enclave_ids = []
             for count in cell_counts:
-                actions.append(Compute(params.traversal_cell_cost))
+                actions.append(cell)
                 for _ in range(count):
-                    cost = rng.randint(lo, hi)
-                    enclave_id = _alloc(
-                        tasks,
-                        actions=(Compute(cost),),
-                        label="enclave",
-                        tied=True,
-                    )
+                    enclave_id = len(tasks)
+                    body = (_compute(rng.randint(lo, hi)),)
+                    tasks.append(TaskSpec(enclave_id, body, 0, True, "enclave"))
                     enclave_ids.append(enclave_id)
-                    actions.append(Spawn(child=enclave_id, defer=params.defer_mode))
-            actions.append(TaskwaitChildren(mode=params.wait_mode))
-            traversal_id = _alloc(
-                tasks,
-                actions=tuple(actions),
-                label="traversal",
-                tied=False,
-                priority=TRAVERSAL_PRIORITY,
-            )
+                    actions.append(Spawn(enclave_id, defer))
+            actions.append(wait)
+            traversal_id = len(tasks)
+            tasks.append(TaskSpec(traversal_id, actions, TRAVERSAL_PRIORITY, False, "traversal"))
             step_traversals.append(traversal_id)
             step_enclaves.append(enclave_ids)
         enclaves_by_step.append(step_enclaves)
@@ -176,13 +164,11 @@ def gen_enclave_pattern(params: EnclaveWorkloadParams) -> TaskGraph:
             roots.extend(step_traversals)
         else:
             for traversal in step_traversals:
-                driver_actions.append(Spawn(child=traversal, defer=DeferMode.RUNTIME_CHOICE))
-            driver_actions.append(TaskwaitChildren(mode=params.wait_mode))
+                driver_actions.append(Spawn(traversal, DeferMode.RUNTIME_CHOICE))
+            driver_actions.append(wait)
 
     if driver_id is not None:
-        tasks[driver_id] = TaskSpec(
-            id=driver_id, actions=tuple(driver_actions), label="driver", tied=True
-        )
+        tasks[driver_id] = TaskSpec(driver_id, driver_actions, 0, True, "driver")
 
     return TaskGraph(tasks=tuple(tasks), roots=tuple(roots))
 
@@ -216,34 +202,13 @@ class StarvationParams:
 
 def gen_starvation_pattern(params: StarvationParams) -> TaskGraph:
     params.validate()
-    tasks = []
+    C, E = params.C, params.E
+    polls = [(PollOutcome(C + e, YieldMode.DEFAULT, params.poll_cost),) for e in range(E)]
+    enclave = (_compute(params.enclave_cost),)
     # Consumers first: they occupy all threads before any enclave runs.
-    for c in range(params.C):
-        target = params.C + (c % params.E)
-        tasks.append(
-            TaskSpec(
-                id=c,
-                actions=(
-                    PollOutcome(
-                        target=target,
-                        yield_mode=YieldMode.DEFAULT,
-                        poll_cost=params.poll_cost,
-                    ),
-                ),
-                label="consumer",
-                tied=False,
-            )
-        )
-    for e in range(params.E):
-        tasks.append(
-            TaskSpec(
-                id=params.C + e,
-                actions=(Compute(params.enclave_cost),),
-                label="enclave",
-                tied=True,
-            )
-        )
-    return TaskGraph(tasks=tuple(tasks), roots=tuple(range(params.C + params.E)))
+    tasks = [TaskSpec(c, polls[c % E], 0, False, "consumer") for c in range(C)]
+    tasks += [TaskSpec(C + e, enclave, 0, True, "enclave") for e in range(E)]
+    return TaskGraph(tuple(tasks), tuple(range(C + E)))
 
 
 # --- nested-loop pattern -----------------------------------------------------
@@ -285,48 +250,27 @@ def gen_nested_loop_pattern(params: NestedLoopParams) -> TaskGraph:
     blocker_cost = params.serial_prefix_cost
     blocking_window = params.serial_prefix_cost + (params.loop_chunks - 1) * params.chunk_cost
     blocker_count = -(-blocking_window // blocker_cost)
+    prefix, suffix = _compute(params.serial_prefix_cost), _compute(params.serial_suffix_cost)
+    chunk, blocker = (_compute(params.chunk_cost),), (_compute(blocker_cost),)
+    wait = TaskwaitChildren(WaitMode.THROUGHPUT)
 
-    def loop_traversal_actions():
-        actions = [Compute(params.serial_prefix_cost)]
-        for _ in range(params.loop_chunks):
-            chunk_id = _alloc(
-                tasks,
-                actions=(Compute(params.chunk_cost),),
-                label="loop-chunk",
-                priority=params.chunk_priority,
-                tied=True,
-            )
-            actions.append(Spawn(child=chunk_id, defer=DeferMode.RUNTIME_CHOICE))
-        actions.append(TaskwaitChildren(mode=WaitMode.THROUGHPUT))
-        actions.append(Compute(params.serial_suffix_cost))
-        return actions
-
-    def peer_actions():
-        actions = []
-        for _ in range(blocker_count):
-            blocker_id = _alloc(
-                tasks,
-                actions=(Compute(blocker_cost),),
-                label="peer-work",
-                tied=True,
-            )
-            actions.append(Spawn(child=blocker_id, defer=DeferMode.RUNTIME_CHOICE))
-        actions.append(TaskwaitChildren(mode=WaitMode.THROUGHPUT))
-        return actions
+    def spawn_all(count, child_actions, priority, label):
+        spawns = []
+        for _ in range(count):
+            spawns.append(Spawn(len(tasks), DeferMode.RUNTIME_CHOICE))
+            tasks.append(TaskSpec(len(tasks), child_actions, priority, True, label))
+        return spawns
 
     for k in range(params.K):
-        critical = k == 0 or not params.loop_on_critical_task_only
-        actions = loop_traversal_actions() if critical else peer_actions()
-        traversal_id = _alloc(
-            tasks,
-            actions=tuple(actions),
-            label="traversal",
-            tied=False,
-            priority=0,
-        )
-        roots.append(traversal_id)
+        if k == 0 or not params.loop_on_critical_task_only:  # a critical traversal
+            spawns = spawn_all(params.loop_chunks, chunk, params.chunk_priority, "loop-chunk")
+            actions = [prefix, *spawns, wait, suffix]
+        else:
+            actions = [*spawn_all(blocker_count, blocker, 0, "peer-work"), wait]
+        roots.append(len(tasks))
+        tasks.append(TaskSpec(len(tasks), actions, 0, False, "traversal"))
 
-    return TaskGraph(tasks=tuple(tasks), roots=tuple(roots))
+    return TaskGraph(tuple(tasks), tuple(roots))
 
 
 # --- two-timestep pattern ------------------------------------------------------
@@ -353,42 +297,23 @@ def gen_two_timestep_pattern(
         "straggler enclaves must outlast a traversal",
     )
 
-    tasks = []
-
-    driver_id = _alloc(tasks, actions=(), label="driver", tied=True)
+    traversal, straggler = _compute(traversal_cost), (_compute(straggler_enclave_cost),)
+    wait = TaskwaitChildren(wait_mode)
+    runtime = DeferMode.RUNTIME_CHOICE
+    tasks = [None]  # the driver, filled in once its spawns are known
 
     driver_actions = []
     for _ in range(K):
-        enclave_id = _alloc(
-            tasks,
-            actions=(Compute(straggler_enclave_cost),),
-            label="enclave",
-            tied=True,
-        )
-        traversal_id = _alloc(
-            tasks,
-            actions=(
-                Compute(traversal_cost),
-                Spawn(child=enclave_id, defer=DeferMode.RUNTIME_CHOICE),
-            ),
-            label="traversal-g1",
-            tied=False,
-            priority=TRAVERSAL_PRIORITY,
-        )
-        driver_actions.append(Spawn(child=traversal_id, defer=DeferMode.RUNTIME_CHOICE))
-    driver_actions.append(TaskwaitChildren(mode=wait_mode))
+        enclave_id = len(tasks)
+        tasks.append(TaskSpec(enclave_id, straggler, 0, True, "enclave"))
+        body = (traversal, Spawn(enclave_id, runtime))
+        tasks.append(TaskSpec(enclave_id + 1, body, TRAVERSAL_PRIORITY, False, "traversal-g1"))
+        driver_actions.append(Spawn(enclave_id + 1, runtime))
+    driver_actions.append(wait)
     for _ in range(K):
-        traversal_id = _alloc(
-            tasks,
-            actions=(Compute(traversal_cost),),
-            label="traversal-g2",
-            tied=False,
-            priority=TRAVERSAL_PRIORITY,
-        )
-        driver_actions.append(Spawn(child=traversal_id, defer=DeferMode.RUNTIME_CHOICE))
-    driver_actions.append(TaskwaitChildren(mode=wait_mode))
+        driver_actions.append(Spawn(len(tasks), runtime))
+        tasks.append(TaskSpec(len(tasks), (traversal,), TRAVERSAL_PRIORITY, False, "traversal-g2"))
+    driver_actions.append(wait)
 
-    tasks[driver_id] = TaskSpec(
-        id=driver_id, actions=tuple(driver_actions), label="driver", tied=True
-    )
-    return TaskGraph(tasks=tuple(tasks), roots=(driver_id,))
+    tasks[0] = TaskSpec(0, driver_actions, 0, True, "driver")
+    return TaskGraph(tuple(tasks), (0,))

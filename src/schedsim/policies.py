@@ -308,9 +308,16 @@ class ReadyQueues:
         """
         own = thread % len(self.near)
         if self.priority_aware and allowed is not None and len(allowed) < len(self.index):
-            found = [self.index[t] for t in self.index.keys() & allowed if movable(t)]
-            own_best = min((e for queue, e in found if queue == own), default=None)
-            steal_best = min((e for queue, e in found if queue != own), default=None)
+            # One pass; `movable` is asked only of an entry that beats its
+            # side's best so far (entries are unique, so the result is the same).
+            own_best = steal_best = None
+            for task in self.index.keys() & allowed:
+                queue, entry = self.index[task]
+                if queue == own:
+                    if (own_best is None or entry < own_best) and movable(task):
+                        own_best = entry
+                elif (steal_best is None or entry < steal_best) and movable(task):
+                    steal_best = entry
         else:
             own_best = self._top_pickable(self.near[own], movable, allowed, None)
             steal_best = None

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import starmap
+from operator import attrgetter
 from typing import Union
 
 from . import jsontext
@@ -193,43 +194,71 @@ def _find_violations(graph: TaskGraph) -> list:
     violations = []
     n = len(graph.tasks)
     ids = [spec.id for spec in graph.tasks]
-    if ids != list(range(n)):
+    if ids != list(range(n)) or not {int}.issuperset(map(type, ids)):
         for pos, spec in enumerate(graph.tasks):
-            if spec.id != pos:
+            if type(spec.id) is not int:
+                violations.append(_wrong_type(pos, "id", spec.id))
+            elif spec.id != pos:
                 violations.append(Violation("BadId", spec.id, f"expected id {pos}"))
         return violations
 
     known = set(range(n))
     root_set = set()
-    for root in graph.roots:
-        if root not in known:
+    for pos, root in enumerate(graph.roots):
+        if type(root) is not int:
+            violations.append(_wrong_type(-1, f"root {pos}", root))
+        elif root not in known:
             violations.append(Violation("UnknownRoot", root))
         elif root in root_set:
             violations.append(Violation("DuplicateRoot", root))
         root_set.add(root)
 
-    spawn_count = {task_id: 0 for task_id in range(n)}
+    for field, kind in (("priority", int), ("tied", bool), ("label", str)):
+        get = attrgetter(field)
+        if not {kind}.issuperset(map(type, map(get, graph.tasks))):
+            violations += [
+                _wrong_type(spec.id, field, get(spec), kind)
+                for spec in graph.tasks
+                if type(get(spec)) is not kind
+            ]
+
+    spawn_count = [0] * n
     for spec in graph.tasks:
         for action in spec.actions:
             if isinstance(action, Compute):
-                if action.duration <= 0:
-                    violations.append(
-                        Violation("NonPositiveDuration", spec.id, str(action.duration))
-                    )
+                if type(duration := action.duration) is not int:
+                    violations.append(_wrong_type(spec.id, "duration", duration))
+                elif duration <= 0:
+                    violations.append(Violation("NonPositiveDuration", spec.id, str(duration)))
             elif isinstance(action, Spawn):
-                if action.child not in known:
-                    violations.append(Violation("UnknownSpawnTarget", spec.id, str(action.child)))
+                if type(action.defer) is not DeferMode:
+                    violations.append(_wrong_type(spec.id, "defer", action.defer, DeferMode))
+                child = action.child
+                if type(child) is not int:
+                    violations.append(_wrong_type(spec.id, "child", child))
                     continue
-                if action.child == spec.id:
+                if child not in known:
+                    violations.append(Violation("UnknownSpawnTarget", spec.id, str(child)))
+                    continue
+                if child == spec.id:
                     violations.append(Violation("SelfSpawn", spec.id))
-                spawn_count[action.child] += 1
-                if spawn_count[action.child] == 2:
-                    violations.append(Violation("DuplicateSpawn", action.child))
+                spawn_count[child] += 1
+                if spawn_count[child] == 2:
+                    violations.append(Violation("DuplicateSpawn", child))
             elif isinstance(action, PollOutcome):
-                if action.target not in known:
-                    violations.append(Violation("UnknownPollTarget", spec.id, str(action.target)))
-                if action.poll_cost < 0:
+                if type(target := action.target) is not int:
+                    violations.append(_wrong_type(spec.id, "target", target))
+                elif target not in known:
+                    violations.append(Violation("UnknownPollTarget", spec.id, str(target)))
+                if type(cost := action.poll_cost) is not int:
+                    violations.append(_wrong_type(spec.id, "poll_cost", cost))
+                elif cost < 0:
                     violations.append(Violation("NegativePollCost", spec.id))
+                if type(action.yield_mode) is not YieldMode:
+                    violations.append(_wrong_type(spec.id, "yield_mode", action.yield_mode, YieldMode))
+            elif isinstance(action, (TaskwaitChildren, TaskgroupEnd)):
+                if type(action.mode) is not WaitMode:
+                    violations.append(_wrong_type(spec.id, "mode", action.mode, WaitMode))
 
     for task_id in range(n):
         spawned = spawn_count[task_id]
@@ -239,6 +268,8 @@ def _find_violations(graph: TaskGraph) -> list:
         elif spawned == 0:
             violations.append(Violation("UnspawnedTask", task_id))
 
+    if any(v.kind == "WrongType" for v in violations):
+        return violations  # the parent relation needs integer children
     # Ancestor spawns show up as cycles of the parent relation.  Each task
     # has at most one parent, so one colouring walk visits every task once.
     parents = graph._spawn_parents
@@ -258,6 +289,15 @@ def _find_violations(graph: TaskGraph) -> list:
     violations.extend(Violation("SpawnCycle", task_id) for task_id in sorted(on_cycle))
 
     return violations
+
+
+def _wrong_type(task, field: str, value, kind: type = int) -> Violation:
+    """A field the graph decoders would have refused: they take exact
+    ints (never a bool or a float), a bool for ``tied``, a str for
+    ``label`` and a member for an enum field; the file writers would
+    truncate or garble anything else, and the engine tells the modes
+    apart by identity."""
+    return Violation("WrongType", task, f"{field}: expected {kind.__name__}, got {value!r}")
 
 
 def total_work(graph: TaskGraph) -> int:
@@ -418,11 +458,18 @@ _read_yield = jsontext.enum_reader(YieldMode)
 _read_wait = jsontext.enum_reader(WaitMode)
 
 
-@lru_cache(maxsize=1024)
+_int_compute = lru_cache(maxsize=1024)(Compute)  # called with exact ints only
+# One wait action per kind and mode, shared by every decoded graph.
+_WAITS = {(kind, mode): kind(mode) for kind in (TaskwaitChildren, TaskgroupEnd) for mode in WaitMode}
+
+
 def _compute(duration: int) -> Compute:
-    """One Compute per duration, shared by every task that reads it: it is
-    frozen, and most graphs use a handful of durations."""
-    return Compute(duration)
+    """One Compute per integer duration, shared by every graph the decoders
+    and generators build: it is frozen, and most graphs use a handful of
+    durations.  The cache takes exact ints only, as ``True`` and ``1.0``
+    equal and hash as ``1``: keyed on the value alone, it would hand one
+    back for the other."""
+    return _int_compute(duration) if type(duration) is int else Compute(duration)
 
 
 def _int(value, key: str) -> int:  # for a value that failed a reader's type test
@@ -435,15 +482,15 @@ class _Readers(dict):
 
 
 _ACTION_READERS = _Readers({
-    "compute": lambda d: _compute(v if type(v := d["duration"]) is int else _int(v, "duration")),
+    "compute": lambda d: _int_compute(v) if type(v := d["duration"]) is int else _int(v, "duration"),
     "spawn": lambda d: Spawn(v if type(v := d["child"]) is int else _int(v, "child"), _read_defer(d["defer"])),
     "poll": lambda d: PollOutcome(
         v if type(v := d["target"]) is int else _int(v, "target"),
         _read_yield(d["yield_mode"]),
         c if type(c := d["poll_cost"]) is int else _int(c, "poll_cost"),
     ),
-    "taskwait_children": lambda d: TaskwaitChildren(_read_wait(d["mode"])),
-    "taskgroup_end": lambda d: TaskgroupEnd(_read_wait(d["mode"])),
+    "taskwait_children": lambda d: _WAITS[TaskwaitChildren, _read_wait(d["mode"])],
+    "taskgroup_end": lambda d: _WAITS[TaskgroupEnd, _read_wait(d["mode"])],
 })
 
 

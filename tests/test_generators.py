@@ -15,10 +15,12 @@ from schedsim.task_graph import (
     DeferMode,
     PollOutcome,
     Spawn,
+    TaskgroupEnd,
     TaskwaitChildren,
     WaitMode,
     YieldMode,
     critical_path,
+    graph_from_json,
     graph_to_json,
     validate,
 )
@@ -238,3 +240,58 @@ class TestTwoTimestepPattern:
             gen_two_timestep_pattern(
                 K=2, traversal_cost=5, straggler_enclave_cost=5, wait_mode=WaitMode.THROUGHPUT
             )
+
+
+def shared_action_graphs():
+    return {
+        "enclave": gen_enclave_pattern(enclave_params(timesteps=3, enclaves_per_traversal=(9, 4))),
+        "enclave-latency": gen_enclave_pattern(
+            enclave_params(timesteps=2, traversal_cell_cost=1, wait_mode=WaitMode.LATENCY)
+        ),
+        "starvation": gen_starvation_pattern(
+            StarvationParams(T=2, C=9, E=3, poll_cost=1, enclave_cost=2, seed=0)
+        ),
+        "nested-loop": gen_nested_loop_pattern(
+            NestedLoopParams(
+                K=3,
+                loop_chunks=4,
+                chunk_cost=5,
+                loop_on_critical_task_only=False,
+                serial_prefix_cost=5,
+                serial_suffix_cost=2,
+                chunk_priority=1,
+            )
+        ),
+        "nested-loop-peers": gen_nested_loop_pattern(
+            NestedLoopParams(
+                K=3,
+                loop_chunks=4,
+                chunk_cost=2,
+                loop_on_critical_task_only=True,
+                serial_prefix_cost=3,
+                serial_suffix_cost=3,
+                chunk_priority=0,
+            )
+        ),
+        "two-timestep": gen_two_timestep_pattern(3, 2, 5, WaitMode.LATENCY),
+    }
+
+
+SHARED_KINDS = (Compute, TaskwaitChildren, TaskgroupEnd, PollOutcome)
+
+
+@pytest.mark.parametrize("name", list(shared_action_graphs()))
+def test_one_object_per_distinct_action_value(name):
+    """Each generator builds a Compute, wait or poll once per distinct
+    value; so does the decoder, for Computes and waits."""
+    graph = shared_action_graphs()[name]
+    back = graph_from_json(graph_to_json(graph))
+    for g, kinds in ((graph, SHARED_KINDS), (back, SHARED_KINDS[:3])):
+        actions = [a for spec in g.tasks for a in spec.actions if isinstance(a, kinds)]
+        assert len({id(a) for a in actions}) == len(set(actions)) < len(actions)
+
+
+@pytest.mark.parametrize("cost", [1.5, True])
+def test_non_integer_cell_cost_fails_validation(cost):
+    g = gen_enclave_pattern(enclave_params(traversal_cell_cost=cost))
+    assert {v.kind for v in validate(g)} == {"WrongType"}

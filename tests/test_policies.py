@@ -510,6 +510,23 @@ class TestPickWork:
         assert rq.pick(0, movable, allowed) == (2000, True)
         assert len(calls) + allowed.lookups <= 3
 
+    def test_filtered_pick_asks_movable_only_of_an_entry_that_beats_its_side(self):
+        # the set yields 0, 1, 2, 3: each side's best entry comes first, so
+        # movable is asked of it alone
+        rq = ReadyQueues(pol.extended(), TaskGraph(), 2)
+        for task_id, queue, priority in ((0, 0, 5), (1, 0, 1), (2, 1, 4), (3, 1, 0)):
+            rq.push(queue, task_id, priority)
+        for task_id in range(10, 20):
+            rq.push(0, task_id, 9)
+        calls = []
+
+        def movable(task_id):
+            calls.append(task_id)
+            return True
+
+        assert rq.pick(0, movable, {0, 1, 2, 3}) == (0, False)
+        assert calls == [0, 2]
+
     def test_fair_yields_pop_each_dead_entry_once(self, monkeypatch):
         rq = ReadyQueues(pol.extended(), TaskGraph(), 1)
         dead_pops = {"near": [], "far": []}

@@ -15,6 +15,9 @@ from schedsim.task_graph import (
     TaskgroupEnd,
     TaskwaitChildren,
     Violation,
+    WaitMode,
+    YieldMode,
+    _compute,
     critical_path,
     graph_from_json,
     graph_to_json,
@@ -130,6 +133,65 @@ class TestValidate:
         first = validate(g)
         second = validate(g)
         assert first == second == []
+
+
+def wrong_type_graphs():
+    """(graph, *violations): one field of a valid two-task graph holds a
+    value of another type, each equal to a valid value where one exists."""
+    def graph(*, root=0, child=1, tied=True, label="", priority=0, id=1, duration=2, target=1,
+              cost=0, defer=DeferMode.RUNTIME_CHOICE, yield_mode=YieldMode.DEFAULT, mode=WaitMode.LATENCY):
+        actions = (Spawn(child, defer), PollOutcome(target, yield_mode, cost), TaskgroupEnd(mode))
+        return TaskGraph(
+            (TaskSpec(0, actions, priority, tied, label), TaskSpec(id, (Compute(duration),))),
+            (root,),
+        )
+
+    return [
+        (graph(duration=2.5), Violation("WrongType", 1, "duration: expected int, got 2.5")),
+        (graph(duration=True), Violation("WrongType", 1, "duration: expected int, got True")),
+        (graph(child=1.0), Violation("WrongType", 0, "child: expected int, got 1.0"), Violation("UnspawnedTask", 1)),
+        (graph(target=True), Violation("WrongType", 0, "target: expected int, got True")),
+        (graph(cost=False), Violation("WrongType", 0, "poll_cost: expected int, got False")),
+        (graph(priority=0.0), Violation("WrongType", 0, "priority: expected int, got 0.0")),
+        (graph(priority=False), Violation("WrongType", 0, "priority: expected int, got False")),
+        (graph(tied=1), Violation("WrongType", 0, "tied: expected bool, got 1")),
+        (graph(label=None), Violation("WrongType", 0, "label: expected str, got None")),
+        (graph(root=False), Violation("WrongType", -1, "root 0: expected int, got False")),
+        (graph(id=True), Violation("WrongType", 1, "id: expected int, got True")),
+        (graph(defer="undeferred"), Violation("WrongType", 0, "defer: expected DeferMode, got 'undeferred'")),
+        (graph(yield_mode="latency"), Violation("WrongType", 0, "yield_mode: expected YieldMode, got 'latency'")),
+        (graph(mode="throughput"), Violation("WrongType", 0, "mode: expected WaitMode, got 'throughput'")),
+    ]
+
+
+class TestWrongType:
+    """validate holds an in-memory graph to the decoders' type rule, so no
+    graph it passes is written to a file that reads back otherwise."""
+
+    def test_fractional_duration_is_rejected_not_truncated(self):
+        g = TaskGraph((TaskSpec(0, (Compute(2.5),)),), (0,))
+        assert validate(g) == [Violation("WrongType", 0, "duration: expected int, got 2.5")]
+        with pytest.raises(InvalidGraphError):
+            simulate(g, SimConfig(thread_count=1, policy=pol.reference()))
+
+    @pytest.mark.parametrize("case", wrong_type_graphs(), ids=lambda case: case[1].detail)
+    def test_each_decoded_field_is_checked(self, case):
+        g, *violations = case
+        assert validate(g) == violations
+
+    def test_the_valid_graph_of_those_cases_passes(self):
+        actions = (Spawn(1), PollOutcome(1), TaskgroupEnd(WaitMode.LATENCY))
+        g = TaskGraph((TaskSpec(0, actions), TaskSpec(1, (Compute(2),))), (0,))
+        assert validate(g) == []
+        assert graph_from_json(graph_to_json(g)) == g
+
+    def test_a_mode_given_as_its_text_is_rejected_not_simulated_apart(self):
+        # the file of this graph reads back an undeferred spawn, which the
+        # engine tells from the text "undeferred" by identity
+        g = TaskGraph((TaskSpec(0, (Spawn(1, "undeferred"), Compute(1))), TaskSpec(1, (Compute(5),))), (0,))
+        assert [v.kind for v in validate(g)] == ["WrongType"]
+        with pytest.raises(InvalidGraphError):
+            simulate(g, SimConfig(thread_count=2, policy=pol.reference()))
 
 
 def cyclic_graph():
@@ -352,3 +414,26 @@ class TestJson:
         text = graph_to_json(chain_graph(), meta={"invocation": {"seed": 3}})
         assert json.loads(text)["meta"]["invocation"]["seed"] == 3
         assert graph_from_json(text) == chain_graph()
+
+
+class TestSharedActions:
+    """The decoders build one instance per distinct Compute and wait value;
+    the Compute cache is keyed on exact ints."""
+
+    def test_cache_never_aliases_equal_values_of_other_types(self):
+        values = (1, True, 1.0)
+        for order in (values, values[::-1], (True, 1, 1.0)):
+            shared = {type(v): _compute(v) for v in order}
+            for value in order:
+                got = _compute(value)
+                assert type(got.duration) is type(value) and got == Compute(value)
+            assert _compute(1) is shared[int]
+            assert shared[bool] is not shared[int] and shared[float] is not shared[int]
+
+    def test_decoded_graph_shares_equal_actions(self):
+        waits = [TaskwaitChildren(WaitMode.LATENCY), TaskgroupEnd(), TaskwaitChildren()]
+        tasks = [TaskSpec(0, [a for i in range(1, 5) for a in (Compute(3), Spawn(i))] + waits)]
+        tasks += [TaskSpec(i, (Compute(3), Compute(i % 2 + 1)) + tuple(waits)) for i in range(1, 5)]
+        back = graph_from_json(graph_to_json(TaskGraph(tasks, (0,))))
+        shared = [a for spec in back.tasks for a in spec.actions if not isinstance(a, Spawn)]
+        assert len({id(a) for a in shared}) == len(set(shared)) == 6
