@@ -35,10 +35,11 @@ from dataclasses import dataclass
 from functools import partial
 
 from . import policies as pol
-from .policies import ConfigError, PolicyConfig, WaitDecision
+from .policies import ConfigError, PolicyConfig
 from .task_graph import (
     DEFAULT_MAX_VIRTUAL_TIME,
     Compute,
+    DeferMode,
     PollOutcome,
     Spawn,
     TaskGraph,
@@ -60,7 +61,7 @@ _new_event = partial(tuple.__new__, TraceEvent)
 _COMPUTE, _POLL_SPIN, _UNDEFERRED = SegmentKind.COMPUTE, SegmentKind.POLL_SPIN, SegmentKind.UNDEFERRED
 _SPAWNED, _STOLEN, _SCATTERED, _THROTTLED = EventKind.SPAWNED, EventKind.STOLEN, EventKind.SCATTERED, EventKind.THROTTLED
 _YIELDED, _WAIT_ENTERED, _WAIT_EXITED = EventKind.YIELDED, EventKind.WAIT_ENTERED, EventKind.WAIT_EXITED
-_COMPLETED, _LATENCY = EventKind.COMPLETED, WaitMode.LATENCY
+_COMPLETED, _LATENCY, _RUN_UNDEFERRED = EventKind.COMPLETED, WaitMode.LATENCY, DeferMode.UNDEFERRED
 
 
 class EngineError(Exception):
@@ -162,8 +163,8 @@ class _Engine:
         self.graph = graph
         self.cfg = cfg
         self.policy = cfg.policy
-        # The policy's wait rule, read once: only a latency wait may idle.
-        self.idle_latency = pol.on_wait(cfg.policy, WaitMode.LATENCY) is WaitDecision.IDLE_UNTIL_COMPLETE
+        # The policy's wait rule: only a latency wait may idle.
+        self.idle_latency = cfg.policy.honor_latency_wait
         self.runs = [_Run(spec) for spec in graph.tasks]
         self.threads = [_Thread(i, self._movable(i)) for i in range(cfg.thread_count)]
         self.ready = pol.ReadyQueues(cfg.policy, graph, cfg.thread_count)
@@ -374,7 +375,7 @@ class _Engine:
                 self._note_failed_poll(run)
                 if self.outcome is not None:
                     break
-                decision = pol.on_yield(
+                requeue = pol.on_yield(
                     self.policy,
                     run.priority,
                     action.yield_mode,
@@ -382,12 +383,10 @@ class _Engine:
                 )
                 events.append(_new_event((now, _YIELDED, run.spec.id, idx)))
                 progressed = True
-                if isinstance(decision, pol.ResumeImmediately):
+                if requeue is None:
                     break  # stay resident; retry after at most one pick
                 stack.pop()
-                back = isinstance(decision, pol.RequeueBack)
-                if back:
-                    run.priority = decision.priority
+                back, run.priority = requeue
                 self.ready.push(idx, run.spec.id, run.priority, back)
                 continue
 
@@ -399,7 +398,7 @@ class _Engine:
         child_spec = child.spec
         task = child_spec.id
         ready = self.ready
-        decision = pol.on_spawn(
+        placement = pol.on_spawn(
             self.policy, th.idx, child_spec, ready.counts, action.defer, run.chunk_scatters, ready.max_priority
         )
         events = self.events
@@ -407,20 +406,9 @@ class _Engine:
         child.parent = run
         run.pending += 1
         run.open += 1
-        kind = type(decision)
 
-        if kind is pol.EnqueueLocal:
-            if decision.priority is not None:
-                child.priority = decision.priority
-            ready.push(th.idx, task, child.priority)
-        elif kind is pol.ScatterTo:
-            child.priority = decision.priority
-            ready.push(decision.thread, task, child.priority)
-            events.append(_new_event((now, _SCATTERED, task, decision.thread)))
-            if child_spec.label == pol.LOOP_CHUNK_LABEL:
-                run.chunk_scatters += 1
-        else:
-            if decision.forced:
+        if placement is None:  # run undeferred: requested, or else throttled
+            if action.defer is not _RUN_UNDEFERRED:
                 events.append(_new_event((now, _THROTTLED, task, th.idx)))
             run.blocked_child = task
             child.home = th.idx
@@ -428,7 +416,12 @@ class _Engine:
             self.progress += 1
             th.stack.append(child)
             return
-
+        thread, child.priority = placement
+        ready.push(thread, task, child.priority)
+        if thread != th.idx:
+            events.append(_new_event((now, _SCATTERED, task, thread)))
+            if child_spec.label == pol.LOOP_CHUNK_LABEL:
+                run.chunk_scatters += 1
         run.pc += 1
 
     # -- picking ---------------------------------------------------------------

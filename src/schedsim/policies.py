@@ -1,8 +1,10 @@
 """Scheduling policies as pure decision procedures, and the ready queues.
 
 The engine consults a policy at every task scheduling point: task
-creation (on_spawn), a failed completion poll (on_yield) and a wait
-construct (on_wait); an idle or helping thread looking for work picks
+creation (``on_spawn`` answers with a ``Placement`` or None), a failed
+completion poll (``on_yield`` answers with a ``Requeue`` or None) and a
+wait construct (``PolicyConfig.honor_latency_wait`` says whether a
+latency wait idles); an idle or helping thread looking for work picks
 from the run's ``ReadyQueues``, the same indexed heaps for every policy
 with a policy-specific sort key.  Three policy families are provided:
 
@@ -23,11 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from heapq import heapify, heappop, heappush
 from math import inf
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from .task_graph import DeferMode, TaskSpec, YieldMode, WaitMode
+from .task_graph import DeferMode, TaskSpec, YieldMode
 
 #: Priority assigned to overflow-scattered tasks so they are never
 #: brought forward on the target thread.  Priorities are plain Python
@@ -107,37 +110,23 @@ def extended(
 # --- spawn decisions -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EnqueueLocal:
-    #: Optional priority override for the enqueued task (used for the
-    #: local share of a loop-chunk burst so it ranks with its siblings).
-    priority: Optional[int] = None
+class Placement(NamedTuple):
+    """A deferred child's queue, named by a thread, and its priority.  A
+    thread other than the spawner's is a scatter."""
 
-
-@dataclass(frozen=True)
-class ScatterTo:
     thread: int
     priority: int
 
 
-@dataclass(frozen=True)
-class ExecuteUndeferred:
-    #: True when the runtime forced in-situ execution (throttling or a
-    #: failed scatter), False when the spawn itself requested it.
-    forced: bool = False
+# Build a decision from one tuple in C; a named tuple's own __new__ is Python.
+_placement = partial(tuple.__new__, Placement)
+_UNDEFERRED, _MUST_DEFER = DeferMode.UNDEFERRED, DeferMode.MUST_DEFER
 
 
 def _victims(spawning_thread: int, thread_count: int) -> list:
     return [
         (spawning_thread + off) % thread_count for off in range(1, thread_count)
     ]
-
-
-# The decisions that carry nothing spawn-specific, shared: they are frozen.
-_ENQUEUE_LOCAL = EnqueueLocal()
-_REQUESTED_UNDEFERRED = ExecuteUndeferred(forced=False)
-_FORCED_UNDEFERRED = ExecuteUndeferred(forced=True)
-_UNDEFERRED, _MUST_DEFER = DeferMode.UNDEFERRED, DeferMode.MUST_DEFER
 
 
 def on_spawn(
@@ -148,8 +137,9 @@ def on_spawn(
     defer: DeferMode = DeferMode.RUNTIME_CHOICE,
     scatter_cursor: int = 0,
     max_queue_priority: Callable[[], Optional[int]] = lambda: None,
-):
-    """Decide placement for a newly created task.
+) -> Optional[Placement]:
+    """Decide placement for a newly created task, or None to run it
+    undeferred: requested by ``defer``, or else forced (throttling).
 
     ``queue_lengths`` has one entry per queue (``ReadyQueues.counts``,
     read only): one per thread, or a single shared entry for fcfs; the
@@ -162,7 +152,7 @@ def on_spawn(
     a loop chunk under ``scatter_on_overflow``.
     """
     if defer is _UNDEFERRED:
-        return _REQUESTED_UNDEFERRED
+        return None
 
     # A queue has space while it holds fewer entries than the bound.
     bound = inf if cfg.queue_bound is None else cfg.queue_bound
@@ -176,18 +166,16 @@ def on_spawn(
         victims = _victims(spawning_thread, len(queue_lengths))
         spacious = [v for v in victims if queue_lengths[v] < bound]
         if scatter_cursor < len(spacious):
-            return ScatterTo(spacious[scatter_cursor], priority)
-        if local_len < bound:
-            return EnqueueLocal(priority=priority)
-        return _FORCED_UNDEFERRED
+            return _placement((spacious[scatter_cursor], priority))
+        return _placement((spawning_thread, priority)) if local_len < bound else None
 
     if local_len < bound:
-        return _ENQUEUE_LOCAL
+        return _placement((spawning_thread, task.priority))
     if cfg.scatter_on_overflow and defer is _MUST_DEFER:
         for victim in _victims(spawning_thread, len(queue_lengths)):
             if queue_lengths[victim] < bound:
-                return ScatterTo(victim, MIN_PRIORITY)
-    return _FORCED_UNDEFERRED
+                return _placement((victim, MIN_PRIORITY))
+    return None
 
 
 # --- ready queues ----------------------------------------------------------
@@ -401,19 +389,15 @@ class ReadyQueues:
 # --- yield decisions -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ResumeImmediately:
-    pass
+class Requeue(NamedTuple):
+    """Where a yielding poller goes: the far end of its thread's own
+    queue (``back``) or the pick end, and its priority there."""
 
-
-@dataclass(frozen=True)
-class RequeueBack:
+    back: bool
     priority: int
 
 
-@dataclass(frozen=True)
-class RequeueFront:
-    pass
+_requeue = partial(tuple.__new__, Requeue)
 
 
 def on_yield(
@@ -421,14 +405,12 @@ def on_yield(
     task_priority: int,
     mode: YieldMode,
     lowest_pending: Callable[[], Optional[int]],
-):
-    """Decide where a poller goes after a failed completion check.
-
-    RequeueFront puts the poller at the pick end of the yielding
-    thread's own queue, RequeueBack at the far end (see ``ReadyQueues``).
-    ``lowest_pending()`` returns the lowest priority pending in that
-    queue, or None if it is empty or keeps no priorities; it is called
-    only for a fair yield.
+) -> Optional[Requeue]:
+    """Decide where a poller goes after a failed completion check, or
+    None to stay resident and retry (see ``ReadyQueues`` for the ends of
+    a queue).  ``lowest_pending()`` returns the lowest priority pending in
+    the yielding thread's own queue, or None if it is empty or keeps no
+    priorities; it is called only for a fair yield.
 
     The reference runtime ignores the proposed yield clauses: every
     yield requeues the continuation at the front of the pickup order, so
@@ -439,27 +421,10 @@ def on_yield(
     every push at the far end.
     """
     if cfg.kind is PolicyKind.REFERENCE_DEQUE:
-        return RequeueFront()
+        return _requeue((False, task_priority))
     if mode is YieldMode.LATENCY:
-        return ResumeImmediately()
+        return None
     if cfg.fair_yield:
         lowest = lowest_pending()
-        return RequeueBack(task_priority if lowest is None else lowest - 1)
-    if mode is YieldMode.THROUGHPUT:
-        return RequeueBack(task_priority)
-    return RequeueFront()
-
-
-# --- wait decisions ------------------------------------------------------
-
-
-class WaitDecision(str, Enum):
-    EXECUTE_OTHER_TASKS = "execute_other_tasks"
-    IDLE_UNTIL_COMPLETE = "idle_until_complete"
-
-
-def on_wait(cfg: PolicyConfig, mode: WaitMode) -> WaitDecision:
-    if mode is WaitMode.LATENCY and cfg.honor_latency_wait:
-        return WaitDecision.IDLE_UNTIL_COMPLETE
-    return WaitDecision.EXECUTE_OTHER_TASKS
-
+        return _requeue((True, task_priority if lowest is None else lowest - 1))
+    return _requeue((mode is YieldMode.THROUGHPUT, task_priority))

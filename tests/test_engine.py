@@ -652,7 +652,7 @@ class PerPickFilterEngine(_Engine):
             if run.wait is None:
                 continue
             action = run.spec.actions[run.pc]  # a wait holds its pc until it exits
-            if pol.on_wait(self.policy, action.mode) is pol.WaitDecision.IDLE_UNTIL_COMPLETE:
+            if action.mode is WaitMode.LATENCY and self.policy.honor_latency_wait:
                 tasks = self._sync_set(run.spec, run.pc)
                 allowed = tasks if allowed is None else allowed & tasks
         if allowed is not None:

@@ -6,21 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schedsim import policies as pol
-from schedsim.policies import (
-    EnqueueLocal,
-    ExecuteUndeferred,
-    PolicyKind,
-    ReadyQueues,
-    RequeueBack,
-    RequeueFront,
-    ResumeImmediately,
-    ScatterTo,
-    WaitDecision,
-    on_spawn,
-    on_wait,
-    on_yield,
-)
-from schedsim.task_graph import DeferMode, TaskGraph, TaskSpec, WaitMode, YieldMode
+from schedsim.policies import Placement, PolicyKind, ReadyQueues, Requeue, on_spawn, on_yield
+from schedsim.task_graph import DeferMode, TaskGraph, TaskSpec, YieldMode
 
 
 def entry(seq, task, priority=0):
@@ -77,7 +64,11 @@ class TestConfig:
         )
         assert not cfg.honor_latency_wait and not cfg.priority_aware
         assert not cfg.fair_yield and not cfg.scatter_on_overflow
-        assert on_wait(cfg, WaitMode.LATENCY) is WaitDecision.EXECUTE_OTHER_TASKS
+
+    def test_latency_waits_idle_only_under_extended(self):
+        assert pol.extended().honor_latency_wait
+        assert not pol.extended(honor_latency_wait=False).honor_latency_wait
+        assert not pol.reference().honor_latency_wait and not pol.fcfs().honor_latency_wait
 
     def test_bad_bound_rejected(self):
         with pytest.raises(pol.ConfigError):
@@ -86,43 +77,43 @@ class TestConfig:
 
 class TestOnSpawn:
     def test_reference_below_bound_enqueues(self):
-        decision = on_spawn(pol.reference(), 0, task(), [255, 0, 0, 0])
-        assert decision == EnqueueLocal()
+        decision = on_spawn(pol.reference(), 0, task(priority=3), [255, 0, 0, 0])
+        assert decision == Placement(0, 3)
 
     def test_reference_at_bound_throttles(self):
         decision = on_spawn(pol.reference(), 0, task(), [256, 0, 0, 0])
-        assert decision == ExecuteUndeferred(forced=True)
+        assert decision is None
 
     def test_reference_unbounded_never_throttles(self):
         cfg = pol.reference(queue_bound=None)
-        decision = on_spawn(cfg, 0, task(), [10**6, 0])
-        assert decision == EnqueueLocal()
+        decision = on_spawn(cfg, 1, task(), [0, 10**6])
+        assert decision == Placement(1, 0)
 
     def test_undeferred_request_wins_everywhere(self):
         for cfg in (pol.reference(), pol.fcfs(), pol.extended()):
             decision = on_spawn(cfg, 0, task(), [0, 0], defer=DeferMode.UNDEFERRED)
-            assert decision == ExecuteUndeferred(forced=False)
+            assert decision is None
 
     def test_fcfs_always_enqueues(self):
-        decision = on_spawn(pol.fcfs(), 2, task(), [10**9] * 4)
-        assert decision == EnqueueLocal()
+        decision = on_spawn(pol.fcfs(), 2, task(), [10**9])
+        assert decision == Placement(2, 0)
 
     def test_must_defer_scatters_to_first_spacious_victim(self):
         cfg = pol.extended(queue_bound=256)
         decision = on_spawn(
             cfg, 0, task(), [256, 256, 10, 0], defer=DeferMode.MUST_DEFER
         )
-        assert decision == ScatterTo(2, pol.MIN_PRIORITY)
+        assert decision == Placement(2, pol.MIN_PRIORITY)
 
     def test_must_defer_prefers_local_when_space(self):
         cfg = pol.extended(queue_bound=256)
         decision = on_spawn(cfg, 0, task(), [10, 0, 0, 0], defer=DeferMode.MUST_DEFER)
-        assert decision == EnqueueLocal()
+        assert decision == Placement(0, 0)
 
     def test_must_defer_all_full_falls_back_to_undeferred(self):
         cfg = pol.extended(queue_bound=4)
         decision = on_spawn(cfg, 1, task(), [4, 4, 4], defer=DeferMode.MUST_DEFER)
-        assert decision == ExecuteUndeferred(forced=True)
+        assert decision is None
 
     def test_scatter_never_targets_spawner(self):
         cfg = pol.extended(queue_bound=1)
@@ -130,8 +121,10 @@ class TestOnSpawn:
             decision = on_spawn(
                 cfg, spawner, task(), [1, 0, 0, 0], defer=DeferMode.MUST_DEFER
             )
-            if isinstance(decision, ScatterTo):
-                assert decision.thread != spawner
+            if spawner:
+                assert decision == Placement(spawner, 0)
+            else:
+                assert decision == Placement(1, pol.MIN_PRIORITY)
 
     def test_loop_chunks_scatter_one_per_victim_then_local(self):
         cfg = pol.extended()
@@ -141,18 +134,18 @@ class TestOnSpawn:
             on_spawn(cfg, 0, chunk, lengths, scatter_cursor=i, max_queue_priority=lambda: 0)
             for i in range(4)
         ]
-        assert targets[:3] == [ScatterTo(1, 1), ScatterTo(2, 1), ScatterTo(3, 1)]
-        assert targets[3] == EnqueueLocal(priority=1)
+        assert targets[:3] == [Placement(1, 1), Placement(2, 1), Placement(3, 1)]
+        assert targets[3] == Placement(0, 1)
 
     def test_loop_chunk_priority_tops_pending_work(self):
         cfg = pol.extended()
         chunk = task(label=pol.LOOP_CHUNK_LABEL, priority=0)
         decision = on_spawn(cfg, 0, chunk, [3, 3], scatter_cursor=0, max_queue_priority=lambda: 7)
-        assert decision == ScatterTo(1, 8)
+        assert decision == Placement(1, 8)
 
     def test_reference_ignores_chunk_label(self):
         decision = on_spawn(pol.reference(), 0, task(label=pol.LOOP_CHUNK_LABEL), [0, 0])
-        assert decision == EnqueueLocal()
+        assert decision == Placement(0, 0)
 
     def test_max_queue_priority_read_only_for_extended_loop_chunks(self):
         def unread():
@@ -175,7 +168,7 @@ class TestOnSpawn:
             return 3
 
         decision = on_spawn(pol.extended(), 0, chunk, [0, 0], max_queue_priority=top)
-        assert decision == ScatterTo(1, 4)
+        assert decision == Placement(1, 4)
         assert len(calls) == 1
 
 
@@ -672,27 +665,28 @@ def none():
 
 class TestOnYield:
     def test_reference_default_requeues_front(self):
-        assert on_yield(pol.reference(), 0, YieldMode.DEFAULT, none) == RequeueFront()
+        assert on_yield(pol.reference(), 4, YieldMode.DEFAULT, none) == Requeue(False, 4)
 
     def test_reference_ignores_proposed_modes(self):
-        assert on_yield(pol.reference(), 0, YieldMode.THROUGHPUT, none) == RequeueFront()
-        assert on_yield(pol.reference(), 0, YieldMode.LATENCY, none) == RequeueFront()
+        assert on_yield(pol.reference(), 0, YieldMode.THROUGHPUT, none) == Requeue(False, 0)
+        assert on_yield(pol.reference(), 0, YieldMode.LATENCY, none) == Requeue(False, 0)
 
     def test_fair_yield_goes_below_lowest_priority(self):
-        assert on_yield(pol.extended(), 0, YieldMode.THROUGHPUT, lambda: -3) == RequeueBack(-4)
+        assert on_yield(pol.extended(), 0, YieldMode.THROUGHPUT, lambda: -3) == Requeue(True, -4)
 
     def test_fair_yield_empty_queue_keeps_own_priority(self):
-        assert on_yield(pol.extended(), 5, YieldMode.THROUGHPUT, none) == RequeueBack(5)
+        assert on_yield(pol.extended(), 5, YieldMode.THROUGHPUT, none) == Requeue(True, 5)
 
     def test_fair_yield_applies_to_default_mode(self):
-        assert on_yield(pol.extended(), 0, YieldMode.DEFAULT, lambda: 2) == RequeueBack(1)
+        assert on_yield(pol.extended(), 0, YieldMode.DEFAULT, lambda: 2) == Requeue(True, 1)
 
     def test_extended_without_fair_yield_default_churns(self):
         cfg = pol.extended(fair_yield=False)
-        assert on_yield(cfg, 0, YieldMode.DEFAULT, none) == RequeueFront()
+        assert on_yield(cfg, 0, YieldMode.DEFAULT, none) == Requeue(False, 0)
+        assert on_yield(cfg, 2, YieldMode.THROUGHPUT, lambda: -9) == Requeue(True, 2)
 
     def test_latency_resumes_immediately(self):
-        assert on_yield(pol.extended(), 0, YieldMode.LATENCY, none) == ResumeImmediately()
+        assert on_yield(pol.extended(), 0, YieldMode.LATENCY, none) is None
 
     def test_fcfs_follows_extended_without_fair_yield(self):
         # the shared queue puts a front requeue at the far end as well
@@ -715,20 +709,8 @@ class TestOnYield:
                 fair = cfg.fair_yield and mode is not YieldMode.LATENCY
                 decision = on_yield(cfg, 0, mode, lowest if fair else unread)
                 if fair:
-                    assert decision == RequeueBack(2)
+                    assert decision == Requeue(True, 2)
         assert len(calls) == 2  # extended, default and throughput modes
-
-
-class TestOnWait:
-    def test_throughput_always_executes_other_tasks(self):
-        for cfg in (pol.reference(), pol.fcfs(), pol.extended()):
-            assert on_wait(cfg, WaitMode.THROUGHPUT) is WaitDecision.EXECUTE_OTHER_TASKS
-
-    def test_latency_honored_by_extended(self):
-        assert on_wait(pol.extended(), WaitMode.LATENCY) is WaitDecision.IDLE_UNTIL_COMPLETE
-
-    def test_latency_ignored_by_reference(self):
-        assert on_wait(pol.reference(), WaitMode.LATENCY) is WaitDecision.EXECUTE_OTHER_TASKS
 
 
 def test_decisions_are_deterministic():
