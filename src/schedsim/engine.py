@@ -81,10 +81,12 @@ class SimConfig:
     max_virtual_time: int = DEFAULT_MAX_VIRTUAL_TIME
 
     def __post_init__(self):
+        if type(self.thread_count) is not int:
+            raise ConfigError(f"thread_count must be an int, got {self.thread_count!r}")
         if not 1 <= self.thread_count <= MAX_THREADS:
             raise ConfigError(f"thread_count must be in [1, {MAX_THREADS}]")
-        if self.max_virtual_time <= 0:
-            raise ConfigError("max_virtual_time must be positive")
+        if type(self.max_virtual_time) is not int or self.max_virtual_time <= 0:
+            raise ConfigError("max_virtual_time must be a positive int")
 
 
 class _Run:

@@ -73,8 +73,8 @@ class PolicyConfig:
     honor_latency_wait: bool = False
 
     def __post_init__(self):
-        if self.queue_bound is not None and self.queue_bound <= 0:
-            raise ConfigError("queue_bound must be positive or None")
+        if self.queue_bound is not None and (type(self.queue_bound) is not int or self.queue_bound <= 0):
+            raise ConfigError("queue_bound must be a positive int or None")
         if self.kind is not PolicyKind.EXTENDED:
             for flag in ("priority_aware", "fair_yield", "honor_latency_wait", "scatter_on_overflow"):
                 object.__setattr__(self, flag, False)

@@ -564,6 +564,12 @@ def _action_json(action: Action) -> str:
 
 
 def graph_to_json(graph: TaskGraph, meta: dict | None = None) -> str:
+    """The graph file of `graph`.  A field of the wrong type (the first
+    ``WrongType`` of ``validate``) is a TypeError: the file would
+    truncate or garble it.  Other violations write and read back as they are."""
+    wrong = next((v for v in graph._violations if v.kind == "WrongType"), None)
+    if wrong is not None:
+        raise TypeError(f"task {wrong.task}, {wrong.detail}")
     tasks = [
         _TASK_JSON
         % (

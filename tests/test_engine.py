@@ -83,6 +83,13 @@ class TestBasics:
             SimConfig(thread_count=MAX_THREADS + 1, policy=pol.reference())
         assert SimConfig(thread_count=MAX_THREADS, policy=pol.reference()).thread_count == MAX_THREADS
 
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    def test_config_counts_take_exact_ints(self, value):
+        with pytest.raises(ConfigError, match="thread_count"):
+            SimConfig(thread_count=value, policy=pol.reference())
+        with pytest.raises(ConfigError, match="max_virtual_time"):
+            SimConfig(thread_count=1, policy=pol.reference(), max_virtual_time=value)
+
     def test_determinism_bit_identical(self):
         cfg = SimConfig(thread_count=3, policy=pol.extended())
         first = simulate(fork_join_graph(), cfg)
@@ -133,6 +140,46 @@ class TestUndeferred:
         trace = simulate(g, SimConfig(thread_count=1, policy=pol.reference(queue_bound=1)))
         throttled = [e.task for e in trace.events if e.kind is EventKind.THROTTLED]
         assert throttled == [2]
+        assert trace.outcome is Outcome.COMPLETED
+
+
+def scattered(trace):
+    return [(e.time, e.task, e.thread) for e in trace.events if e.kind is EventKind.SCATTERED]
+
+
+class TestScatter:
+    """Under ``extended`` a placement on another thread's queue is a scatter."""
+
+    def test_must_defer_overflow_goes_to_first_victim_with_space(self):
+        # Root 3 fills queue 1 before thread 1 first picks.
+        must = DeferMode.MUST_DEFER
+        g = TaskGraph(
+            tasks=(TaskSpec(0, (Spawn(1, must), Spawn(2, must), Compute(1))),)
+            + tuple(TaskSpec(i, (Compute(1),)) for i in (1, 2, 3)),
+            roots=(0, 3),
+        )
+        eng = _Engine(g, SimConfig(thread_count=3, policy=pol.extended(queue_bound=1)))
+        trace = eng.run()
+        assert scattered(trace) == [(0, 2, 2)]
+        assert not any(e.kind is EventKind.THROTTLED for e in trace.events)
+        assert eng.runs[2].priority == pol.MIN_PRIORITY and eng.runs[1].priority == 0
+        assert trace.outcome is Outcome.COMPLETED
+
+    def test_loop_chunks_scatter_one_per_victim_then_stay_local(self):
+        # Root 6 (priority 5) is still queued when root 0 issues the burst:
+        # every chunk tops it.
+        chunks = tuple(TaskSpec(i, (Compute(1),), label=pol.LOOP_CHUNK_LABEL) for i in range(1, 6))
+        g = TaskGraph(
+            tasks=(TaskSpec(0, tuple(Spawn(c.id) for c in chunks) + (TaskwaitChildren(),), priority=9),)
+            + chunks
+            + (TaskSpec(6, (Compute(1),), priority=5),),
+            roots=(0, 6),
+        )
+        eng = _Engine(g, SimConfig(thread_count=3, policy=pol.extended()))
+        trace = eng.run()
+        assert scattered(trace) == [(0, 1, 1), (0, 2, 2)]
+        assert eng.runs[0].chunk_scatters == 2
+        assert [eng.runs[c.id].priority for c in chunks] == [6] * 5
         assert trace.outcome is Outcome.COMPLETED
 
 

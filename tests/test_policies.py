@@ -74,6 +74,12 @@ class TestConfig:
         with pytest.raises(pol.ConfigError):
             pol.reference(queue_bound=0)
 
+    @pytest.mark.parametrize("bound", [2.5, True, "3"])
+    def test_bound_takes_exact_ints(self, bound):
+        for make in (pol.reference, pol.extended):
+            with pytest.raises(pol.ConfigError, match="queue_bound"):
+                make(queue_bound=bound)
+
 
 class TestOnSpawn:
     def test_reference_below_bound_enqueues(self):

@@ -178,6 +178,9 @@ class TestWrongType:
     def test_each_decoded_field_is_checked(self, case):
         g, *violations = case
         assert validate(g) == violations
+        with pytest.raises(TypeError) as info:
+            graph_to_json(g)  # never truncated or garbled
+        assert str(info.value) == f"task {violations[0].task}, {violations[0].detail}"
 
     def test_the_valid_graph_of_those_cases_passes(self):
         actions = (Spawn(1), PollOutcome(1), TaskgroupEnd(WaitMode.LATENCY))
