@@ -200,7 +200,9 @@ def _find_violations(graph: TaskGraph) -> list:
                 violations.append(_wrong_type(pos, "id", spec.id))
             elif spec.id != pos:
                 violations.append(Violation("BadId", spec.id, f"expected id {pos}"))
-        return violations
+        # The field types are checked whatever the ids, each task named by its position.
+        numbered = [TaskSpec(pos, s.actions, s.priority, s.tied, s.label) for pos, s in enumerate(graph.tasks)]
+        return violations + [v for v in _find_violations(TaskGraph(numbered, graph.roots)) if v.kind == "WrongType"]
 
     known = set(range(n))
     root_set = set()

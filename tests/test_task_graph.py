@@ -182,6 +182,28 @@ class TestWrongType:
             graph_to_json(g)  # never truncated or garbled
         assert str(info.value) == f"task {violations[0].task}, {violations[0].detail}"
 
+    @pytest.mark.parametrize(
+        "tasks, violations",
+        [
+            (
+                (TaskSpec(1, (Compute(2.5),)),),
+                [Violation("BadId", 1, "expected id 0"), Violation("WrongType", 0, "duration: expected int, got 2.5")],
+            ),
+            (
+                (TaskSpec(0, (Compute(True),)), TaskSpec(5, (Compute(2),))),
+                [Violation("BadId", 5, "expected id 1"), Violation("WrongType", 0, "duration: expected int, got True")],
+            ),
+        ],
+        ids=["float-after-bad-id", "bool-before-bad-id"],
+    )
+    def test_fields_are_checked_whatever_the_ids(self, tasks, violations):
+        # a bad id stops the structural checks, not the type checks: the
+        # file would write 2 and 1 for these durations
+        g = TaskGraph(tasks, (0,))
+        assert validate(g) == violations
+        with pytest.raises(TypeError, match="^task 0, duration: expected int"):
+            graph_to_json(g)
+
     def test_the_valid_graph_of_those_cases_passes(self):
         actions = (Spawn(1), PollOutcome(1), TaskgroupEnd(WaitMode.LATENCY))
         g = TaskGraph((TaskSpec(0, actions), TaskSpec(1, (Compute(2),))), (0,))
