@@ -41,6 +41,9 @@ MIN_PRIORITY = -(2**63)
 #: one per victim queue with a priority above everything pending.
 LOOP_CHUNK_LABEL = "loop-chunk"
 
+# Packed ready-queue entries (see ``ReadyQueues``): order bias, task bits, a failed index lookup.
+_BIAS, _TASK, _GONE = 1 << 63, (1 << 32) - 1, (None, None)
+
 
 class PolicyKind(str, Enum):
     REFERENCE_DEQUE = "reference"
@@ -185,81 +188,90 @@ class ReadyQueues:
     """The ready queues of one simulation run, and the pick rule.
 
     fcfs serves every thread from one shared queue; the other policies
-    give thread ``t`` queue ``t``.  Root ``i`` is pushed with ``back`` to
-    queue ``i`` (mod the queue count) at construction.
+    give thread ``t`` queue ``t``.  Root ``i`` goes to queue ``i`` (mod
+    the queue count) as a ``back`` push; one ``heapify`` seeds each heap.
 
     Every queue keeps two ``heapq`` min-heaps over its entries: ``near``
-    yields the pick end first, ``far`` the far end.  A near entry is
-    ``(-rank, order, task, seq)`` and its far twin ``(rank, -order, task,
-    seq)``, ``seq`` being the enqueue stamp.  With priority awareness the
-    rank is the priority and the order ``seq``; without it every rank is 0
-    and the order ``-seq`` for a pick-end push and ``seq`` for a ``back``
-    push (every fcfs push), so a queue reads as a double-ended queue and
-    keeps no priorities.  Only unaware steals and aware ``lowest_pending``
-    read ``far``: a push skips an empty one, a read rebuilds it from the
-    live near entries.  ``index`` maps each queued task to its ``(queue,
-    near entry)``; ``counts`` holds the live entries per queue, and bit
-    ``q`` of ``filled`` is set while ``counts[q]`` is not 0, so steals
-    walk only those queues, round-robin.  A pick drops the task from
-    ``index`` and pops the entry it took if that is on top.  Other dead
-    entries are discarded on reaching a heap's top, or by a rebuild of a
-    heap holding over twice its queue's live entries (plus 16).  With
-    priority awareness and more than one queue, ``steals`` is one more
-    heap holding every queue's near entries, pruned the same way against
-    all live entries: the entries compare in the one global pick order,
-    so a steal takes its top pickable entry rather than probing every
-    victim (an own entry there would have been the own pick).  A
-    priority-aware pick filtered by a sync set smaller than the queued
-    count looks the set's tasks up in ``index``; any other pick searches
-    heaps from the top, popping the entries it must skip aside and
-    pushing them back.  The first ``max_priority`` call counts the live
-    non-chunk entries per priority into ``ranks``, which pushes and picks
-    then keep, with a max-heap of the priorities pruned at its top.
+    yields the pick end first, ``far`` the far end.  A near entry packs
+    ``(-rank, order, task)`` into one int, ``((-rank << 64) + order +
+    2**63) << 32 | task`` (task ids below 2**32), so the heaps compare
+    plain ints in C; a far entry is the negated near entry.  The priority
+    reads back as ``-(entry >> 96)``, the task as ``entry & _TASK``.  With
+    priority awareness the rank is the priority and the order ``seq``, the
+    count of pushes so far; without it every rank is 0 and the order
+    ``-seq`` for a pick-end push and ``seq`` for a ``back`` push (every
+    fcfs push), so a queue reads as a double-ended queue and keeps no
+    priorities.  Only unaware steals and aware ``lowest_pending`` read
+    ``far``: a push skips an empty one, a read rebuilds it from the live
+    near entries.  ``index`` maps each queued task to its ``(queue, near
+    entry)``; an entry is live while it equals its task's entry there.
+    ``counts`` holds the live entries per queue, and bit ``q`` of
+    ``filled`` is set while ``counts[q]`` is not 0, so steals walk only
+    those queues, round-robin.  A pick drops the task from ``index`` and
+    pops each entry it took that is on top.  Other dead entries are
+    discarded on reaching a heap's top, or by a rebuild of a heap holding
+    over twice its queue's live entries (plus 16).  With priority
+    awareness and more than one queue, ``steals`` is one more heap holding
+    every queue's near entries, pruned the same way against all live
+    entries: the entries compare in the one global pick order, so a steal
+    takes its top pickable entry rather than probing every victim (an own
+    entry there would have been the own pick).  A pick takes the own top
+    at once if it is live and pickable and no ``steals`` entry outranks
+    it; else a priority-aware pick filtered by a sync set smaller than the
+    queued count looks the set's tasks up in ``index``, and any other
+    searches heaps from the top, popping the entries it must skip aside
+    and pushing them back.  The first ``max_priority`` call counts the
+    live non-chunk entries per priority into ``ranks``, which pushes and
+    picks then keep, with a max-heap of the priorities pruned at its top.
     """
 
     def __init__(self, cfg: PolicyConfig, graph, thread_count: int):
-        self.specs = graph.tasks
-        self.priority_aware = cfg.priority_aware
+        self.specs = specs = graph.tasks
+        self.priority_aware = aware = cfg.priority_aware
         self.fcfs = cfg.kind is PolicyKind.GLOBAL_FCFS
         count = 1 if self.fcfs else thread_count
-        self.near = [[] for _ in range(count)]
+        roots = graph.roots
+        entries = [
+            (((-specs[root].priority << 64 if aware else 0) + seq + _BIAS) << 32) | root
+            for seq, root in enumerate(roots, 1)
+        ]
+        self.near = [entries[queue::count] for queue in range(count)]
         self.far = [[] for _ in range(count)]
-        self.counts = [0] * count
-        self.steals = [] if self.priority_aware and count > 1 else None
-        self.filled = 0
+        self.counts = list(map(len, self.near))
+        self.steals = entries[:] if aware and count > 1 else None
+        for heap in (*self.near, self.steals or []):
+            heapify(heap)
+        self.filled = (1 << min(count, len(roots))) - 1
         self.walks = [(0, [])] * count  # per thread: (filled, _walk) at its last steal
-        self.index = {}
+        self.index = {root: (pos % count, entry) for pos, (root, entry) in enumerate(zip(roots, entries))}
         self.ranks = None  # priority -> live non-chunk entries, once max_priority is read
         self.rank_heap = []  # negated priorities, each key of ranks once
-        self.seq = 0
-        for pos, root in enumerate(graph.roots):
-            self.push(pos, root, self.specs[root].priority, back=True)
+        self.seq = len(roots)
 
     def push(self, thread: int, task: int, priority: int, back: bool = False):
         self.seq = seq = self.seq + 1
         own = thread % len(self.near)
         rank = priority if self.priority_aware else 0
         order = seq if back or self.fcfs or self.priority_aware else -seq
-        entry = (-rank, order, task, seq)
+        entry = (((-rank << 64) + order + _BIAS) << 32) | task
         heappush(self.near[own], entry)
         if self.steals is not None:
             heappush(self.steals, entry)
         if self.far[own]:
-            heappush(self.far[own], (rank, -order, task, seq))
+            heappush(self.far[own], -entry)
         self.index[task] = (own, entry)
         self.counts[own] += 1
         self.filled |= 1 << own
         if self.ranks is not None:
             self._tally(task, priority, 1)
 
-    def _live(self, entry) -> bool:
-        found = self.index.get(entry[2])
-        return found is not None and found[1][3] == entry[3]
+    def _live(self, entry: int) -> bool:
+        return self.index.get(entry & _TASK, _GONE)[1] == entry
 
     def _far(self, queue: int) -> list:
         far = self.far[queue]
         if not far and self.counts[queue]:
-            far[:] = [(-e[0], -e[1], e[2], e[3]) for e in self.near[queue] if self._live(e)]
+            far[:] = [-e for e in self.near[queue] if self._live(e)]
             heapify(far)
         return far
 
@@ -295,68 +307,90 @@ class ReadyQueues:
         all queues, preferring the own queue on priority ties.
         """
         own = thread % len(self.near)
-        if self.priority_aware and allowed is not None and len(allowed) < len(self.index):
+        index, near, steals = self.index, self.near[own], self.steals
+        own_best = steal_best = None
+        top = near[0] if near else None
+        if (
+            top is not None
+            and index.get(top & _TASK, _GONE)[1] == top
+            and (allowed is None or top & _TASK in allowed)
+            and (not steals or steals[0] >= top >> 96 << 96)
+            and movable(top & _TASK)
+        ):
+            own_best = top  # live, pickable, and no steals entry outranks it
+        elif self.priority_aware and allowed is not None and len(allowed) < len(index):
             # One pass; `movable` is asked only of an entry that beats its
             # side's best so far (entries are unique, so the result is the same).
-            own_best = steal_best = None
-            for task in self.index.keys() & allowed:
-                queue, entry = self.index[task]
+            for task in index.keys() & allowed:
+                queue, entry = index[task]
                 if queue == own:
                     if (own_best is None or entry < own_best) and movable(task):
                         own_best = entry
                 elif (steal_best is None or entry < steal_best) and movable(task):
                     steal_best = entry
         else:
-            own_best = self._top_pickable(self.near[own], movable, allowed, None)
-            steal_best = None
-            if self.steals is not None:
+            own_best = self._top_pickable(near, movable, allowed, None)
+            if steals is not None:
                 # Only a victim entry of strictly higher priority beats the own
                 # one; every own entry above that bound is unpickable.
-                bound = None if own_best is None else own_best[:1]
-                steal_best = self._top_pickable(self.steals, movable, allowed, bound)
+                bound = None if own_best is None else own_best >> 96 << 96
+                steal_best = self._top_pickable(steals, movable, allowed, bound)
             elif own_best is None and not self.priority_aware:
                 for victim in self._walk(own):
-                    steal_best = self._top_pickable(self._far(victim), movable, allowed, None)
+                    steal_best = self._top_pickable(self._far(victim), movable, allowed, None, -1)
                     if steal_best is not None:
                         break
-        stolen = steal_best is not None and (own_best is None or steal_best[0] < own_best[0])
+        stolen = steal_best is not None and (own_best is None or steal_best >> 96 < own_best >> 96)
         best = steal_best if stolen else own_best
         if best is None:
             return None
-        queue, _ = self.index.pop(best[2])
+        task = best & _TASK
+        queue = index.pop(task)[0]
         count = self.counts[queue] = self.counts[queue] - 1
         if not count:
             self.filled &= ~(1 << queue)
         if self.ranks is not None:
-            self._tally(best[2], -best[0], -1)
-        heaps = [(self.near[queue], count), (self.far[queue], count)]
-        if self.steals is not None:
-            heaps.append((self.steals, len(self.index)))
-        for heap, live in heaps:
-            if heap and heap[0] is best:
-                heappop(heap)
-            if len(heap) > 2 * live + 16:  # every pick leaves dead entries behind
-                heap[:] = [entry for entry in heap if self._live(entry)]
-                heapify(heap)
-        return best[2], stolen
+            self._tally(task, -(best >> 96), -1)
+        near, far = self.near[queue], self.far[queue]
+        if near[0] == best:
+            heappop(near)
+        if far and far[0] == -best:
+            heappop(far)
+        if steals is not None and steals[0] == best:
+            heappop(steals)
+        # every pick leaves dead entries behind: rebuild a heap past twice its live entries
+        get = index.get
+        if len(near) > 2 * count + 16:
+            near[:] = [e for e in near if get(e & _TASK, _GONE)[1] == e]
+            heapify(near)
+        if len(far) > 2 * count + 16:
+            far[:] = [e for e in far if get(-e & _TASK, _GONE)[1] == -e]
+            heapify(far)
+        if steals is not None and len(steals) > 2 * len(index) + 16:
+            steals[:] = [e for _, e in index.values()]
+            heapify(steals)
+        return task, stolen
 
-    def _top_pickable(self, heap: list, movable, allowed, bound):
-        """Smallest live pickable entry of a heap below ``bound`` (None:
-        unbounded), or None.  Unpickable entries are popped aside and pushed
-        back afterwards."""
-        found, aside = None, []
+    def _top_pickable(self, heap: list, movable, allowed, bound, sign: int = 1):
+        """Smallest live pickable near entry of a heap below ``bound``
+        (None: unbounded), or None; ``sign`` -1 reads a far heap.
+        Unpickable entries are popped aside and pushed back afterwards."""
+        get, aside = self.index.get, None
         while heap and (bound is None or heap[0] < bound):
-            entry = heap[0]
-            if not self._live(entry):
+            entry = heap[0] if sign > 0 else -heap[0]
+            task = entry & _TASK
+            if get(task, _GONE)[1] != entry:
                 heappop(heap)
-            elif (allowed is None or entry[2] in allowed) and movable(entry[2]):
-                found = entry
+            elif (allowed is None or task in allowed) and movable(task):
                 break
             else:
+                aside = aside or []
                 aside.append(heappop(heap))
-        for entry in aside:
-            heappush(heap, entry)
-        return found
+        else:
+            entry = None
+        for item in aside or ():
+            heappush(heap, item)
+        return entry
 
     def any_pickable(self, movable: Callable[[int], bool], allowed=None) -> bool:
         """Would ``pick`` with the same arguments find a task?"""
@@ -367,8 +401,10 @@ class ReadyQueues:
         it is empty or keeps no priorities."""
         if not self.priority_aware:
             return None
-        top = self._top_pickable(self._far(thread % len(self.far)), lambda task: True, None, None)
-        return None if top is None else top[0]
+        far = self._far(thread % len(self.far))
+        while far and not self._live(-far[0]):
+            heappop(far)
+        return -(-far[0] >> 96) if far else None
 
     def max_priority(self) -> Optional[int]:
         """Highest priority pending in any queue, loop chunks excluded
@@ -379,7 +415,7 @@ class ReadyQueues:
         if self.ranks is None:
             self.ranks = {}
             for _, entry in self.index.values():
-                self._tally(entry[2], -entry[0], 1)
+                self._tally(entry & _TASK, -(entry >> 96), 1)
         heap = self.rank_heap
         while heap and not self.ranks[-heap[0]]:
             del self.ranks[-heappop(heap)]

@@ -44,6 +44,11 @@ def assert_pick(cfg, thread, queues, pickable, task, stolen):
             assert rq.any_pickable(lambda t: t == queued) == (queued != task)
 
 
+def decoded(entry):
+    """``(-rank, order, task)`` of a packed near entry (a far entry negated)."""
+    return entry >> 96, (entry >> 32 & (2**64 - 1)) - 2**63, entry & (2**32 - 1)
+
+
 def task(label="", priority=0):
     return TaskSpec(id=99, actions=(), label=label, priority=priority)
 
@@ -287,7 +292,8 @@ class TestReadyQueues:
         assert rq.lowest_pending(0) is None
         assert rq.lowest_pending(1) is None
         assert rq.max_priority() is None
-        assert all(len(entry) == 4 for heap in rq.near + rq.far for entry in heap)
+        assert all(decoded(entry)[0] == 0 for heap in rq.near for entry in heap)
+        assert all(decoded(-entry)[0] == 0 for heap in rq.far for entry in heap)
 
     def test_max_priority_skips_loop_chunks(self):
         specs = (task(), task(label=pol.LOOP_CHUNK_LABEL), task())
@@ -397,31 +403,42 @@ class DequeQueues:
         return None
 
 
+# Small priorities tie often; MIN_PRIORITY (a must_defer scatter), the
+# values below it (fair yields go one lower without bound) and those past
+# 2**64 reach the far ends of the packed entries.
+PRIORITIES = st.integers(-2, 2) | st.sampled_from(
+    [pol.MIN_PRIORITY, pol.MIN_PRIORITY - 1, pol.MIN_PRIORITY - 2**70, 2**64, 2**64 + 1, 2**100]
+)
+
+
 def drive_against_model(data, cfg, model, max_threads=4):
     """Random pushes (re-pushing picked tasks, so heaps hold dead entries),
     picks under random `movable` predicates and `allowed` sets of every
     size, and every query agree between `ReadyQueues` under `cfg` and
-    `model(graph, threads)`."""
+    `model(graph, threads)`.  The queued task ids start at 0 or in the
+    thousands."""
     threads = data.draw(st.integers(1, max_threads), label="threads")
     size = data.draw(st.integers(1, 16), label="tasks")
-    specs = tuple(
+    first = data.draw(st.sampled_from([0, 1000, 4093]), label="first id")
+    specs = (TaskSpec(id=0),) * first + tuple(
         TaskSpec(
-            id=i,
-            priority=data.draw(st.integers(-2, 2)),
+            id=first + i,
+            priority=data.draw(PRIORITIES),
             label=data.draw(st.sampled_from(["", pol.LOOP_CHUNK_LABEL])),
         )
         for i in range(size)
     )
-    graph = TaskGraph(tasks=specs, roots=tuple(range(data.draw(st.integers(0, size)))))
+    ids = range(first, first + size)
+    graph = TaskGraph(tasks=specs, roots=tuple(ids[: data.draw(st.integers(0, size))]))
     rq, model = ReadyQueues(cfg, graph, threads), model(graph, threads)
     queued = set(graph.roots)
-    tasks = st.integers(0, size - 1)
+    tasks = st.sampled_from(ids)
     for _ in range(data.draw(st.integers(0, 40), label="steps")):
         thread = data.draw(st.integers(0, threads - 1))
         op = data.draw(st.sampled_from(["push", "push", "pick", "pick", "queries"]))
         if op == "push" and len(queued) < size:
-            task_id = data.draw(st.sampled_from(sorted(set(range(size)) - queued)))
-            priority = data.draw(st.integers(-2, 2))
+            task_id = data.draw(st.sampled_from(sorted(set(ids) - queued)))
+            priority = data.draw(PRIORITIES)
             back = data.draw(st.booleans())
             rq.push(thread, task_id, priority, back)
             model.push(thread, task_id, priority, back)
@@ -526,12 +543,29 @@ class TestPickWork:
         assert rq.pick(0, movable, {0, 1, 2, 3}) == (0, False)
         assert calls == [0, 2]
 
+    def test_filtered_pick_takes_an_own_top_in_the_set_at_once(self):
+        # no entry outranks the own top, which is in the set and movable:
+        # neither side's entries in the set are looked at
+        rq = ReadyQueues(pol.extended(), TaskGraph(), 2)
+        for task_id in range(100):
+            rq.push(0, task_id, task_id)
+        for task_id in range(100, 300):
+            rq.push(1, task_id, 0)
+        calls = []
+
+        def movable(task_id):
+            calls.append(task_id)
+            return True
+
+        assert rq.pick(0, movable, set(range(100))) == (99, False)
+        assert calls == [99]
+
     def test_fair_yields_pop_each_dead_entry_once(self, monkeypatch):
         rq = ReadyQueues(pol.extended(), TaskGraph(), 1)
         dead_pops = {"near": [], "far": []}
 
         def heappop(heap):
-            if not rq._live(heap[0]):
+            if not rq._live(heap[0] if heap is rq.near[0] else -heap[0]):
                 dead_pops["near" if heap is rq.near[0] else "far"].append(heap[0])
             return heapq.heappop(heap)
 
@@ -559,7 +593,7 @@ class TestPickWork:
                 assert all(len(heap) <= 2 * count + 16 for heap, count in zip(heaps, rq.counts))
             if step % 97 == 0:
                 for queue in range(8):
-                    pending = [-e[0] for q, e in rq.index.values() if q == queue]
+                    pending = [-decoded(e)[0] for q, e in rq.index.values() if q == queue]
                     assert rq.lowest_pending(queue) == min(pending, default=None)
         assert rq.counts == [0] * 8
         assert all(len(heap) <= 16 for heap in rq.near + rq.far)
@@ -611,8 +645,9 @@ class TestQueueBookkeeping:
                     queued.remove(picked[0])
             assert rq.filled == sum(1 << queue for queue, count in enumerate(rq.counts) if count)
             if step >= first_read:
+                chunk = pol.LOOP_CHUNK_LABEL
                 scan = max(
-                    (-e[0] for _, e in rq.index.values() if specs[e[2]].label != pol.LOOP_CHUNK_LABEL),
+                    (-rank for _, e in rq.index.values() for rank, _, task in [decoded(e)] if specs[task].label != chunk),
                     default=None,
                 )
                 assert rq.max_priority() == scan
@@ -654,10 +689,10 @@ class TestQueueBookkeeping:
             assert not rq.pick(0, anything)[1]
         assert rq.far == [[], []]
         assert rq.pick(0, anything) == (n - 1, True)  # the newest root of queue 1
-        live = sorted(task for queue, (_, _, task, _) in rq.index.values() if queue == 1)
-        assert sorted(e[2] for e in rq.far[1] if rq._live(e)) == live
+        live = sorted(decoded(e)[2] for queue, e in rq.index.values() if queue == 1)
+        assert sorted(decoded(-e)[2] for e in rq.far[1] if rq._live(-e)) == live
         rq.push(1, 0, 0)
-        assert sorted(e[2] for e in rq.far[1] if rq._live(e)) == [0] + live
+        assert sorted(decoded(-e)[2] for e in rq.far[1] if rq._live(-e)) == [0] + live
         assert rq.far[0] == []
         aware = ReadyQueues(pol.extended(), graph, 2)
         assert aware.far == [[], []]
