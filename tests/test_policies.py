@@ -645,9 +645,9 @@ class TestQueueBookkeeping:
                     queued.remove(picked[0])
             assert rq.filled == sum(1 << queue for queue, count in enumerate(rq.counts) if count)
             if step >= first_read:
-                chunk = pol.LOOP_CHUNK_LABEL
+                pending = [decoded(e) for _, e in rq.index.values()]
                 scan = max(
-                    (-rank for _, e in rq.index.values() for rank, _, task in [decoded(e)] if specs[task].label != chunk),
+                    (-rank for rank, _, task in pending if specs[task].label != pol.LOOP_CHUNK_LABEL),
                     default=None,
                 )
                 assert rq.max_priority() == scan
