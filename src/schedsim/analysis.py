@@ -7,7 +7,7 @@ reproducible bit for bit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .trace import MAX_THREADS, EventKind, Outcome, ScheduleTrace, SegmentKind
@@ -43,17 +43,10 @@ class AnalysisReport:
     poll_spin_ticks: int
 
     def to_dict(self) -> dict:
-        return {
-            "makespan": self.makespan,
-            "critical_path_length": self.critical_path_length,
-            "occupancy": str(self.occupancy),
-            "per_thread_busy": [str(f) for f in self.per_thread_busy],
-            "throttled_spawns": self.throttled_spawns,
-            "undeferred_on_critical_path": self.undeferred_on_critical_path,
-            "group_start_latency": self.group_start_latency,
-            "starvation": self.starvation,
-            "poll_spin_ticks": self.poll_spin_ticks,
-        }
+        data = {field.name: getattr(self, field.name) for field in fields(self)}
+        data["occupancy"] = str(self.occupancy)
+        data["per_thread_busy"] = [str(f) for f in self.per_thread_busy]
+        return data
 
     def to_text(self) -> str:
         rows = [
@@ -210,24 +203,17 @@ def makespan_reduction(baseline: int, variant: int) -> Fraction:
     return 100 * Fraction(baseline - variant, baseline)
 
 
+#: The report fields ``compare`` gives deltas of, in output order.
+_FLAW_FIELDS = ("throttled_spawns", "undeferred_on_critical_path", "group_start_latency", "poll_spin_ticks", "starvation")
+
+
 def compare(graph: TaskGraph, baseline: ScheduleTrace, variant: ScheduleTrace) -> ComparisonReport:
     """Relative makespan reduction of `variant` over `baseline`; positive
     when the variant is faster."""
     base_report = analyze(graph, baseline)
     var_report = analyze(graph, variant)
     reduction = makespan_reduction(base_report.makespan, var_report.makespan)
-    deltas = {
-        "throttled_spawns": var_report.throttled_spawns - base_report.throttled_spawns,
-        "undeferred_on_critical_path": (
-            var_report.undeferred_on_critical_path
-            - base_report.undeferred_on_critical_path
-        ),
-        "group_start_latency": (
-            var_report.group_start_latency - base_report.group_start_latency
-        ),
-        "poll_spin_ticks": var_report.poll_spin_ticks - base_report.poll_spin_ticks,
-        "starvation": int(var_report.starvation) - int(base_report.starvation),
-    }
+    deltas = {key: getattr(var_report, key) - getattr(base_report, key) for key in _FLAW_FIELDS}
     return ComparisonReport(
         baseline_makespan=base_report.makespan,
         variant_makespan=var_report.makespan,

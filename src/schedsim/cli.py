@@ -31,14 +31,7 @@ EXIT_TIME_LIMIT = 4
 
 def _meta(args: argparse.Namespace) -> dict:
     flags = {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None}
-    for key, value in flags.items():
-        if isinstance(value, Path):
-            flags[key] = str(value)
     return {"tool": "schedsim", "invocation": flags}
-
-
-def _write(path: str, text: str):
-    Path(path).write_text(text)
 
 
 # --- generate ---------------------------------------------------------------
@@ -106,7 +99,7 @@ def run_generate(args) -> int:
     except (generators.InvalidParamsError, TypeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _write(args.output, graph_to_json(graph, meta=_meta(args)))
+    Path(args.output).write_text(graph_to_json(graph, meta=_meta(args)))
     print(f"tasks {len(graph.tasks)} total_work {total_work(graph)}")
     return EXIT_OK
 
@@ -136,13 +129,13 @@ def _policy_from_args(args) -> "policies.PolicyConfig":
 
 
 def _parse(path: str, parse, what: str):
-    """Parse a JSON file; a document of the wrong shape, a value of the
-    wrong type or too large for an integer field, or nesting too deep to
-    decode is a ValueError."""
+    """Parse a JSON file; text that is not JSON, a document of the wrong
+    shape, a value of the wrong type, unknown or too large for an integer
+    field, or nesting too deep to decode is a ValueError naming the file."""
     text = Path(path).read_text()
     try:
         return parse(text)
-    except (TypeError, OverflowError, RecursionError) as exc:
+    except (TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ValueError(f"{path}: malformed {what} file: {exc}") from None
 
 
@@ -168,9 +161,9 @@ def run_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.output:
-        _write(args.output, trace.to_json(meta=_meta(args)))
+        Path(args.output).write_text(trace.to_json(meta=_meta(args)))
     if args.csv:
-        _write(args.csv, trace.to_csv())
+        Path(args.csv).write_text(trace.to_csv())
     print(f"makespan {trace.makespan} outcome {trace.outcome.value}")
     if trace.outcome is engine.Outcome.STARVATION_DETECTED:
         return EXIT_STARVED
@@ -198,7 +191,7 @@ def run_compare(args) -> int:
         f"reduction {float(report.reduction_percent):.4g}%"
     )
     if args.output:
-        _write(args.output, analysis.report_to_json(report, meta=_meta(args)))
+        Path(args.output).write_text(analysis.report_to_json(report, meta=_meta(args)))
     return EXIT_OK
 
 
@@ -214,9 +207,9 @@ def run_report(args) -> int:
         return EXIT_USAGE
     print(report.to_text())
     if args.output:
-        _write(args.output, analysis.report_to_json(report, meta=_meta(args)))
+        Path(args.output).write_text(analysis.report_to_json(report, meta=_meta(args)))
     if args.svg:
-        _write(args.svg, analysis.render_gantt_svg(graph, trace))
+        Path(args.svg).write_text(analysis.render_gantt_svg(graph, trace))
     return EXIT_OK
 
 

@@ -204,18 +204,6 @@ class _Engine:
 
     # -- starvation accounting ---------------------------------------------
 
-    def _poll_blocked(self, run: _Run) -> bool:
-        return run.poll_token is not None and run.poll_failed_at == self.progress
-
-    def _blocked(self, run: _Run) -> bool:
-        """Can this top run not advance on its own?  Its wait is
-        unsatisfied (the rule ``_run_thread`` states), or its undeferred
-        child yielded, was requeued and has not completed."""
-        if run.blocked_child is not None:
-            return not self.runs[run.blocked_child].completed
-        wait = run.wait
-        return wait is not None and (run.pending > 0 if type(wait) is TaskwaitChildren else run.open > 1)
-
     def _movable(self, thread_idx):
         """Predicate over task ids: may this thread take the task, latency
         waits aside?  A started tied task stays on its home thread."""
@@ -229,19 +217,19 @@ class _Engine:
 
     def _starved_round(self) -> bool:
         """True when no thread can progress: each one spins in a poll, sits
-        in a poll that failed since the last progress, or is idle or
-        blocked with nothing it may pick."""
+        in a poll that failed since the last progress, or has nothing it
+        may pick.  The check runs only once a poller has failed twice with
+        no progress in between, so every free thread has been run to where
+        it stops since then: one whose top run has not failed a poll since
+        the last progress has it at an unsatisfied wait or behind an
+        undeferred child that has not completed, and only a pick moves it."""
         for th in self.threads:
             if th.seg_task is not None:
                 if th.seg_kind is not _POLL_SPIN:
                     return False
                 continue
-            if th.stack:
-                top = th.stack[-1]
-                if self._poll_blocked(top):
-                    continue
-                if not self._blocked(top):
-                    return False
+            if th.stack and th.stack[-1].poll_failed_at == self.progress:
+                continue
             if self.ready.any_pickable(th.movable, self._pick_filter(th)):
                 return False
         return True
@@ -341,14 +329,10 @@ class _Engine:
 
             if kind is TaskwaitChildren or kind is TaskgroupEnd:
                 events.append(_new_event((now, _WAIT_ENTERED, run.spec.id, idx)))
-                if run.pending > 0 if kind is TaskwaitChildren else run.open > 1:
-                    run.wait = action
-                    if action.mode is _LATENCY and self.idle_latency:
-                        allowed = self._wait_allowed_tasks(run)
-                        th.filters.append(allowed & th.filters[-1] if th.filters else allowed)
-                    return True
-                events.append(_new_event((now, _WAIT_EXITED, run.spec.id, idx)))
-                run.pc += 1
+                run.wait = action
+                if action.mode is _LATENCY and self.idle_latency:
+                    allowed = self._wait_allowed_tasks(run)
+                    th.filters.append(allowed & th.filters[-1] if th.filters else allowed)
                 progressed = True
                 continue
 

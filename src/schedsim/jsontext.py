@@ -70,7 +70,8 @@ def records(cls, items, fields, name: str) -> tuple:
     """One `cls` tuple per JSON object in `items`, built in C a column at a
     time from (key, reader) `fields`: a JSON type, checked by ``typed`` as
     ``f"{name} {position}, {key}"``, or a converter for each value.  Once
-    a TypeError is raised, an item that is not an object is named first."""
+    a TypeError is raised, an item that is not an object is named first;
+    a converter's ValueError is named ``f"{name} {position}, {key}"``."""
     try:
         columns = [
             typed(list(map(itemgetter(key), items)), read, f"{name} {{}}, {key}")
@@ -83,6 +84,15 @@ def records(cls, items, fields, name: str) -> tuple:
         problem = not_object(items, name)
         if problem:
             raise TypeError(problem) from None
+        raise
+    except ValueError:
+        converters = [(key, read) for key, read in fields if not isinstance(read, type)]
+        for pos, item in enumerate(items):  # in the order the columns were read
+            for key, read in converters:
+                try:
+                    read(item[key])
+                except ValueError as exc:
+                    raise ValueError(f"{name} {pos}, {key}: {exc}") from None
         raise
 
 

@@ -191,6 +191,8 @@ def validate(graph: TaskGraph) -> list:
 
 
 def _find_violations(graph: TaskGraph) -> list:
+    if not {TaskSpec}.issuperset(map(type, graph.tasks)):  # the other rules read the tasks' fields
+        return [_wrong_type(pos, "task", s, TaskSpec) for pos, s in enumerate(graph.tasks) if type(s) is not TaskSpec]
     violations = []
     n = len(graph.tasks)
     ids = [spec.id for spec in graph.tasks]
@@ -261,6 +263,8 @@ def _find_violations(graph: TaskGraph) -> list:
             elif isinstance(action, (TaskwaitChildren, TaskgroupEnd)):
                 if type(action.mode) is not WaitMode:
                     violations.append(_wrong_type(spec.id, "mode", action.mode, WaitMode))
+            else:
+                violations.append(Violation("WrongType", spec.id, f"action: expected an action, got {action!r}"))
 
     for task_id in range(n):
         spawned = spawn_count[task_id]
@@ -501,9 +505,9 @@ def _read_actions(actions: list) -> tuple:
 
 
 def _action_problem(tasks: list):
-    """Which task or action of `tasks` raised a TypeError, sought once one
-    has: the first that is not a JSON object, else the first action that
-    fails to read."""
+    """Which task or action of `tasks` raised a TypeError or ValueError,
+    sought once one has: the first that is not a JSON object, else the
+    first action that fails to read."""
     problem = jsontext.not_object(tasks, "task")
     for pos, task in enumerate(() if problem else tasks):
         problem = jsontext.not_object(task["actions"], f"task {pos}, action")
@@ -512,7 +516,7 @@ def _action_problem(tasks: list):
         for at, action in enumerate(task["actions"]):
             try:
                 _read_actions([action])
-            except TypeError as exc:
+            except (TypeError, ValueError) as exc:
                 return f"task {pos}, action {at}, {exc}"
     return problem
 
@@ -525,12 +529,13 @@ def graph_from_dict(data: dict) -> TaskGraph:
     """The graph of a parsed graph file.  Integer fields take JSON integers
     only, ``tied`` a JSON boolean and ``label`` a string: any other value
     there is a TypeError that names the task, the action and the field,
-    never a silent conversion."""
+    never a silent conversion; an unknown action type or mode is a
+    ValueError that names them alike."""
     items = data["tasks"]
     try:
         tasks = list(starmap(TaskSpec, jsontext.records(tuple, items, _TASK_COLUMNS, "task")))
-    except TypeError as exc:
-        raise TypeError(_action_problem(items) or str(exc)) from None
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(_action_problem(items) or str(exc)) from None
     return TaskGraph(tasks, jsontext.typed(list(data["roots"]), int, "root {}"))
 
 
@@ -560,9 +565,7 @@ def _action_json(action: Action) -> str:
         return _POLL_JSON % (action.target, _YIELD_TEXT[action.yield_mode], action.poll_cost)
     if isinstance(action, TaskwaitChildren):
         return _TASKWAIT_JSON % _WAIT_TEXT[action.mode]
-    if isinstance(action, TaskgroupEnd):
-        return _TASKGROUP_JSON % _WAIT_TEXT[action.mode]
-    raise TypeError(f"unknown action {action!r}")
+    return _TASKGROUP_JSON % _WAIT_TEXT[action.mode]  # any other action is a WrongType
 
 
 def graph_to_json(graph: TaskGraph, meta: dict | None = None) -> str:

@@ -301,6 +301,14 @@ class TestRendering:
         text = report.to_text()
         assert "makespan" in text and "occupancy" in text
 
+    def test_zero_makespan_report_has_zero_occupancy(self):
+        g = TaskGraph((), ())
+        trace = run(g, threads=2)
+        assert trace.makespan == 0
+        data = analyze(g, trace).to_dict()
+        assert data["occupancy"] == "0"
+        assert data["per_thread_busy"] == ["0", "0"]
+
     def test_report_dict_round_trips_fractions_as_strings(self):
         g = single_task_graph()
         report = analyze(g, run(g))

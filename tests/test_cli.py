@@ -2,11 +2,11 @@ import json
 
 import pytest
 
-from schedsim.analysis import compare
+from schedsim.analysis import analyze, compare
 from schedsim.cli import main
 from schedsim.engine import MAX_THREADS, ScheduleTrace
 from schedsim import jsontext, task_graph
-from schedsim.task_graph import graph_from_dict, graph_from_json, validate
+from schedsim.task_graph import Spawn, TaskGraph, TaskSpec, graph_from_dict, graph_from_json, graph_to_json, validate
 
 
 def generate(tmp_path, name, *args):
@@ -224,6 +224,15 @@ class TestCompareReport:
         }
         meta = {"tool": "schedsim", "invocation": invocation}
         assert out.read_text() == json.dumps({"meta": meta, **report.to_dict()}, indent=2)
+
+    def test_report_writes_report(self, tmp_path):
+        graph, slow, _ = self.make_traces(tmp_path)
+        out = tmp_path / "report.json"
+        assert main(["report", str(graph), str(slow), "-o", str(out)]) == 0
+        report = analyze(graph_from_json(graph.read_text()), ScheduleTrace.from_json(slow.read_text()))
+        invocation = {"command": "report", "graph": str(graph), "output": str(out), "trace": str(slow)}
+        data = json.loads(out.read_text())
+        assert data == {"meta": {"tool": "schedsim", "invocation": invocation}, **report.to_dict()}
 
     def test_compare_mismatched_trace_exit_2(self, tmp_path):
         graph, slow, _ = self.make_traces(tmp_path)
@@ -650,3 +659,62 @@ class TestNonObjectRecords:
         capsys.readouterr()
         err = self.error_of(main(["report", str(graph), str(bad)]), capsys)
         assert f"malformed trace file: {named}\n" in err
+
+
+def set_field(records, pos, key, value, at=None):
+    def mutate(data):
+        record = data[records][pos] if at is None else data[records][pos]["actions"][at]
+        record[key] = value
+        return data
+    return mutate
+
+
+class TestUnknownValues:
+    """An unknown action type, mode or record kind names its file and its
+    record, as a value of the wrong type does: one `error:` line, exit 2."""
+
+    def error_of(self, code, capsys):
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize(
+        "mutate, named",
+        [
+            (set_field("tasks", 4, "type", "sleep", at=0), "task 4, action 0, unknown action type 'sleep'"),
+            (
+                set_field("tasks", 3, "yield_mode", "sometimes", at=0),
+                "task 3, action 0, 'sometimes' is not a valid YieldMode",
+            ),
+        ],
+        ids=["action-type", "yield-mode"],
+    )
+    def test_graph_value_named(self, tmp_path, capsys, mutate, named):
+        graph = malformed(tmp_path, "bad.json", mutate, starvation_graph(tmp_path))
+        err = self.error_of(main(["simulate", str(graph)]), capsys)
+        assert f"bad.json: malformed graph file: {named}\n" in err
+
+    @pytest.mark.parametrize(
+        "mutate, named",
+        [
+            (set_field("segments", 1, "kind", "bogus"), "segment 1, kind: 'bogus' is not a valid SegmentKind"),
+            (set_field("events", 2, "kind", "bogus"), "event 2, kind: 'bogus' is not a valid EventKind"),
+            (lambda trace: dict(trace, outcome="bogus"), "'bogus' is not a valid Outcome"),
+        ],
+        ids=["segment-kind", "event-kind", "outcome"],
+    )
+    def test_trace_value_named(self, tmp_path, capsys, mutate, named):
+        graph, slow, _ = TestCompareReport().make_traces(tmp_path)
+        bad = malformed(tmp_path, "bad.json", mutate, slow)
+        capsys.readouterr()
+        err = self.error_of(main(["report", str(graph), str(bad)]), capsys)
+        assert f"bad.json: malformed trace file: {named}\n" in err
+
+
+def test_simulate_refuses_a_graph_that_fails_validation(tmp_path, capsys):
+    # well formed, so it decodes, but the task spawns itself
+    graph = tmp_path / "self.json"
+    graph.write_text(graph_to_json(TaskGraph((TaskSpec(0, (Spawn(0),)),), (0,))))
+    assert main(["simulate", str(graph)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: graph invalid: [") and "SelfSpawn" in err

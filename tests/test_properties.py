@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from schedsim import policies as pol
 from schedsim.analysis import analyze, validate_trace
-from schedsim.engine import EventKind, Outcome, SimConfig, simulate
+from schedsim.engine import EventKind, Outcome, SimConfig, _Engine, simulate
 from schedsim.prng import SplitMix64
 from schedsim.generators import (
     EnclaveWorkloadParams,
@@ -436,3 +436,52 @@ def test_poll_graphs_never_hit_the_time_limit(graph):
         for threads in (1, 2, 3, 4):
             cfg = SimConfig(thread_count=threads, policy=policy, max_virtual_time=10_000)
             assert simulate(graph, cfg).outcome is not Outcome.TIME_LIMIT_EXCEEDED
+
+
+def stopped(runs, run):
+    """Is `run` stopped behind an undeferred child that has not completed,
+    or at a wait that some task it covers has not completed?  Read from
+    the graph and the completions alone: a children wait covers every
+    child spawned before it, a group end the children spawned since the
+    previous group end and their subtrees."""
+    if run.blocked_child is not None:
+        return not runs[run.blocked_child].completed
+    if run.wait is None:
+        return False
+    children, mark = [], 0
+    for action in run.spec.actions[: run.pc]:
+        if isinstance(action, Spawn):
+            children.append(action.child)
+        elif isinstance(action, TaskgroupEnd):
+            mark = len(children)
+    if isinstance(run.spec.actions[run.pc], TaskwaitChildren):
+        return not all(runs[child].completed for child in children)
+    stack = children[mark:]
+    while stack:
+        cur = runs[stack.pop()]
+        if not cur.completed:
+            return True
+        stack.extend(a.child for a in cur.spec.actions if isinstance(a, Spawn))
+    return False
+
+
+class StuckTopsEngine(_Engine):
+    """Checks, at every starvation check, that a free thread whose top run
+    has not failed a poll since the last progress has that run stopped
+    (``stopped``): ``_starved_round`` counts such a thread as stuck
+    unless it may pick queued work."""
+
+    def _starved_round(self):
+        for th in self.threads:
+            if th.seg_task is None and th.stack and th.stack[-1].poll_failed_at != self.progress:
+                assert stopped(self.runs, th.stack[-1])
+        return super()._starved_round()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(poll_graph(), st.integers(0, 2**64 - 1).map(lambda seed: drawn_graph(seed, True))))
+def test_free_threads_at_a_starvation_check_are_stopped(graph):
+    for policy in METAMORPHIC_POLICIES:
+        for threads in (1, 2, 3, 4):
+            cfg = SimConfig(thread_count=threads, policy=policy, max_virtual_time=10_000)
+            assert StuckTopsEngine(graph, cfg).run().to_json() == simulate(graph, cfg).to_json()

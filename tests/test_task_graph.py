@@ -210,6 +210,31 @@ class TestWrongType:
         assert validate(g) == []
         assert graph_from_json(graph_to_json(g)) == g
 
+    @pytest.mark.parametrize(
+        "tasks, violation",
+        [
+            (({"id": 0},), Violation("WrongType", 0, "task: expected TaskSpec, got {'id': 0}")),
+            (
+                (TaskSpec(0, (Spawn(1),)), (1, (Compute(1),))),
+                Violation("WrongType", 1, "task: expected TaskSpec, got (1, (Compute(duration=1),))"),
+            ),
+            ((TaskSpec(0, ("oops", Compute(1))),), Violation("WrongType", 0, "action: expected an action, got 'oops'")),
+            (
+                (TaskSpec(0, (Compute(1), TaskgroupEnd)),),
+                Violation("WrongType", 0, f"action: expected an action, got {TaskgroupEnd!r}"),
+            ),
+        ],
+        ids=["dict-task", "tuple-task", "text-action", "action-class"],
+    )
+    def test_tasks_and_actions_of_the_wrong_type_are_named(self, tasks, violation):
+        # named by the task's position, before the run could fail mid-way
+        g = TaskGraph(tasks, (0,))
+        assert validate(g) == [violation]
+        with pytest.raises(InvalidGraphError):
+            simulate(g, SimConfig(thread_count=1, policy=pol.reference()))
+        with pytest.raises(TypeError, match=f"^task {violation.task}, {violation.detail[:6]}"):
+            graph_to_json(g)
+
     def test_a_mode_given_as_its_text_is_rejected_not_simulated_apart(self):
         # the file of this graph reads back an undeferred spawn, which the
         # engine tells from the text "undeferred" by identity
