@@ -17,7 +17,8 @@ suspended in a wait (or between poll retries) acts as a helper and may
 pick other ready work; a latency wait restricts helping to the wait's
 own synchronization set.  At every timestamp the engine processes, in
 ascending thread order: due segment completions and zero-time
-transitions first, then picks by idle threads, then picks by helpers.
+transitions first, in passes repeated to a fixed point (until one
+changes nothing), then picks by idle threads, then picks by helpers.
 That order fixes every trace byte, and the hot path keeps it while it
 skips work that cannot change a byte: the pick passes run only while
 some queue holds an entry, as a pick from empty queues finds nothing.
@@ -172,8 +173,6 @@ class _Engine:
         self.ready = pol.ReadyQueues(cfg.policy, graph, cfg.thread_count)
         self.segments = []
         self.events = []
-        self.spinners = {}  # poll target -> threads that started a spin on it
-        self.cut = False  # a spin was cut short since the settle pass began
         self.progress = 0
         self.completed_count = 0
         self.outcome = None
@@ -258,14 +257,7 @@ class _Engine:
             node.open -= 1
         self.completed_count += 1
         self.progress += 1
-        task = run.spec.id
-        self.events.append(_new_event((now, _COMPLETED, task, th.idx)))
-        # Truncate spins waiting on this task: the spin loop notices the
-        # completion at its next iteration, i.e. immediately in sim time.
-        for waiter in self.spinners.pop(task, ()):
-            if waiter.seg_target == task and waiter.seg_end > now:
-                waiter.seg_end = now
-                self.cut = True
+        self.events.append(_new_event((now, _COMPLETED, run.spec.id, th.idx)))
 
     # -- the per-thread state machine ----------------------------------------
 
@@ -355,7 +347,6 @@ class _Engine:
                     th.seg_end = now + action.poll_cost
                     th.seg_kind = _POLL_SPIN
                     th.seg_target = action.target
-                    self.spinners.setdefault(action.target, []).append(th)
                     return True
                 run.poll_spun = False
                 self._note_failed_poll(run)
@@ -443,36 +434,29 @@ class _Engine:
         segments = self.segments
         queued = self.ready.index
         while self.outcome is None:
-            # Settle all due completions and zero-time transitions before
-            # anyone picks: wait exits and the spawns they trigger must be
-            # visible to every pick decision at this timestamp.  Another
-            # pass can change something only for a thread left free with a
-            # stack, or one whose spin was cut short: a busy thread's
-            # segment ends later, and an empty stack has nothing to run.
-            stepping = True
-            while stepping and self.outcome is None:
-                stepping = waiting = self.cut = False
-                for th in threads:
-                    task = th.seg_task
-                    if task is not None:
-                        if th.seg_end > now:
-                            continue
-                        kind = th.seg_kind
-                        if now > th.seg_start:
-                            segments.append(_new_segment((th.idx, task, th.seg_start, now, kind)))
-                        if kind is not _POLL_SPIN:
-                            runs[task].pc += 1
-                            self.progress += 1
-                        th.seg_task = th.seg_kind = th.seg_target = None
-                        stepping = True
-                    if th.stack:
-                        if self._run_thread(th, now):
-                            stepping = True
-                        if not waiting and th.seg_task is None and th.stack:
-                            waiting = True
-                stepping = stepping and (waiting or self.cut)
-            if self.outcome is not None:
-                break
+            # Settle all due segments and zero-time transitions before anyone
+            # picks, pass after pass until one changes nothing: wait exits and
+            # the spawns they trigger must be visible to every pick decision
+            # at this timestamp.  A segment is due at its end, and a spin also
+            # once its target has completed.
+            changed = False
+            for th in threads:
+                task = th.seg_task
+                if task is not None:
+                    kind = th.seg_kind
+                    if th.seg_end > now and (kind is not _POLL_SPIN or not runs[th.seg_target].completed):
+                        continue
+                    if now > th.seg_start:
+                        segments.append(_new_segment((th.idx, task, th.seg_start, now, kind)))
+                    if kind is not _POLL_SPIN:
+                        runs[task].pc += 1
+                        self.progress += 1
+                    th.seg_task = th.seg_kind = th.seg_target = None
+                    changed = True
+                if th.stack and self._run_thread(th, now):
+                    changed = True
+            if changed:
+                continue
             # Picks run only while some queue holds an entry.
             picked = False
             for th in threads:  # idle threads pick first

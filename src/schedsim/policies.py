@@ -242,7 +242,6 @@ class ReadyQueues:
         for heap in (*self.near, self.steals or []):
             heapify(heap)
         self.filled = (1 << min(count, len(roots))) - 1
-        self.walks = [(0, [])] * count  # per thread: (filled, _walk) at its last steal
         self.index = {root: (pos % count, entry) for pos, (root, entry) in enumerate(zip(roots, entries))}
         self.ranks = None  # priority -> live non-chunk entries, once max_priority is read
         self.rank_heap = []  # negated priorities, each key of ranks once
@@ -274,18 +273,6 @@ class ReadyQueues:
             far[:] = [-e for e in self.near[queue] if self._live(e)]
             heapify(far)
         return far
-
-    def _walk(self, own: int) -> list:
-        """The filled queues but ``own``, in ``_victims`` order; cached per thread."""
-        mask, walk = self.walks[own]
-        if mask != self.filled:
-            mask, walk = self.filled, []
-            for part in (mask >> (own + 1) << (own + 1), mask & ((1 << own) - 1)):
-                while part:
-                    walk.append((part & -part).bit_length() - 1)
-                    part &= part - 1
-            self.walks[own] = (mask, walk)
-        return walk
 
     def _tally(self, task: int, priority: int, step: int):
         if self.specs[task].label != LOOP_CHUNK_LABEL:
@@ -336,10 +323,12 @@ class ReadyQueues:
                 bound = None if own_best is None else own_best >> 96 << 96
                 steal_best = self._top_pickable(steals, movable, allowed, bound)
             elif own_best is None and not self.priority_aware:
-                for victim in self._walk(own):
-                    steal_best = self._top_pickable(self._far(victim), movable, allowed, None, -1)
-                    if steal_best is not None:
-                        break
+                # The filled queues but own in ``_victims`` order: bits above own, then below.
+                for part in (self.filled >> own + 1 << own + 1, self.filled & (1 << own) - 1):
+                    while part and steal_best is None:
+                        victim = (part & -part).bit_length() - 1
+                        part &= part - 1
+                        steal_best = self._top_pickable(self._far(victim), movable, allowed, None, -1)
         stolen = steal_best is not None and (own_best is None or steal_best >> 96 < own_best >> 96)
         best = steal_best if stolen else own_best
         if best is None:

@@ -618,11 +618,22 @@ class TestQueueBookkeeping:
 
     @pytest.mark.parametrize("count", range(1, 10))
     def test_steals_walk_the_filled_victims_round_robin(self, count):
-        rq = ReadyQueues(pol.reference(), TaskGraph(), count)
+        # queue v holds task v; an unaware pick asks for each victim's task
+        # in order and stops at the first pickable one
         for own in range(count):
             for mask in range(1 << count):
-                rq.filled = mask
-                assert rq._walk(own) == [v for v in pol._victims(own, count) if mask >> v & 1]
+                victims = [v for v in pol._victims(own, count) if mask >> v & 1]
+                for pickable in (None, *victims):
+                    rq = ReadyQueues(pol.reference(), TaskGraph(), count)
+                    for v in range(count):
+                        if mask >> v & 1:
+                            rq.push(v, v, 0)
+                    assert rq.filled == mask
+                    asked = []
+                    picked = rq.pick(own, lambda t: asked.append(t) or t == pickable)
+                    stop = victims.index(pickable) + 1 if pickable is not None else count
+                    assert [t for t in asked if t != own] == victims[:stop]
+                    assert picked == (None if pickable is None else (pickable, True))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_counted_max_priority_matches_a_scan(self, seed):
