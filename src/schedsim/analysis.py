@@ -7,7 +7,7 @@ reproducible bit for bit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .trace import MAX_THREADS, EventKind, Outcome, ScheduleTrace, SegmentKind
@@ -43,10 +43,8 @@ class AnalysisReport:
     poll_spin_ticks: int
 
     def to_dict(self) -> dict:
-        data = {field.name: getattr(self, field.name) for field in fields(self)}
-        data["occupancy"] = str(self.occupancy)
-        data["per_thread_busy"] = [str(f) for f in self.per_thread_busy]
-        return data
+        busy = [str(f) for f in self.per_thread_busy]
+        return dict(asdict(self), occupancy=str(self.occupancy), per_thread_busy=busy)
 
     def to_text(self) -> str:
         rows = [
@@ -74,12 +72,7 @@ class ComparisonReport:
     flaw_deltas: dict
 
     def to_dict(self) -> dict:
-        return {
-            "baseline_makespan": self.baseline_makespan,
-            "variant_makespan": self.variant_makespan,
-            "reduction_percent": str(self.reduction_percent),
-            "flaw_deltas": {k: v for k, v in self.flaw_deltas.items()},
-        }
+        return dict(asdict(self), reduction_percent=str(self.reduction_percent))
 
 
 def _untrusted(graph: TaskGraph, trace: ScheduleTrace) -> list:

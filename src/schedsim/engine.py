@@ -148,7 +148,7 @@ class _Thread:
         self.movable = movable  # may this thread take a task, latency waits aside?
         self.stack = []
         # One narrowed sync set per latency wait on the stack, innermost
-        # last: a waiting run neither yields nor migrates, and its wait
+        # last: a run in a wait neither yields nor migrates, and its wait
         # exits only while it is the top of this stack.
         self.filters = []
         # (ready.seq, filter) at the last failed pick: picks only remove entries
@@ -468,13 +468,6 @@ class _Engine:
             if not picked:
                 break
 
-    def _next_time(self, now: int):
-        nxt = None
-        for th in self.threads:
-            if th.seg_task is not None and now < th.seg_end and (nxt is None or th.seg_end < nxt):
-                nxt = th.seg_end
-        return nxt
-
     def run(self) -> ScheduleTrace:
         now = 0
         while self.outcome is None:
@@ -484,7 +477,10 @@ class _Engine:
             if self.completed_count == len(self.graph.tasks):
                 self.outcome = Outcome.COMPLETED
                 break
-            nxt = self._next_time(now)
+            nxt = None  # the next segment end: at a fixed point each ends after `now`
+            for th in self.threads:
+                if th.seg_task is not None and (nxt is None or th.seg_end < nxt):
+                    nxt = th.seg_end
             if nxt is None:
                 # No future event can unblock anything: pollers (or waiters
                 # behind them) are starved.

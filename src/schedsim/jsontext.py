@@ -56,6 +56,10 @@ def enum_text(enum) -> dict:
 _EXPECTED = {int: "an integer", bool: "true or false", str: "a string"}
 
 
+def expected(kind: type, value) -> str:
+    return f"expected {_EXPECTED[kind]}, got {json.dumps(value, default=repr)}"
+
+
 def typed(values: list, kind: type, name: str) -> list:
     """`values` if each has exactly JSON type `kind` (int, bool or str),
     told by one pass over their types in C; else a TypeError naming the
@@ -63,36 +67,42 @@ def typed(values: list, kind: type, name: str) -> list:
     if {kind}.issuperset(map(type, values)):
         return values
     pos, value = next((pos, v) for pos, v in enumerate(values) if type(v) is not kind)
-    raise TypeError(f"{name.format(pos)}: expected {_EXPECTED[kind]}, got {json.dumps(value, default=repr)}")
+    raise TypeError(f"{name.format(pos)}: {expected(kind, value)}")
+
+
+def read(reader, value, key: str):
+    """``reader(value)``; its TypeError or ValueError names `key`."""
+    try:
+        return reader(value)
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(f"{key}: {exc}") from None
 
 
 def records(cls, items, fields, name: str) -> tuple:
     """One `cls` tuple per JSON object in `items`, built in C a column at a
     time from (key, reader) `fields`: a JSON type, checked by ``typed`` as
     ``f"{name} {position}, {key}"``, or a converter for each value.  Once
-    a TypeError is raised, an item that is not an object is named first;
-    a converter's ValueError is named ``f"{name} {position}, {key}"``."""
+    one fails, an item that is not an object is named first; a converter's
+    TypeError or ValueError is named ``f"{name} {position}, {key}"``."""
+    columns = None
     try:
         columns = [
-            typed(list(map(itemgetter(key), items)), read, f"{name} {{}}, {key}")
-            if isinstance(read, type)
-            else map(read, map(itemgetter(key), items))
-            for key, read in fields
+            typed(list(map(itemgetter(key), items)), reader, f"{name} {{}}, {key}")
+            if isinstance(reader, type)
+            else map(reader, map(itemgetter(key), items))
+            for key, reader in fields
         ]
         return tuple(map(tuple.__new__, repeat(cls), zip(*columns)))
-    except TypeError:
+    except (TypeError, ValueError):
         problem = not_object(items, name)
         if problem:
             raise TypeError(problem) from None
-        raise
-    except ValueError:
-        converters = [(key, read) for key, read in fields if not isinstance(read, type)]
+        if columns is None:  # a typed column, which named its value
+            raise
         for pos, item in enumerate(items):  # in the order the columns were read
-            for key, read in converters:
-                try:
-                    read(item[key])
-                except ValueError as exc:
-                    raise ValueError(f"{name} {pos}, {key}: {exc}") from None
+            for key, reader in fields:
+                if not isinstance(reader, type):
+                    read(reader, item[key], f"{name} {pos}, {key}")
         raise
 
 
@@ -117,5 +127,6 @@ class _Members(dict):
 def enum_reader(enum):
     """value -> member through one dict lookup in C; another hashable value
     goes to `enum(value)`, which returns a member or raises its own
-    ValueError, and an unhashable one is a TypeError."""
+    ValueError, and an unhashable one is a TypeError.  Neither names its
+    field: the decoders locate it once a decode has failed."""
     return _Members(enum).__getitem__

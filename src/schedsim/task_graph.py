@@ -478,22 +478,31 @@ def _compute(duration: int) -> Compute:
     return _int_compute(duration) if type(duration) is int else Compute(duration)
 
 
-def _int(value, key: str) -> int:  # for a value that failed a reader's type test
-    return jsontext.typed([value], int, key)[0]
+def _int(value):  # for a value that failed a reader's type test
+    raise TypeError(jsontext.expected(int, value))
 
 
 class _Readers(dict):
     def __missing__(self, kind):
-        raise ValueError(f"unknown action type {kind!r}")
+        raise ValueError(f"{kind!r} is not a valid action type")
+
+
+class _Probe(dict):
+    """An action that keeps the last key read: the field a failed read
+    stopped at, which the readers do not name."""
+
+    def __getitem__(self, key):
+        self.key = key
+        return dict.__getitem__(self, key)
 
 
 _ACTION_READERS = _Readers({
-    "compute": lambda d: _int_compute(v) if type(v := d["duration"]) is int else _int(v, "duration"),
-    "spawn": lambda d: Spawn(v if type(v := d["child"]) is int else _int(v, "child"), _read_defer(d["defer"])),
+    "compute": lambda d: _int_compute(v) if type(v := d["duration"]) is int else _int(v),
+    "spawn": lambda d: Spawn(v if type(v := d["child"]) is int else _int(v), _read_defer(d["defer"])),
     "poll": lambda d: PollOutcome(
-        v if type(v := d["target"]) is int else _int(v, "target"),
+        v if type(v := d["target"]) is int else _int(v),
         _read_yield(d["yield_mode"]),
-        c if type(c := d["poll_cost"]) is int else _int(c, "poll_cost"),
+        c if type(c := d["poll_cost"]) is int else _int(c),
     ),
     "taskwait_children": lambda d: _WAITS[TaskwaitChildren, _read_wait(d["mode"])],
     "taskgroup_end": lambda d: _WAITS[TaskgroupEnd, _read_wait(d["mode"])],
@@ -514,10 +523,11 @@ def _action_problem(tasks: list):
         if problem:
             return problem
         for at, action in enumerate(task["actions"]):
+            probe = _Probe(action)
             try:
-                _read_actions([action])
+                _ACTION_READERS[probe["type"]](probe)
             except (TypeError, ValueError) as exc:
-                return f"task {pos}, action {at}, {exc}"
+                return f"task {pos}, action {at}, {probe.key}: {exc}"
     return problem
 
 
@@ -530,7 +540,7 @@ def graph_from_dict(data: dict) -> TaskGraph:
     only, ``tied`` a JSON boolean and ``label`` a string: any other value
     there is a TypeError that names the task, the action and the field,
     never a silent conversion; an unknown action type or mode is a
-    ValueError that names them alike."""
+    ValueError, and an unhashable one a TypeError, that names them alike."""
     items = data["tasks"]
     try:
         tasks = list(starmap(TaskSpec, jsontext.records(tuple, items, _TASK_COLUMNS, "task")))

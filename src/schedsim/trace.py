@@ -133,7 +133,7 @@ class ScheduleTrace:
             jsontext.records(Segment, segments, _SEGMENT_COLUMNS, "segment"),
             jsontext.records(TraceEvent, events, _EVENT_COLUMNS, "event"),
             jsontext.typed([makespan], int, "makespan")[0],
-            _read_outcome(outcome),
+            jsontext.read(_read_outcome, outcome, "outcome"),
         )
 
     def to_json(self, meta: dict | None = None) -> str:

@@ -669,9 +669,17 @@ def set_field(records, pos, key, value, at=None):
     return mutate
 
 
+def set_action(pos, action):
+    def mutate(data):
+        data["tasks"][pos]["actions"][0] = action
+        return data
+    return mutate
+
+
 class TestUnknownValues:
-    """An unknown action type, mode or record kind names its file and its
-    record, as a value of the wrong type does: one `error:` line, exit 2."""
+    """An unknown action type, mode or record kind, or an unhashable one,
+    names its file, its record and its field, as a value of the wrong type
+    does: one `error:` line, exit 2."""
 
     def error_of(self, code, capsys):
         err = capsys.readouterr().err
@@ -681,13 +689,27 @@ class TestUnknownValues:
     @pytest.mark.parametrize(
         "mutate, named",
         [
-            (set_field("tasks", 4, "type", "sleep", at=0), "task 4, action 0, unknown action type 'sleep'"),
+            (set_field("tasks", 4, "type", "sleep", at=0), "task 4, action 0, type: 'sleep' is not a valid action type"),
+            (set_field("tasks", 4, "type", ["sleep"], at=0), "task 4, action 0, type: unhashable type: 'list'"),
             (
                 set_field("tasks", 3, "yield_mode", "sometimes", at=0),
-                "task 3, action 0, 'sometimes' is not a valid YieldMode",
+                "task 3, action 0, yield_mode: 'sometimes' is not a valid YieldMode",
+            ),
+            (set_field("tasks", 3, "yield_mode", [], at=0), "task 3, action 0, yield_mode: unhashable type: 'list'"),
+            (
+                set_action(0, {"type": "spawn", "child": 4, "defer": "later"}),
+                "task 0, action 0, defer: 'later' is not a valid DeferMode",
+            ),
+            (
+                set_action(1, {"type": "taskgroup_end", "mode": "eventually"}),
+                "task 1, action 0, mode: 'eventually' is not a valid WaitMode",
+            ),
+            (
+                set_action(1, {"type": "taskwait_children", "mode": {"latency": True}}),
+                "task 1, action 0, mode: unhashable type: 'dict'",
             ),
         ],
-        ids=["action-type", "yield-mode"],
+        ids=["action-type", "action-type-list", "yield-mode", "yield-mode-list", "defer", "mode", "mode-dict"],
     )
     def test_graph_value_named(self, tmp_path, capsys, mutate, named):
         graph = malformed(tmp_path, "bad.json", mutate, starvation_graph(tmp_path))
@@ -698,10 +720,13 @@ class TestUnknownValues:
         "mutate, named",
         [
             (set_field("segments", 1, "kind", "bogus"), "segment 1, kind: 'bogus' is not a valid SegmentKind"),
+            (set_field("segments", 1, "kind", ["compute"]), "segment 1, kind: unhashable type: 'list'"),
             (set_field("events", 2, "kind", "bogus"), "event 2, kind: 'bogus' is not a valid EventKind"),
-            (lambda trace: dict(trace, outcome="bogus"), "'bogus' is not a valid Outcome"),
+            (set_field("events", 2, "kind", {}), "event 2, kind: unhashable type: 'dict'"),
+            (lambda trace: dict(trace, outcome="meh"), "outcome: 'meh' is not a valid Outcome"),
+            (lambda trace: dict(trace, outcome=["completed"]), "outcome: unhashable type: 'list'"),
         ],
-        ids=["segment-kind", "event-kind", "outcome"],
+        ids=["segment-kind", "segment-kind-list", "event-kind", "event-kind-dict", "outcome", "outcome-list"],
     )
     def test_trace_value_named(self, tmp_path, capsys, mutate, named):
         graph, slow, _ = TestCompareReport().make_traces(tmp_path)

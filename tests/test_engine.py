@@ -483,6 +483,26 @@ class TestPolls:
         assert TraceEvent(7, EventKind.COMPLETED, 1, 1 - poller_thread) in trace.events
         assert trace.makespan == 9
 
+    @pytest.mark.parametrize("policy", POLICIES, ids=POLICY_IDS)
+    def test_spin_ends_when_its_target_completes_inside_a_pick(self, policy):
+        # At 3 thread 1 queues task 2 and computes on; idle thread 2 picks
+        # task 2, which spawns task 3 and completes inside the pick pass.
+        # The spin on task 2 ends at 3 and the poller computes from 3.
+        g = TaskGraph(
+            tasks=(
+                TaskSpec(id=0, actions=(PollOutcome(2, poll_cost=100), Compute(2))),
+                TaskSpec(id=1, actions=(Compute(3), Spawn(2), Compute(5))),
+                TaskSpec(id=2, actions=(Spawn(3),)),
+                TaskSpec(id=3),
+            ),
+            roots=(0, 1),
+        )
+        trace = simulate(g, SimConfig(thread_count=3, policy=policy))
+        assert Segment(0, 0, 0, 3, SegmentKind.POLL_SPIN) in trace.segments
+        assert Segment(0, 0, 3, 5, SegmentKind.COMPUTE) in trace.segments
+        assert TraceEvent(3, EventKind.COMPLETED, 2, 2) in trace.events
+        assert trace.makespan == 8
+
     def test_tied_poller_resumes_on_home_thread(self):
         g = TaskGraph(
             tasks=(

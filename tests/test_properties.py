@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from schedsim import policies as pol
 from schedsim.analysis import analyze, validate_trace
-from schedsim.engine import EventKind, Outcome, SimConfig, _Engine, simulate
+from schedsim.engine import EventKind, Outcome, SegmentKind, SimConfig, _Engine, simulate
 from schedsim.prng import SplitMix64
 from schedsim.generators import (
     EnclaveWorkloadParams,
@@ -485,3 +485,34 @@ def test_free_threads_at_a_starvation_check_are_stopped(graph):
         for threads in (1, 2, 3, 4):
             cfg = SimConfig(thread_count=threads, policy=policy, max_virtual_time=10_000)
             assert StuckTopsEngine(graph, cfg).run().to_json() == simulate(graph, cfg).to_json()
+
+
+class FixedPointEngine(_Engine):
+    """Checks that every ``_process(now)`` that sets no outcome ends at a
+    fixed point of the settle pass: no free thread with a stack can move,
+    and every running segment ends after `now`, a spin on a task that has
+    not completed."""
+
+    def _process(self, now):
+        super()._process(now)
+        if self.outcome is None:
+            for th in self.threads:
+                if th.seg_task is None:
+                    assert not (th.stack and self._run_thread(th, now))
+                else:
+                    assert th.seg_end > now
+                    assert th.seg_kind is not SegmentKind.POLL_SPIN or not self.runs[th.seg_target].completed
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        poll_graph(),
+        st.builds(drawn_graph, st.integers(0, 2**64 - 1), st.booleans()),
+    )
+)
+def test_every_process_ends_at_a_fixed_point(graph):
+    for policy in METAMORPHIC_POLICIES:
+        for threads in (1, 2, 3, 4, 5):
+            cfg = SimConfig(thread_count=threads, policy=policy, max_virtual_time=10_000)
+            FixedPointEngine(graph, cfg).run()
