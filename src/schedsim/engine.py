@@ -21,7 +21,10 @@ transitions first, in passes repeated to a fixed point (until one
 changes nothing), then picks by idle threads, then picks by helpers.
 That order fixes every trace byte, and the hot path keeps it while it
 skips work that cannot change a byte: the pick passes run only while
-some queue holds an entry, as a pick from empty queues finds nothing.
+some queue holds an entry, as a pick from empty queues finds nothing,
+and a settle pass skips a free thread whose top run is parked (stopped
+at a wait or behind an undeferred child) since the last completion, as
+only a completion can move it.
 
 Poll cadence: a completion check that succeeds is free.  A failed check
 spins for up to ``poll_cost`` ticks (the spin ends early if the target
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 
 from . import policies as pol
 from .policies import ConfigError, PolicyConfig
@@ -55,9 +59,6 @@ from .task_graph import (
 from .trace import MAX_THREADS, EventKind, Outcome, ScheduleTrace, Segment, SegmentKind, TraceEvent
 
 
-# Build records from one tuple in C; a named tuple's own __new__ is Python.
-_new_segment = partial(tuple.__new__, Segment)
-_new_event = partial(tuple.__new__, TraceEvent)
 # Enum members as globals: reading one off its class is a descriptor call.
 _COMPUTE, _POLL_SPIN, _UNDEFERRED = SegmentKind.COMPUTE, SegmentKind.POLL_SPIN, SegmentKind.UNDEFERRED
 _SPAWNED, _STOLEN, _SCATTERED, _THROTTLED = EventKind.SPAWNED, EventKind.STOLEN, EventKind.SCATTERED, EventKind.THROTTLED
@@ -107,6 +108,7 @@ class _Run:
         "poll_spun",
         "poll_token",
         "poll_failed_at",
+        "parked",
     )
 
     def __init__(self, spec):
@@ -127,12 +129,16 @@ class _Run:
         self.poll_spun = False
         self.poll_token = None
         self.poll_failed_at = -1  # engine progress at the last failed check
+        # completed_count when it last stopped at a wait or behind its undeferred child: only a
+        # completion lowers `pending` and `open` or completes a child, so it stays stopped till then.
+        self.parked = -1
 
 
 class _Thread:
     __slots__ = (
         "idx",
         "movable",
+        "lowest_pending",
         "stack",
         "filters",
         "futile",
@@ -143,17 +149,19 @@ class _Thread:
         "seg_target",
     )
 
-    def __init__(self, idx, movable):
+    def __init__(self, idx, movable, lowest_pending):
         self.idx = idx
         self.movable = movable  # may this thread take a task, latency waits aside?
+        self.lowest_pending = lowest_pending  # for a fair yield: see pol.on_yield
         self.stack = []
         # One narrowed sync set per latency wait on the stack, innermost
         # last: a run in a wait neither yields nor migrates, and its wait
         # exits only while it is the top of this stack.
         self.filters = []
-        # (ready.seq, filter) at the last failed pick: picks only remove entries
-        # and queued tasks keep `home`, so it fails while both match.
-        self.futile = None
+        # ready.seq at the last failed pick, -1 once `filters` changes: picks
+        # only remove entries and queued tasks keep `home`, so a pick fails
+        # while the count of pushes matches.
+        self.futile = -1
         self.seg_task = None
         self.seg_start = 0
         self.seg_end = 0
@@ -169,8 +177,8 @@ class _Engine:
         # The policy's wait rule: only a latency wait may idle.
         self.idle_latency = cfg.policy.honor_latency_wait
         self.runs = [_Run(spec) for spec in graph.tasks]
-        self.threads = [_Thread(i, self._movable(i)) for i in range(cfg.thread_count)]
-        self.ready = pol.ReadyQueues(cfg.policy, graph, cfg.thread_count)
+        self.ready = ready = pol.ReadyQueues(cfg.policy, graph, cfg.thread_count)
+        self.threads = [_Thread(i, self._movable(i), partial(ready.lowest_pending, i)) for i in range(cfg.thread_count)]
         self.segments = []
         self.events = []
         self.progress = 0
@@ -257,7 +265,7 @@ class _Engine:
             node.open -= 1
         self.completed_count += 1
         self.progress += 1
-        self.events.append(_new_event((now, _COMPLETED, run.spec.id, th.idx)))
+        self.events.append((now, _COMPLETED, run.spec.id, th.idx))
 
     # -- the per-thread state machine ----------------------------------------
 
@@ -276,6 +284,7 @@ class _Engine:
 
             if run.blocked_child is not None:
                 if not self.runs[run.blocked_child].completed:
+                    run.parked = self.completed_count
                     break
                 run.blocked_child = None
                 run.pc += 1
@@ -289,10 +298,12 @@ class _Engine:
                 # spawned before the previous group end had done their
                 # subtrees when it exited.
                 if run.pending > 0 if type(wait) is TaskwaitChildren else run.open > 1:
+                    run.parked = self.completed_count
                     break
-                events.append(_new_event((now, _WAIT_EXITED, run.spec.id, idx)))
+                events.append((now, _WAIT_EXITED, run.spec.id, idx))
                 if wait.mode is _LATENCY and self.idle_latency:
                     th.filters.pop()
+                    th.futile = -1
                 run.wait = None
                 run.pc += 1
                 progressed = True
@@ -320,11 +331,12 @@ class _Engine:
                 continue
 
             if kind is TaskwaitChildren or kind is TaskgroupEnd:
-                events.append(_new_event((now, _WAIT_ENTERED, run.spec.id, idx)))
+                events.append((now, _WAIT_ENTERED, run.spec.id, idx))
                 run.wait = action
                 if action.mode is _LATENCY and self.idle_latency:
                     allowed = self._wait_allowed_tasks(run)
                     th.filters.append(allowed & th.filters[-1] if th.filters else allowed)
+                    th.futile = -1
                 progressed = True
                 continue
 
@@ -352,13 +364,8 @@ class _Engine:
                 self._note_failed_poll(run)
                 if self.outcome is not None:
                     break
-                requeue = pol.on_yield(
-                    self.policy,
-                    run.priority,
-                    action.yield_mode,
-                    lambda: self.ready.lowest_pending(idx),
-                )
-                events.append(_new_event((now, _YIELDED, run.spec.id, idx)))
+                requeue = pol.on_yield(self.policy, run.priority, action.yield_mode, th.lowest_pending)
+                events.append((now, _YIELDED, run.spec.id, idx))
                 progressed = True
                 if requeue is None:
                     break  # stay resident; retry after at most one pick
@@ -379,14 +386,14 @@ class _Engine:
             self.policy, th.idx, child_spec, ready.counts, action.defer, run.chunk_scatters, ready.max_priority
         )
         events = self.events
-        events.append(_new_event((now, _SPAWNED, task, th.idx)))
+        events.append((now, _SPAWNED, task, th.idx))
         child.parent = run
         run.pending += 1
         run.open += 1
 
         if placement is None:  # run undeferred: requested, or else throttled
             if action.defer is not _RUN_UNDEFERRED:
-                events.append(_new_event((now, _THROTTLED, task, th.idx)))
+                events.append((now, _THROTTLED, task, th.idx))
             run.blocked_child = task
             child.home = th.idx
             child.nested = True
@@ -396,7 +403,7 @@ class _Engine:
         thread, child.priority = placement
         ready.push(thread, task, child.priority)
         if thread != th.idx:
-            events.append(_new_event((now, _SCATTERED, task, thread)))
+            events.append((now, _SCATTERED, task, thread))
             if child_spec.label == pol.LOOP_CHUNK_LABEL:
                 run.chunk_scatters += 1
         run.pc += 1
@@ -406,18 +413,17 @@ class _Engine:
     def _try_pick(self, th: _Thread, now: int) -> bool:
         if self.outcome is not None:
             return False
-        allowed = self._pick_filter(th)
         ready = self.ready
-        if th.futile == (ready.seq, allowed):
+        if th.futile == ready.seq:
             return False
-        picked = ready.pick(th.idx, th.movable, allowed)
+        picked = ready.pick(th.idx, th.movable, self._pick_filter(th))
         if picked is None:
-            th.futile = (ready.seq, allowed)
+            th.futile = ready.seq
             return False
         task_id, stolen = picked
         run = self.runs[task_id]
         if stolen:
-            self.events.append(_new_event((now, _STOLEN, task_id, th.idx)))
+            self.events.append((now, _STOLEN, task_id, th.idx))
         if run.home is None:
             run.home = th.idx
             self.progress += 1
@@ -438,7 +444,8 @@ class _Engine:
             # picks, pass after pass until one changes nothing: wait exits and
             # the spawns they trigger must be visible to every pick decision
             # at this timestamp.  A segment is due at its end, and a spin also
-            # once its target has completed.
+            # once its target has completed; a parked run moves only after a
+            # completion.
             changed = False
             for th in threads:
                 task = th.seg_task
@@ -447,13 +454,13 @@ class _Engine:
                     if th.seg_end > now and (kind is not _POLL_SPIN or not runs[th.seg_target].completed):
                         continue
                     if now > th.seg_start:
-                        segments.append(_new_segment((th.idx, task, th.seg_start, now, kind)))
+                        segments.append((th.idx, task, th.seg_start, now, kind))
                     if kind is not _POLL_SPIN:
                         runs[task].pc += 1
                         self.progress += 1
                     th.seg_task = th.seg_kind = th.seg_target = None
                     changed = True
-                if th.stack and self._run_thread(th, now):
+                if th.stack and th.stack[-1].parked != self.completed_count and self._run_thread(th, now):
                     changed = True
             if changed:
                 continue
@@ -491,14 +498,13 @@ class _Engine:
                 break
             now = nxt
         # Both lists are appended only at `now`, which never decreases.
-        makespan = max(
-            self.segments[-1].end if self.segments else 0,
-            self.events[-1].time if self.events else 0,
-        )
+        segments, events = self.segments, self.events
+        makespan = max(segments[-1][3] if segments else 0, events[-1][0] if events else 0)  # end, time
+        # The engine appends plain tuples; type them in one C pass.
         return ScheduleTrace(
             thread_count=self.cfg.thread_count,
-            segments=tuple(self.segments),
-            events=tuple(self.events),
+            segments=tuple(map(tuple.__new__, repeat(Segment), segments)),
+            events=tuple(map(tuple.__new__, repeat(TraceEvent), events)),
             makespan=makespan,
             outcome=self.outcome,
         )

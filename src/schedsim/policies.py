@@ -217,12 +217,12 @@ class ReadyQueues:
     takes its top pickable entry rather than probing every victim (an own
     entry there would have been the own pick).  A pick takes the own top
     at once if it is live and pickable and no ``steals`` entry outranks
-    it; else a priority-aware pick filtered by a sync set smaller than the
-    queued count looks the set's tasks up in ``index``, and any other
-    searches heaps from the top, popping the entries it must skip aside
-    and pushing them back.  The first ``max_priority`` call counts the
-    live non-chunk entries per priority into ``ranks``, which pushes and
-    picks then keep, with a max-heap of the priorities pruned at its top.
+    it; else a pick filtered by a sync set smaller than the queued count
+    looks the set's tasks up in ``index``, and any other searches heaps
+    from the top, popping the entries it must skip aside and pushing them
+    back.  The first ``max_priority`` call counts the live non-chunk
+    entries per priority into ``ranks``, which pushes and picks then keep,
+    with a max-heap of the priorities pruned at its top.
     """
 
     def __init__(self, cfg: PolicyConfig, graph, thread_count: int):
@@ -305,16 +305,18 @@ class ReadyQueues:
             and movable(top & _TASK)
         ):
             own_best = top  # live, pickable, and no steals entry outranks it
-        elif self.priority_aware and allowed is not None and len(allowed) < len(index):
+        elif allowed is not None and len(allowed) < len(index):
             # One pass; `movable` is asked only of an entry that beats its
-            # side's best so far (entries are unique, so the result is the same).
+            # side's best so far (keys are unique, so the result is the same).
+            # An unaware steal takes the far end of the first victim in order.
+            aware, count, steal_key = self.priority_aware, len(self.near), inf
             for task in index.keys() & allowed:
                 queue, entry = index[task]
                 if queue == own:
                     if (own_best is None or entry < own_best) and movable(task):
                         own_best = entry
-                elif (steal_best is None or entry < steal_best) and movable(task):
-                    steal_best = entry
+                elif (key := entry if aware else ((queue - own) % count << 96) - entry) < steal_key and movable(task):
+                    steal_key, steal_best = key, entry
         else:
             own_best = self._top_pickable(near, movable, allowed, None)
             if steals is not None:

@@ -673,10 +673,41 @@ class TestTraceSerialization:
         assert lines[0] == "thread,task,start,end,kind"
         assert lines[1] == "0,0,0,10,compute"
 
+    @pytest.mark.parametrize("policy", POLICIES, ids=POLICY_IDS)
+    def test_records_are_exactly_segments_and_events(self, policy):
+        # spawns, steals, waits, spins and yields: every record kind the engine appends
+        rng = SplitMix64(3)
+        graph = tied_forest(rng, 6, latency=True)
+        trace = simulate(graph, SimConfig(thread_count=3, policy=policy))
+        assert trace.segments and {type(s) for s in trace.segments} == {Segment}
+        assert trace.events and {type(e) for e in trace.events} == {TraceEvent}
+
+
+
+class RunThreadResults(_Engine):
+    """Records what every ``_run_thread`` call returns."""
+
+    def __init__(self, graph, cfg):
+        super().__init__(graph, cfg)
+        self.results = []
+
+    def _run_thread(self, th, now):
+        changed = super()._run_thread(th, now)
+        self.results.append(changed)
+        return changed
 
 
 class TestDeepTrees:
     """Deep spawn trees simulate without recursion or quadratic walks."""
+
+    @pytest.mark.parametrize("wait", [TaskwaitChildren, TaskgroupEnd])
+    @pytest.mark.parametrize("policy", [pol.reference(), pol.extended()], ids=["reference", "extended"])
+    def test_settle_passes_skip_parked_runs(self, policy, wait):
+        # A run stopped at a wait moves only after a completion, so no
+        # settle pass runs a thread whose top run cannot move.
+        engine = RunThreadResults(spawn_chain(64, wait, SplitMix64(1)), SimConfig(thread_count=2, policy=policy))
+        assert engine.run().outcome is Outcome.COMPLETED
+        assert engine.results and all(engine.results)
 
     DEPTH = 10_000
 

@@ -526,6 +526,28 @@ class TestPickWork:
         assert rq.pick(0, movable, allowed) == (2000, True)
         assert len(calls) + allowed.lookups <= 3
 
+    def test_unaware_small_latency_set_is_looked_up_not_scanned(self):
+        # Own queue 1 holds nothing in the set; victims in order are 2, 3, 0.
+        # Queue 2's set task is unmovable, so the steal takes queue 3's far
+        # end, its oldest set entry, though queue 0 holds one too.
+        rq = ReadyQueues(pol.extended(priority_aware=False), TaskGraph(), 4)
+        for task_id in range(2000):
+            rq.push(task_id % 4, task_id, 0)
+        for queue, task_id in ((2, 2000), (3, 2001), (3, 2002), (0, 2003)):
+            rq.push(queue, task_id, 0)
+        for task_id in range(2004, 2100):
+            rq.push(task_id % 4, task_id, 0)
+        allowed = CountingSet({2000, 2001, 2002, 2003})
+        calls = []
+
+        def movable(task_id):
+            calls.append(task_id)
+            return task_id != 2000
+
+        assert rq.pick(1, movable, allowed) == (2001, True)
+        assert len(calls) == len(set(calls)) and set(calls) <= allowed
+        assert allowed.lookups <= 4
+
     def test_filtered_pick_asks_movable_only_of_an_entry_that_beats_its_side(self):
         # the set yields 0, 1, 2, 3: each side's best entry comes first, so
         # movable is asked of it alone

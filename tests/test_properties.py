@@ -516,3 +516,29 @@ def test_every_process_ends_at_a_fixed_point(graph):
         for threads in (1, 2, 3, 4, 5):
             cfg = SimConfig(thread_count=threads, policy=policy, max_virtual_time=10_000)
             FixedPointEngine(graph, cfg).run()
+
+
+class UnparkedEngine(_Engine):
+    """The engine with parking disabled: a run that stops at a wait or
+    behind its undeferred child is never parked, so every settle pass runs
+    every free thread with a stack."""
+
+    def _run_thread(self, th, now):
+        changed = super()._run_thread(th, now)
+        if th.stack:
+            th.stack[-1].parked = -1  # only the top run parks, as it stops
+        return changed
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        poll_graph(),
+        st.builds(drawn_graph, st.integers(0, 2**64 - 1), st.booleans()),
+    )
+)
+def test_parking_changes_no_byte(graph):
+    for policy in METAMORPHIC_POLICIES:
+        for threads in (1, 2, 3, 4, 5):
+            cfg = SimConfig(thread_count=threads, policy=policy, max_virtual_time=10_000)
+            assert UnparkedEngine(graph, cfg).run().to_json() == simulate(graph, cfg).to_json()
