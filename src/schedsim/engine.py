@@ -17,14 +17,17 @@ suspended in a wait (or between poll retries) acts as a helper and may
 pick other ready work; a latency wait restricts helping to the wait's
 own synchronization set.  At every timestamp the engine processes, in
 ascending thread order: due segment completions and zero-time
-transitions first, in passes repeated to a fixed point (until one
-changes nothing), then picks by idle threads, then picks by helpers.
+transitions first, in passes repeated to a fixed point, then picks by
+idle threads, then picks by helpers, and settles again after any pick.
 That order fixes every trace byte, and the hot path keeps it while it
 skips work that cannot change a byte: the pick passes run only while
-some queue holds an entry, as a pick from empty queues finds nothing,
-and a settle pass skips a free thread whose top run is parked (stopped
-at a wait or behind an undeferred child) since the last completion, as
-only a completion can move it.
+some queue holds an entry, as a pick from empty queues finds nothing; a
+settle pass skips a free thread whose top run is parked (stopped at a
+wait or behind an undeferred child) since the last completion, as only
+a completion can move it; and a settle pass repeats, and settling
+restarts after picks, only if a task completed since it began or a
+completion check has failed at this timestamp, as every duration is at
+least 1 and a failed poller moves only on new progress.
 
 Poll cadence: a completion check that succeeds is free.  A failed check
 spins for up to ``poll_cost`` ticks (the spin ends early if the target
@@ -183,6 +186,7 @@ class _Engine:
         self.events = []
         self.progress = 0
         self.completed_count = 0
+        self.failed_poll_at = -1  # the last timestamp at which a completion check failed
         self.outcome = None
 
     # -- wait bookkeeping ------------------------------------------------
@@ -240,15 +244,6 @@ class _Engine:
             if self.ready.any_pickable(th.movable, self._pick_filter(th)):
                 return False
         return True
-
-    def _note_failed_poll(self, run: _Run):
-        # A poller that failed twice with no progress in between has seen a
-        # full round; if every other thread is likewise stuck, nothing can
-        # make progress anymore.
-        full_round = run.poll_failed_at == self.progress
-        run.poll_failed_at = self.progress
-        if full_round and self._starved_round():
-            self.outcome = Outcome.STARVATION_DETECTED
 
     # -- task completion ---------------------------------------------------
 
@@ -361,8 +356,13 @@ class _Engine:
                     th.seg_target = action.target
                     return True
                 run.poll_spun = False
-                self._note_failed_poll(run)
-                if self.outcome is not None:
+                # A poller that failed twice with no progress in between has seen a full
+                # round; if every other thread is likewise stuck, nothing can progress.
+                full_round = run.poll_failed_at == self.progress
+                run.poll_failed_at = self.progress
+                self.failed_poll_at = now
+                if full_round and self._starved_round():
+                    self.outcome = Outcome.STARVATION_DETECTED
                     break
                 requeue = pol.on_yield(self.policy, run.priority, action.yield_mode, th.lowest_pending)
                 events.append((now, _YIELDED, run.spec.id, idx))
@@ -435,36 +435,38 @@ class _Engine:
     # -- main loop ----------------------------------------------------------------
 
     def _process(self, now: int):
-        threads = self.threads
-        runs = self.runs
-        segments = self.segments
-        queued = self.ready.index
+        """Run timestamp `now` to a fixed point; return the next one, or None once an outcome is set."""
+        threads, runs, segments, queued = self.threads, self.runs, self.segments, self.ready.index
+        settle = True
         while self.outcome is None:
-            # Settle all due segments and zero-time transitions before anyone
-            # picks, pass after pass until one changes nothing: wait exits and
-            # the spawns they trigger must be visible to every pick decision
-            # at this timestamp.  A segment is due at its end, and a spin also
-            # once its target has completed; a parked run moves only after a
-            # completion.
-            changed = False
-            for th in threads:
-                task = th.seg_task
-                if task is not None:
-                    kind = th.seg_kind
-                    if th.seg_end > now and (kind is not _POLL_SPIN or not runs[th.seg_target].completed):
-                        continue
-                    if now > th.seg_start:
-                        segments.append((th.idx, task, th.seg_start, now, kind))
-                    if kind is not _POLL_SPIN:
-                        runs[task].pc += 1
-                        self.progress += 1
-                    th.seg_task = th.seg_kind = th.seg_target = None
-                    changed = True
-                if th.stack and th.stack[-1].parked != self.completed_count and self._run_thread(th, now):
-                    changed = True
-            if changed:
-                continue
-            # Picks run only while some queue holds an entry.
+            done = self.completed_count
+            if settle:
+                # Settle all due segments and zero-time transitions before anyone
+                # picks: wait exits and the spawns they trigger must be visible to
+                # every pick decision at this timestamp.  A segment is due at its
+                # end, a spin also once its target has completed.  When a pass
+                # repeats: see the module docstring.
+                changed = False
+                for th in threads:
+                    task = th.seg_task
+                    if task is not None:
+                        kind = th.seg_kind
+                        if th.seg_end > now and (kind is not _POLL_SPIN or not runs[th.seg_target].completed):
+                            continue
+                        if now > th.seg_start:
+                            segments.append((th.idx, task, th.seg_start, now, kind))
+                        if kind is not _POLL_SPIN:
+                            runs[task].pc += 1
+                            self.progress += 1
+                        th.seg_task = th.seg_kind = th.seg_target = None
+                        changed = True
+                    if th.stack and th.stack[-1].parked != self.completed_count and self._run_thread(th, now):
+                        changed = True
+                if changed and (self.completed_count != done or self.failed_poll_at == now):
+                    continue
+            # Picks run only while some queue holds an entry (a pick may empty them).
+            if not queued:
+                break
             picked = False
             for th in threads:  # idle threads pick first
                 if not th.stack and queued and self._try_pick(th, now):
@@ -474,29 +476,27 @@ class _Engine:
                     picked = True
             if not picked:
                 break
+            settle = self.completed_count != done or self.failed_poll_at == now
+        if self.outcome is not None:
+            return None
+        nxt = None  # the next segment end: at a fixed point each ends after `now`
+        for th in threads:
+            if th.seg_task is not None and (nxt is None or th.seg_end < nxt):
+                nxt = th.seg_end
+        if self.completed_count == len(runs):
+            self.outcome = Outcome.COMPLETED
+        elif nxt is None:
+            # no future event can unblock anything: pollers, or waiters behind them, starve
+            self.outcome = Outcome.STARVATION_DETECTED
+        elif nxt > self.cfg.max_virtual_time:
+            self.outcome = Outcome.TIME_LIMIT_EXCEEDED
+        else:
+            return nxt
 
     def run(self) -> ScheduleTrace:
         now = 0
-        while self.outcome is None:
-            self._process(now)
-            if self.outcome is not None:
-                break
-            if self.completed_count == len(self.graph.tasks):
-                self.outcome = Outcome.COMPLETED
-                break
-            nxt = None  # the next segment end: at a fixed point each ends after `now`
-            for th in self.threads:
-                if th.seg_task is not None and (nxt is None or th.seg_end < nxt):
-                    nxt = th.seg_end
-            if nxt is None:
-                # No future event can unblock anything: pollers (or waiters
-                # behind them) are starved.
-                self.outcome = Outcome.STARVATION_DETECTED
-                break
-            if nxt > self.cfg.max_virtual_time:
-                self.outcome = Outcome.TIME_LIMIT_EXCEEDED
-                break
-            now = nxt
+        while now is not None:
+            now = self._process(now)
         # Both lists are appended only at `now`, which never decreases.
         segments, events = self.segments, self.events
         makespan = max(segments[-1][3] if segments else 0, events[-1][0] if events else 0)  # end, time

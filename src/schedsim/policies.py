@@ -201,9 +201,10 @@ class ReadyQueues:
     count of pushes so far; without it every rank is 0 and the order
     ``-seq`` for a pick-end push and ``seq`` for a ``back`` push (every
     fcfs push), so a queue reads as a double-ended queue and keeps no
-    priorities.  Only unaware steals and aware ``lowest_pending`` read
-    ``far``: a push skips an empty one, a read rebuilds it from the live
-    near entries.  ``index`` maps each queued task to its ``(queue, near
+    priorities.  Only aware ``lowest_pending`` and unaware steals from a
+    queue of two or more entries read ``far`` (a lone entry is both ends):
+    a push skips an empty one, a read rebuilds it from the live near
+    entries.  ``index`` maps each queued task to its ``(queue, near
     entry)``; an entry is live while it equals its task's entry there.
     ``counts`` holds the live entries per queue, and bit ``q`` of
     ``filled`` is set while ``counts[q]`` is not 0, so steals walk only
@@ -330,7 +331,10 @@ class ReadyQueues:
                     while part and steal_best is None:
                         victim = (part & -part).bit_length() - 1
                         part &= part - 1
-                        steal_best = self._top_pickable(self._far(victim), movable, allowed, None, -1)
+                        if self.counts[victim] == 1:  # read a lone entry off the near heap
+                            steal_best = self._top_pickable(self.near[victim], movable, allowed, None)
+                        else:
+                            steal_best = self._top_pickable(self._far(victim), movable, allowed, None, -1)
         stolen = steal_best is not None and (own_best is None or steal_best >> 96 < own_best >> 96)
         best = steal_best if stolen else own_best
         if best is None:

@@ -732,6 +732,20 @@ class TestQueueBookkeeping:
         assert aware.lowest_pending(1) == 0
         assert aware.far[0] == [] and len(aware.far[1]) == n // 2
 
+    def test_lone_entry_steal_reads_no_far_heap(self):
+        # queue 1 holds task 0 live under the dead entry of task 1; a steal
+        # takes it off the near heap, and the far heap is never built
+        rq = ReadyQueues(pol.reference(), TaskGraph(), 2)
+        for task_id in range(3):
+            rq.push(1, task_id, 0)
+        assert rq.pick(1, lambda t: t != 2) == (1, False)
+        assert rq.pick(1, anything) == (2, False)
+        assert rq.counts == [0, 1] and len(rq.near[1]) == 2
+        far_at_ask = []
+        assert rq.pick(0, lambda t: far_at_ask.append(list(rq.far[1])) or True) == (0, True)
+        assert far_at_ask == [[]] and rq.far[1] == []
+        assert rq.counts == [0, 0] and rq.pick(1, anything) is None
+
 
 def none():
     return None

@@ -494,7 +494,7 @@ class FixedPointEngine(_Engine):
     not completed."""
 
     def _process(self, now):
-        super()._process(now)
+        nxt = super()._process(now)
         if self.outcome is None:
             for th in self.threads:
                 if th.seg_task is None:
@@ -502,6 +502,7 @@ class FixedPointEngine(_Engine):
                 else:
                     assert th.seg_end > now
                     assert th.seg_kind is not SegmentKind.POLL_SPIN or not self.runs[th.seg_target].completed
+        return nxt
 
 
 @settings(max_examples=150, deadline=None)
@@ -542,3 +543,50 @@ def test_parking_changes_no_byte(graph):
         for threads in (1, 2, 3, 4, 5):
             cfg = SimConfig(thread_count=threads, policy=policy, max_virtual_time=10_000)
             assert UnparkedEngine(graph, cfg).run().to_json() == simulate(graph, cfg).to_json()
+
+
+class EverySettleEngine(_Engine):
+    """The pass rule without skipping: every settle pass that changed
+    something repeats, and settling restarts after every pick pass that
+    picked.  At the fixed point this reaches the engine's own passes
+    change nothing, and it sets the outcome or returns the next timestamp."""
+
+    def _process(self, now):
+        runs, threads = self.runs, self.threads
+        while self.outcome is None:
+            changed = False
+            for th in threads:
+                kind = th.seg_kind
+                if th.seg_task is not None and (
+                    th.seg_end <= now or kind is SegmentKind.POLL_SPIN and runs[th.seg_target].completed
+                ):
+                    if now > th.seg_start:
+                        self.segments.append((th.idx, th.seg_task, th.seg_start, now, kind))
+                    if kind is not SegmentKind.POLL_SPIN:
+                        runs[th.seg_task].pc += 1
+                        self.progress += 1
+                    th.seg_task = th.seg_kind = th.seg_target = None
+                    changed = True
+                if th.seg_task is None and th.stack and self._run_thread(th, now):
+                    changed = True
+            if changed:
+                continue
+            picked = [self._try_pick(th, now) for th in threads if not th.stack]
+            picked += [self._try_pick(th, now) for th in threads if th.seg_task is None and th.stack]
+            if not any(picked):
+                break
+        return super()._process(now)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        poll_graph(),
+        st.builds(drawn_graph, st.integers(0, 2**64 - 1), st.booleans()),
+    )
+)
+def test_pass_skipping_changes_no_byte(graph):
+    for policy in METAMORPHIC_POLICIES:
+        for threads in (1, 2, 3, 4, 5):
+            cfg = SimConfig(thread_count=threads, policy=policy, max_virtual_time=10_000)
+            assert EverySettleEngine(graph, cfg).run().to_json() == simulate(graph, cfg).to_json()
