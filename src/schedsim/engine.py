@@ -435,7 +435,7 @@ class _Engine:
     # -- main loop ----------------------------------------------------------------
 
     def _process(self, now: int):
-        """Run timestamp `now` to a fixed point; return the next one, or None once an outcome is set."""
+        """Run timestamp `now` to a fixed point; return what ``_next(now)`` returns."""
         threads, runs, segments, queued = self.threads, self.runs, self.segments, self.ready.index
         settle = True
         while self.outcome is None:
@@ -444,8 +444,8 @@ class _Engine:
                 # Settle all due segments and zero-time transitions before anyone
                 # picks: wait exits and the spawns they trigger must be visible to
                 # every pick decision at this timestamp.  A segment is due at its
-                # end, a spin also once its target has completed.  When a pass
-                # repeats: see the module docstring.
+                # end, a spin also once its target has completed.  The repeat rule
+                # (see the module docstring) is written here and after the picks.
                 changed = False
                 for th in threads:
                     task = th.seg_task
@@ -477,13 +477,17 @@ class _Engine:
             if not picked:
                 break
             settle = self.completed_count != done or self.failed_poll_at == now
+        return self._next(now)
+
+    def _next(self, now: int):
+        """Return the timestamp after `now`, or None once the run has an outcome."""
         if self.outcome is not None:
             return None
         nxt = None  # the next segment end: at a fixed point each ends after `now`
-        for th in threads:
+        for th in self.threads:
             if th.seg_task is not None and (nxt is None or th.seg_end < nxt):
                 nxt = th.seg_end
-        if self.completed_count == len(runs):
+        if self.completed_count == len(self.runs):
             self.outcome = Outcome.COMPLETED
         elif nxt is None:
             # no future event can unblock anything: pollers, or waiters behind them, starve

@@ -488,13 +488,14 @@ def test_free_threads_at_a_starvation_check_are_stopped(graph):
 
 
 class FixedPointEngine(_Engine):
-    """Checks that every ``_process(now)`` that sets no outcome ends at a
-    fixed point of the settle pass: no free thread with a stack can move,
-    and every running segment ends after `now`, a spin on a task that has
-    not completed."""
+    """Checks that every ``_process(now)`` whose passes set no outcome ends
+    them at a fixed point of the settle pass: no free thread with a stack
+    can move, and every running segment ends after `now`, a spin on a task
+    that has not completed.  The check runs in ``_next``, which
+    ``_process`` calls after its passes and before it sets the outcome of
+    a run that ends at `now`, so the last timestamp is checked too."""
 
-    def _process(self, now):
-        nxt = super()._process(now)
+    def _next(self, now):
         if self.outcome is None:
             for th in self.threads:
                 if th.seg_task is None:
@@ -502,7 +503,7 @@ class FixedPointEngine(_Engine):
                 else:
                     assert th.seg_end > now
                     assert th.seg_kind is not SegmentKind.POLL_SPIN or not self.runs[th.seg_target].completed
-        return nxt
+        return super()._next(now)
 
 
 @settings(max_examples=150, deadline=None)
