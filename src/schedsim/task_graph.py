@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import gc
 import json
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from itertools import starmap
+from itertools import chain, starmap
 from operator import attrgetter
 from typing import Union
 
@@ -29,10 +30,11 @@ def _collector_paused():
     """Pause the cyclic garbage collector, and restore the caller's state
     on the way out, also on an exception.
 
-    Wraps the bulk builders (``simulate``, the graph and trace decoders
-    and the per-trace facts pass): everything they build is acyclic and
-    freed by reference counting, so a collection there only walks the
-    heap and finds nothing.  Used as a decorator, as ``@_collector_paused()``.
+    Wraps the bulk builders (``simulate``, the graph and trace decoders,
+    the per-trace facts pass and ``critical_path``): everything they
+    build is acyclic and freed by reference counting, so a collection
+    there only walks the heap and finds nothing.  Used as a decorator, as
+    ``@_collector_paused()``.
     """
     if not gc.isenabled():
         yield
@@ -179,7 +181,7 @@ def _find_parents(graph: TaskGraph) -> dict:
     parents = {}
     for spec in graph.tasks:
         for idx, action in enumerate(spec.actions):
-            if isinstance(action, Spawn) and action.child not in parents:
+            if type(action) is Spawn and action.child not in parents:
                 parents[action.child] = (spec.id, idx)
     return parents
 
@@ -229,12 +231,13 @@ def _find_violations(graph: TaskGraph) -> list:
     spawn_count = [0] * n
     for spec in graph.tasks:
         for action in spec.actions:
-            if isinstance(action, Compute):
+            kind = type(action)  # exact, as the engine and the file writer dispatch
+            if kind is Compute:
                 if type(duration := action.duration) is not int:
                     violations.append(_wrong_type(spec.id, "duration", duration))
                 elif duration <= 0:
                     violations.append(Violation("NonPositiveDuration", spec.id, str(duration)))
-            elif isinstance(action, Spawn):
+            elif kind is Spawn:
                 if type(action.defer) is not DeferMode:
                     violations.append(_wrong_type(spec.id, "defer", action.defer, DeferMode))
                 child = action.child
@@ -249,7 +252,7 @@ def _find_violations(graph: TaskGraph) -> list:
                 spawn_count[child] += 1
                 if spawn_count[child] == 2:
                     violations.append(Violation("DuplicateSpawn", child))
-            elif isinstance(action, PollOutcome):
+            elif kind is PollOutcome:
                 if type(target := action.target) is not int:
                     violations.append(_wrong_type(spec.id, "target", target))
                 elif target not in known:
@@ -260,7 +263,7 @@ def _find_violations(graph: TaskGraph) -> list:
                     violations.append(Violation("NegativePollCost", spec.id))
                 if type(action.yield_mode) is not YieldMode:
                     violations.append(_wrong_type(spec.id, "yield_mode", action.yield_mode, YieldMode))
-            elif isinstance(action, (TaskwaitChildren, TaskgroupEnd)):
+            elif kind is TaskwaitChildren or kind is TaskgroupEnd:
                 if type(action.mode) is not WaitMode:
                     violations.append(_wrong_type(spec.id, "mode", action.mode, WaitMode))
             else:
@@ -318,7 +321,7 @@ def task_work(graph: TaskGraph) -> tuple:
 
 
 def _task_work(spec: TaskSpec) -> int:
-    return sum(a.duration for a in spec.actions if isinstance(a, Compute))
+    return sum(a.duration for a in spec.actions if type(a) is Compute)
 
 
 def wait_members(spec: TaskSpec, idx: int) -> list:
@@ -331,9 +334,9 @@ def wait_members(spec: TaskSpec, idx: int) -> list:
     members = []
     for pos in range(idx - 1, -1, -1):
         action = actions[pos]
-        if isinstance(action, kind):
+        if type(action) is kind:
             break
-        if isinstance(action, Spawn):
+        if type(action) is Spawn:
             members.append(action.child)
     members.reverse()
     return members
@@ -352,103 +355,110 @@ def critical_path(graph: TaskGraph):
     kind covered reaches the wait through that one; a poll is preceded
     by its target's completion.
     Ties between equal-length chains pick the smallest (task, action)
-    step by step.  Computed once per graph; each call returns a new list.
+    step by step.  Expects a graph that ``validate`` accepts.  Computed
+    once per graph; each call returns a new list.
     """
     length, path = graph._critical_path
     return length, list(path)
 
 
+@_collector_paused()
 def _longest_chain(graph: TaskGraph):
-    # Real nodes are (task, action_idx) plus a final (task, len(actions))
-    # completion node, numbered in (task, idx) order, so comparing node
-    # numbers is comparing (task, idx).  After them comes one zero-weight
-    # "subtree done" node per task: up(t) follows t's completion and the
-    # up nodes of its children, so a group end needs one edge per member
-    # instead of one per descendant.
+    # Nodes: up(t) = t, a zero-weight "subtree done" node after t's completion
+    # n + t and its children's up nodes, so a group end needs an edge per member,
+    # not per descendant; then units in (task, action) order, each a wait or
+    # poll, computes, then a spawn or the task's end.  `after` holds each node's
+    # one natural successor: the next unit, the completion, up(t), up(parent),
+    # or the sink -1.  Spawns, waits, polls and undeferred spawns fill `more`.
     tasks = graph.tasks
-    first = []  # task id -> number of its (task, 0) node
-    weight = []
-    owner = []
-    for spec in tasks:
+    n = len(tasks)
+    weight, after = [0] * (2 * n), [-1] * n + list(range(n))
+    first, spawns, more = [], [], {}
+    for t, spec in enumerate(tasks):
         first.append(len(weight))
+        w, marks = 0, [len(spawns)] * 2  # first spawn a children wait, a group end covers
         for action in spec.actions:
-            weight.append(action.duration if isinstance(action, Compute) else 0)
-        weight.append(0)
-        owner.extend([spec.id] * (len(spec.actions) + 1))
-    up = len(weight)
-    total = up + len(tasks)
-    weight.extend([0] * len(tasks))
-
-    def done(task_id):
-        return first[task_id] + len(tasks[task_id].actions)
-
-    edges = [[] for _ in range(total)]
-    for child, (parent, _) in graph._spawn_parents.items():
-        edges[up + child].append(up + parent)
-    for spec in tasks:
-        node = first[spec.id]
-        edges[node + len(spec.actions)].append(up + spec.id)
-        for idx, action in enumerate(spec.actions):
-            edges[node].append(node + 1)
-            if isinstance(action, Spawn):
-                edges[node].append(first[action.child])
+            kind = type(action)
+            if kind is Compute:
+                w += action.duration
+            elif kind is Spawn:
+                spawns.append((len(weight), action.child))
+                after[action.child] = t
                 if action.defer is DeferMode.UNDEFERRED:
-                    edges[done(action.child)].append(node + 1)
-            elif isinstance(action, TaskwaitChildren):
-                for child in wait_members(spec, idx):
-                    edges[done(child)].append(node)
-            elif isinstance(action, TaskgroupEnd):
-                for member in wait_members(spec, idx):
-                    edges[up + member].append(node)
-            elif isinstance(action, PollOutcome):
-                edges[done(action.target)].append(node)
-            node += 1
+                    more.setdefault(n + action.child, []).append(len(weight) + 1)
+                weight.append(w)
+                after.append(len(weight))
+                w = 0
+            else:  # a wait or poll starts a unit, or joins one that has no compute yet
+                if w:
+                    weight.append(w)
+                    after.append(len(weight))
+                    w = 0
+                if kind is PollOutcome:
+                    more.setdefault(n + action.target, []).append(len(weight))
+                    continue
+                group = kind is TaskgroupEnd  # which waits on subtrees, not completions
+                for _, child in spawns[marks[group]:]:
+                    more.setdefault(child if group else n + child, []).append(len(weight))
+                marks[group] = len(spawns)
+        weight.append(w)
+        after.append(n + t)
+    more.update((unit, [first[child]]) for unit, child in spawns)
 
-    # Longest path over the DAG; Kahn order doubles as the cycle check.
-    # Any topological order gives the same lengths and choices below.
-    indeg = [0] * total
-    for outs in edges:
-        for dst in outs:
-            indeg[dst] += 1
-    topo = [i for i, d in enumerate(indeg) if d == 0]
+    # Kahn order doubles as the cycle check; any topological order gives
+    # the same lengths and choices below.
+    total = len(weight)
+    indeg = [0] * (total + 1)
+    for nxt in chain(after, *more.values()):
+        indeg[nxt] += 1
+    indeg[-1] = total  # the sink is never walked
+    topo = [unit for unit in first if not indeg[unit]]
+    get = more.get
     for cur in topo:  # topo grows while it is walked
-        for dst in edges[cur]:
-            indeg[dst] -= 1
-            if indeg[dst] == 0:
-                topo.append(dst)
+        nxt = after[cur]
+        indeg[nxt] -= 1
+        if not indeg[nxt]:
+            topo.append(nxt)
+        for nxt in get(cur, ()):
+            indeg[nxt] -= 1
+            if not indeg[nxt]:
+                topo.append(nxt)
     if len(topo) != total:
         raise CyclicDependencyError("poll/wait/spawn edges form a cycle")
 
-    best = [0] * total  # best length from node to any sink, inclusive
-    succ = [None] * total
-    # Tie-break rank: a real node ranks as itself, an up node as the real
-    # node its chosen successors lead to, which keeps "smallest (task, idx)"
-    # exact over the real nodes an up node stands for.
-    rank = list(range(total))
+    best = [0] * (total + 1)  # best length from node to any sink, inclusive
+    rank = [0] * n  # of up(t): the unit its chosen successors lead to
     for i in reversed(topo):
-        best_next, chosen = 0, None
-        for dst in edges[i]:
-            if best[dst] > best_next:
-                best_next, chosen = best[dst], dst
-            elif best[dst] == best_next and chosen is not None and rank[dst] < rank[chosen]:
-                chosen = dst
-        best[i] = weight[i] + best_next
-        succ[i] = chosen
-        if i >= up and chosen is not None:
-            rank[i] = rank[chosen]
+        if i >= n:
+            b = best[after[i]]
+            for nxt in get(i, ()):
+                if best[nxt] > b:
+                    b = best[nxt]
+            best[i] = weight[i] + b
+        elif (chosen := _choose(i, after, best, get, rank, n)) is not None:
+            best[i] = best[chosen]
+            rank[i] = chosen if chosen >= n else rank[chosen]
 
-    starts = [first[root] for root in graph.roots]
-    if not starts:
+    if not graph.roots:
         return 0, ()
-    start = min(starts, key=lambda i: (-best[i], i))
-
+    cur = start = min((first[root] for root in graph.roots), key=lambda i: (-best[i], i))
     path = []
-    cur = start
     while cur is not None:
-        if weight[cur] > 0 and (not path or path[-1] != owner[cur]):
-            path.append(owner[cur])
-        cur = succ[cur]
+        if weight[cur] and path[-1:] != [owner := bisect_right(first, cur) - 1]:
+            path.append(tasks[owner].id)  # the task's own int, which the cached path shares
+        cur = _choose(cur, after, best, get, rank, n)
     return best[start], tuple(path)
+
+
+def _choose(i, after, best, get, rank, n):
+    """Node `i`'s successor on its longest chain, ties to the smallest rank
+    (an up node's is `rank`, any other node's itself); None if all are 0."""
+    chosen = after[i]
+    for nxt in get(i, ()):
+        if best[nxt] > best[chosen] or best[nxt] == best[chosen] and (
+            nxt if nxt >= n else rank[nxt]) < (chosen if chosen >= n else rank[chosen]):
+            chosen = nxt
+    return chosen if best[chosen] else None
 
 
 # --- JSON serialization -------------------------------------------------

@@ -10,7 +10,16 @@ from schedsim import engine
 from schedsim import policies as pol
 from schedsim.analysis import analyze, validate_trace
 from schedsim.engine import InvalidGraphError, ScheduleTrace, SimConfig, simulate
-from schedsim.task_graph import Compute, TaskGraph, TaskSpec, graph_from_json, graph_to_json
+from schedsim.task_graph import (
+    Compute,
+    CyclicDependencyError,
+    PollOutcome,
+    TaskGraph,
+    TaskSpec,
+    critical_path,
+    graph_from_json,
+    graph_to_json,
+)
 
 import test_many_thread_digests as many
 
@@ -35,6 +44,8 @@ def test_builders_restore_the_collector_state(collector):
     assert gc.isenabled() is collector
     assert validate_trace(GRAPH, trace) == []
     assert gc.isenabled() is collector
+    assert critical_path(TaskGraph(GRAPH.tasks, GRAPH.roots)) == (3, [0])  # a fresh graph: no cached path
+    assert gc.isenabled() is collector
 
 
 def test_a_raising_build_restores_the_collector_state(collector):
@@ -46,6 +57,9 @@ def test_a_raising_build_restores_the_collector_state(collector):
         ScheduleTrace.from_dict(
             {"thread_count": 1.5, "makespan": 0, "outcome": "completed", "segments": [], "events": []}
         )
+    assert gc.isenabled() is collector
+    with pytest.raises(CyclicDependencyError):
+        critical_path(TaskGraph((TaskSpec(0, (PollOutcome(1),)), TaskSpec(1, (PollOutcome(0),))), (0, 1)))
     assert gc.isenabled() is collector
 
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import networkx as nx
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from schedsim import policies as pol
@@ -21,6 +22,7 @@ from schedsim.generators import (
 )
 from schedsim.task_graph import (
     Compute,
+    CyclicDependencyError,
     DeferMode,
     PollOutcome,
     Spawn,
@@ -35,6 +37,7 @@ from schedsim.task_graph import (
     total_work,
 )
 
+from graph_model import reference_critical_path
 from test_acceptance import sample_graph
 from test_critical_path_pins import tied_forest
 
@@ -425,6 +428,52 @@ def poll_graph(draw):
         )
     roots = tuple(task for task in range(n) if parent.get(task, -1) < 0)
     return TaskGraph(tasks=tuple(tasks), roots=roots)
+
+
+@st.composite
+def spawn_tree(draw):
+    """A forest of up to 10 tasks, numbered in any order, whose tasks spawn
+    their children in any defer mode (undeferred half the time) between
+    1- and 2-tick computes, child waits, group ends and polls on tasks of
+    earlier trees (which cannot close a cycle), so that equal-length chains
+    and group ends over nested subtrees are everywhere."""
+    n = draw(st.integers(1, 10))
+    parent = [draw(st.sampled_from([task - 1, task - 1, -1]) | st.integers(-1, task - 1)) for task in range(n)]
+    tree = []  # the first task of each task's tree
+    for task in range(n):
+        tree.append(task if parent[task] < 0 else tree[parent[task]])
+    perm = draw(st.permutations(range(n)))
+    defer = st.sampled_from([DeferMode.UNDEFERRED, DeferMode.UNDEFERRED, DeferMode.RUNTIME_CHOICE, DeferMode.MUST_DEFER])
+    tasks = [None] * n
+    for task in range(n):
+        earlier = [perm[t] for t in range(n) if tree[t] < tree[task]]
+        step = st.sampled_from([Compute(1), Compute(2), TaskwaitChildren(), TaskgroupEnd()])
+        if earlier:
+            step = st.one_of(step, st.sampled_from(earlier).map(PollOutcome))
+        actions = draw(st.lists(step, max_size=2))
+        for child in (c for c in range(n) if parent[c] == task):
+            actions += [Spawn(perm[child], draw(defer))] + draw(st.lists(step, max_size=2))
+        tasks[perm[task]] = TaskSpec(perm[task], tuple(actions))
+    return TaskGraph(tuple(tasks), tuple(perm[t] for t in range(n) if parent[t] < 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.builds(drawn_graph, st.integers(0, 2**64 - 1), st.booleans()),
+        poll_graph(),
+        spawn_tree(),
+    )
+)
+def test_critical_path_matches_the_reference_kernel(graph):
+    # the exact path, tie-break included, which networkx does not check
+    try:
+        expected = reference_critical_path(graph)
+    except CyclicDependencyError:
+        with pytest.raises(CyclicDependencyError):
+            critical_path(graph)
+        return
+    assert critical_path(graph) == expected
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import dataclass
 
 import pytest
 
@@ -26,6 +27,12 @@ from schedsim.task_graph import (
     validate,
     wait_members,
 )
+
+
+@dataclass(frozen=True)
+class Slow(Compute):
+    """An action subclass: the engine and the file writer dispatch on the
+    exact action type, so this is not a Compute to them."""
 
 
 def chain_graph():
@@ -223,8 +230,12 @@ class TestWrongType:
                 (TaskSpec(0, (Compute(1), TaskgroupEnd)),),
                 Violation("WrongType", 0, f"action: expected an action, got {TaskgroupEnd!r}"),
             ),
+            (
+                (TaskSpec(0, (Slow(5), Compute(2))),),
+                Violation("WrongType", 0, "action: expected an action, got Slow(duration=5)"),
+            ),
         ],
-        ids=["dict-task", "tuple-task", "text-action", "action-class"],
+        ids=["dict-task", "tuple-task", "text-action", "action-class", "action-subclass"],
     )
     def test_tasks_and_actions_of_the_wrong_type_are_named(self, tasks, violation):
         # named by the task's position, before the run could fail mid-way
@@ -404,6 +415,19 @@ class TestCriticalPath:
             roots=(0, 1),
         )
         assert critical_path(g) == (9, [1, 0])
+
+    def test_an_up_chain_ranks_as_the_group_end_it_reaches(self):
+        # Task 3's completion leads on, at equal length 2, to task 0's poll
+        # and, up through task 2 (no group end), to task 1's group end.  The
+        # up chain ranks as that group end, (1, 1), so the poll, (0, 0), wins.
+        tasks = {
+            0: (PollOutcome(3), Compute(2)),
+            1: (Spawn(2), TaskgroupEnd(), Compute(2)),
+            2: (Spawn(3),),
+            3: (Compute(1),),
+        }
+        g = TaskGraph(tuple(TaskSpec(i, a) for i, a in tasks.items()), (1, 0))
+        assert critical_path(g) == (3, [3, 0])
 
     def test_poll_cycle_raises(self):
         g = TaskGraph(
