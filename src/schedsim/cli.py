@@ -216,6 +216,12 @@ def run_report(args) -> int:
 # --- parser -------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    if (value := int(text)) <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive int, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="schedsim",
@@ -256,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("graph")
     sim.add_argument("--policy", choices=["reference", "fcfs", "extended"], default="reference")
     sim.add_argument("--threads", type=int, default=4)
-    sim.add_argument("--queue-bound", dest="queue_bound", type=int, default=256)
+    sim.add_argument("--queue-bound", dest="queue_bound", type=_positive_int, default=256)
     sim.add_argument("--no-throttle", dest="no_throttle", action="store_true",
                      help="unbounded queues (never throttle)")
     sim.add_argument("--fair-yield", dest="fair_yield", action="store_true")
@@ -288,7 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # each command reports its unreadable inputs, so this is an output
+        if exc.filename is None:
+            raise
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

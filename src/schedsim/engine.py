@@ -209,10 +209,6 @@ class _Engine:
             stack.extend(a.child for a in tasks[cur].actions if isinstance(a, Spawn))
         return allowed
 
-    def _pick_filter(self, th: _Thread):
-        """The innermost narrowed latency filter, or None when unrestricted."""
-        return th.filters[-1] if th.filters else None
-
     # -- starvation accounting ---------------------------------------------
 
     def _movable(self, thread_idx):
@@ -241,7 +237,7 @@ class _Engine:
                 continue
             if th.stack and th.stack[-1].poll_failed_at == self.progress:
                 continue
-            if self.ready.any_pickable(th.movable, self._pick_filter(th)):
+            if self.ready.any_pickable(th.movable, th.filters[-1] if th.filters else None):
                 return False
         return True
 
@@ -265,15 +261,25 @@ class _Engine:
     # -- the per-thread state machine ----------------------------------------
 
     def _run_thread(self, th: _Thread, now: int) -> bool:
-        """Advance a free thread through zero-time transitions until it
-        starts a segment, blocks or empties its stack.  Returns True if any
-        state changed."""
+        """Step a thread: end its segment, if it holds one, then advance it
+        through zero-time transitions until it starts a segment, blocks or
+        empties its stack.  A thread that holds a segment is stepped only
+        once that segment is due.  Returns True if any state changed."""
+        task = th.seg_task
+        progressed = task is not None
+        if progressed:
+            kind = th.seg_kind
+            if now > th.seg_start:
+                self.segments.append((th.idx, task, th.seg_start, now, kind))
+            if kind is not _POLL_SPIN:
+                self.runs[task].pc += 1
+                self.progress += 1
+            th.seg_task = th.seg_kind = th.seg_target = None
         if self.outcome is not None:
-            return False
+            return progressed
         stack = th.stack
         events = self.events
         idx = th.idx
-        progressed = False
         while stack:
             run = stack[-1]
 
@@ -416,7 +422,7 @@ class _Engine:
         ready = self.ready
         if th.futile == ready.seq:
             return False
-        picked = ready.pick(th.idx, th.movable, self._pick_filter(th))
+        picked = ready.pick(th.idx, th.movable, th.filters[-1] if th.filters else None)
         if picked is None:
             th.futile = ready.seq
             return False
@@ -436,7 +442,7 @@ class _Engine:
 
     def _process(self, now: int):
         """Run timestamp `now` to a fixed point; return what ``_next(now)`` returns."""
-        threads, runs, segments, queued = self.threads, self.runs, self.segments, self.ready.index
+        threads, runs, queued = self.threads, self.runs, self.ready.index
         settle = True
         while self.outcome is None:
             done = self.completed_count
@@ -448,19 +454,12 @@ class _Engine:
                 # (see the module docstring) is written here and after the picks.
                 changed = False
                 for th in threads:
-                    task = th.seg_task
-                    if task is not None:
-                        kind = th.seg_kind
-                        if th.seg_end > now and (kind is not _POLL_SPIN or not runs[th.seg_target].completed):
+                    if th.seg_task is not None:
+                        if th.seg_end > now and (th.seg_kind is not _POLL_SPIN or not runs[th.seg_target].completed):
                             continue
-                        if now > th.seg_start:
-                            segments.append((th.idx, task, th.seg_start, now, kind))
-                        if kind is not _POLL_SPIN:
-                            runs[task].pc += 1
-                            self.progress += 1
-                        th.seg_task = th.seg_kind = th.seg_target = None
-                        changed = True
-                    if th.stack and th.stack[-1].parked != self.completed_count and self._run_thread(th, now):
+                    elif not th.stack or th.stack[-1].parked == self.completed_count:
+                        continue
+                    if self._run_thread(th, now):
                         changed = True
                 if changed and (self.completed_count != done or self.failed_poll_at == now):
                     continue

@@ -26,11 +26,12 @@ from schedsim.prng import SplitMix64
 from schedsim.task_graph import (
     DeferMode,
     WaitMode,
-    YieldMode,
     critical_path,
     total_work,
     validate,
 )
+
+from graph_draws import sample_graph
 
 
 @contextmanager
@@ -256,65 +257,6 @@ def test_a4_taskwait_latency():
 
 
 # --- A5: randomized invariant suite ---------------------------------------------
-
-
-def sample_graph(rng):
-    shape = rng.randint(0, 3)
-    if shape == 0:
-        k = rng.randint(1, 3)
-        lo = rng.randint(1, 3)
-        return gen_enclave_pattern(
-            EnclaveWorkloadParams(
-                K=k,
-                timesteps=rng.randint(1, 2),
-                enclaves_per_traversal=tuple(rng.randint(0, 6) for _ in range(k)),
-                traversal_cell_cost=rng.randint(1, 4),
-                enclave_cost_range=(lo, lo + rng.randint(0, 4)),
-                cells_per_traversal=tuple(rng.randint(1, 5) for _ in range(k)),
-                seed=rng.next_u64(),
-                defer_mode=(
-                    DeferMode.RUNTIME_CHOICE,
-                    DeferMode.MUST_DEFER,
-                    DeferMode.UNDEFERRED,
-                )[rng.randint(0, 2)],
-                yield_mode=(
-                    YieldMode.DEFAULT,
-                    YieldMode.LATENCY,
-                    YieldMode.THROUGHPUT,
-                )[rng.randint(0, 2)],
-                wait_mode=(WaitMode.THROUGHPUT, WaitMode.LATENCY)[rng.randint(0, 1)],
-            )
-        )
-    if shape == 1:
-        t = rng.randint(1, 3)
-        return gen_starvation_pattern(
-            StarvationParams(
-                T=t,
-                C=t + 2 + rng.randint(0, 3),
-                E=rng.randint(1, 4),
-                poll_cost=rng.randint(0, 3),
-                enclave_cost=rng.randint(1, 6),
-                seed=rng.next_u64(),
-            )
-        )
-    if shape == 2:
-        params = NestedLoopParams(
-            K=rng.randint(1, 4),
-            loop_chunks=rng.randint(1, 5),
-            chunk_cost=rng.randint(1, 6),
-            loop_on_critical_task_only=bool(rng.randint(0, 1)),
-            serial_prefix_cost=rng.randint(1, 4),
-            serial_suffix_cost=rng.randint(1, 4),
-            chunk_priority=rng.randint(0, 3),
-        )
-        rng.next_u64()  # the draw that once seeded the params keeps the stream
-        return gen_nested_loop_pattern(params)
-    return gen_two_timestep_pattern(
-        K=rng.randint(2, 4),
-        traversal_cost=rng.randint(1, 5),
-        straggler_enclave_cost=rng.randint(6, 12),
-        wait_mode=(WaitMode.THROUGHPUT, WaitMode.LATENCY)[rng.randint(0, 1)],
-    )
 
 
 def test_a5_randomized_invariant_suite():

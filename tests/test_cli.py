@@ -181,6 +181,20 @@ class TestSimulate:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "flags",
+        [["--policy", "reference"], ["--policy", "reference", "--no-throttle"], ["--policy", "fcfs"],
+         ["--policy", "extended"], ["--policy", "extended", "--fair-yield", "--no-throttle"]],
+        ids=["reference", "reference-unbounded", "fcfs", "extended", "extended-flags"],
+    )
+    def test_non_positive_queue_bound_refused_at_parse_time(self, tmp_path, capsys, flags, bound):
+        graph = starvation_graph(tmp_path)
+        with pytest.raises(SystemExit) as stop:
+            main(["simulate", str(graph), *flags, "--queue-bound", bound])
+        assert stop.value.code == 2
+        assert f"argument --queue-bound: must be a positive int, got {bound}\n" in capsys.readouterr().err
+
 
 class TestCompareReport:
     def make_traces(self, tmp_path):
@@ -259,6 +273,27 @@ class TestCompareReport:
         assert code == 0
         out = capsys.readouterr().out
         assert "makespan" in out and "occupancy" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "starvation", "--t", "2", "--c", "4", "--e", "2", "-o", "OUT"],
+        ["simulate", "GRAPH", "-o", "OUT"],
+        ["simulate", "GRAPH", "--csv", "OUT"],
+        ["compare", "GRAPH", "TRACE", "TRACE", "-o", "OUT"],
+        ["report", "GRAPH", "TRACE", "-o", "OUT"],
+        ["report", "GRAPH", "TRACE", "--svg", "OUT"],
+    ],
+    ids=["generate", "simulate", "simulate-csv", "compare", "report", "report-svg"],
+)
+def test_unwritable_output_is_an_input_error(tmp_path, capsys, argv):
+    graph, trace, _ = TestCompareReport().make_traces(tmp_path)
+    out = tmp_path / "missing" / "out"
+    paths = {"GRAPH": str(graph), "TRACE": str(trace), "OUT": str(out)}
+    capsys.readouterr()
+    assert main([paths.get(arg, arg) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"error: {out}: No such file or directory\n"
 
 
 def malformed(tmp_path, name, mutate, source):

@@ -6,7 +6,6 @@ import gc
 
 import pytest
 
-from schedsim import engine
 from schedsim import policies as pol
 from schedsim.analysis import analyze, validate_trace
 from schedsim.engine import InvalidGraphError, ScheduleTrace, SimConfig, simulate
@@ -65,8 +64,8 @@ def test_a_raising_build_restores_the_collector_state(collector):
 
 def test_the_engine_runs_with_the_collector_paused(monkeypatch, collector):
     seen = []
-    run = engine._Engine.run
-    monkeypatch.setattr(engine._Engine, "run", lambda self: seen.append(gc.isenabled()) or run(self))
+    queues = pol.ReadyQueues  # built once per run, by the engine
+    monkeypatch.setattr(pol, "ReadyQueues", lambda *args: seen.append(gc.isenabled()) or queues(*args))
     simulate(GRAPH, CONFIG)
     assert seen == [False]
 

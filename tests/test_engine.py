@@ -32,7 +32,7 @@ from schedsim.task_graph import (
     wait_members,
 )
 
-from test_critical_path_pins import spawn_chain, tied_forest
+from graph_draws import spawn_chain, tied_forest
 
 
 POLICIES = [pol.reference(), pol.fcfs(), pol.extended()]
@@ -365,25 +365,24 @@ class TestWaits:
         assert calls == reads
 
 
-class PickRecordingEngine(_Engine):
-    """Records ``(thread, time, helper, picked)`` for every pick attempt by
-    a thread that is not computing, and the time of every attempt made
-    while no queue holds an entry."""
+def recorded_picks(graph, cfg):
+    """Simulate; return the trace, ``(thread, time, helper, picked)`` for
+    every pick attempt by a thread that is not computing, and the time of
+    every attempt made while no queue holds an entry."""
+    attempts, unqueued = [], []
 
-    def __init__(self, graph, cfg):
-        super().__init__(graph, cfg)
-        self.attempts = []
-        self.unqueued = []
+    class PickRecordingEngine(_Engine):
+        def _try_pick(self, th, now):
+            if not self.ready.index:
+                unqueued.append(now)
+            free = th.seg_task is None and self.outcome is None
+            helper = bool(th.stack)
+            picked = super()._try_pick(th, now)
+            if free:
+                attempts.append((th.idx, now, helper, picked))
+            return picked
 
-    def _try_pick(self, th, now):
-        if not self.ready.index:
-            self.unqueued.append(now)
-        free = th.seg_task is None and self.outcome is None
-        helper = bool(th.stack)
-        picked = super()._try_pick(th, now)
-        if free:
-            self.attempts.append((th.idx, now, helper, picked))
-        return picked
+    return PickRecordingEngine(graph, cfg).run(), attempts, unqueued
 
 
 class TestPicks:
@@ -404,9 +403,8 @@ class TestPicks:
             ),
             roots=(0, 1),
         )
-        engine = PickRecordingEngine(g, SimConfig(thread_count=3, policy=pol.extended()))
-        trace = engine.run()
-        at_3 = [(thread, helper, picked) for thread, now, helper, picked in engine.attempts if now == 3]
+        trace, attempts, _ = recorded_picks(g, SimConfig(thread_count=3, policy=pol.extended()))
+        at_3 = [(thread, helper, picked) for thread, now, helper, picked in attempts if now == 3]
         assert at_3 == [(0, True, False), (1, True, True), (0, True, True)]
         assert TraceEvent(3, EventKind.STOLEN, 6, 0) in trace.events
         assert Segment(0, 6, 3, 4, SegmentKind.COMPUTE) in trace.segments
@@ -418,11 +416,10 @@ class TestPicks:
         # once: at most timestamps every queue is empty, and neither the
         # 63 idle threads nor the waiting helpers may try to pick then.
         g = spawn_chain(64, TaskwaitChildren, SplitMix64(5))
-        engine = PickRecordingEngine(g, SimConfig(thread_count=64, policy=policy))
-        trace = engine.run()
+        trace, attempts, unqueued = recorded_picks(g, SimConfig(thread_count=64, policy=policy))
         assert trace.outcome is Outcome.COMPLETED
-        assert sum(picked for *_, picked in engine.attempts) == len(g.tasks)
-        assert engine.unqueued == []
+        assert sum(picked for *_, picked in attempts) == len(g.tasks)
+        assert unqueued == []
 
 
 class TestPolls:
@@ -684,17 +681,17 @@ class TestTraceSerialization:
 
 
 
-class RunThreadResults(_Engine):
-    """Records what every ``_run_thread`` call returns."""
+def run_thread_results(graph, cfg):
+    """Simulate; return the trace and what every ``_run_thread`` call returned."""
+    results = []
 
-    def __init__(self, graph, cfg):
-        super().__init__(graph, cfg)
-        self.results = []
+    class RunThreadResults(_Engine):
+        def _run_thread(self, th, now):
+            changed = super()._run_thread(th, now)
+            results.append(changed)
+            return changed
 
-    def _run_thread(self, th, now):
-        changed = super()._run_thread(th, now)
-        self.results.append(changed)
-        return changed
+    return RunThreadResults(graph, cfg).run(), results
 
 
 class TestDeepTrees:
@@ -705,9 +702,10 @@ class TestDeepTrees:
     def test_settle_passes_skip_parked_runs(self, policy, wait):
         # A run stopped at a wait moves only after a completion, so no
         # settle pass runs a thread whose top run cannot move.
-        engine = RunThreadResults(spawn_chain(64, wait, SplitMix64(1)), SimConfig(thread_count=2, policy=policy))
-        assert engine.run().outcome is Outcome.COMPLETED
-        assert engine.results and all(engine.results)
+        graph = spawn_chain(64, wait, SplitMix64(1))
+        trace, results = run_thread_results(graph, SimConfig(thread_count=2, policy=policy))
+        assert trace.outcome is Outcome.COMPLETED
+        assert results and all(results)
 
     DEPTH = 10_000
 
@@ -736,15 +734,26 @@ class TestDeepTrees:
 
 
 class PerPickFilterEngine(_Engine):
-    """The engine with the per-pick latency rule as a model: every pick is
-    filtered by the intersection of the sync sets of all latency waits on
-    the thread's stack, each rebuilt from the task's actions: a children
-    wait covers every child spawned before it, a group end the children
-    spawned since the previous group end and their subtrees.  The engine's
-    narrowed filter leaves out only children an earlier children wait saw
-    complete."""
+    """Checks the engine's narrowed latency filters against the per-pick
+    rule as a model, at every pick attempt and every starvation check: a
+    pick is filtered by the intersection of the sync sets of all latency
+    waits on the thread's stack, each rebuilt from the task's actions: a
+    children wait covers every child spawned before it, a group end the
+    children spawned since the previous group end and their subtrees.
+    The narrowed filter may leave out only children an earlier children
+    wait saw complete, and a completed task is never queued, so both
+    filters pick the same."""
 
-    def _pick_filter(self, th):
+    def _try_pick(self, th, now):
+        self._check_filter(th)
+        return super()._try_pick(th, now)
+
+    def _starved_round(self):
+        for th in self.threads:
+            self._check_filter(th)
+        return super()._starved_round()
+
+    def _check_filter(self, th):
         allowed = None
         for run in th.stack:
             if run.wait is None:
@@ -753,11 +762,12 @@ class PerPickFilterEngine(_Engine):
             if action.mode is WaitMode.LATENCY and self.policy.honor_latency_wait:
                 tasks = self._sync_set(run.spec, run.pc)
                 allowed = tasks if allowed is None else allowed & tasks
-        if allowed is not None:
-            narrowed = super()._pick_filter(th)
+        if allowed is None:
+            assert th.filters == []
+        else:
+            narrowed = th.filters[-1]
             assert narrowed <= allowed
             assert all(self.runs[task].completed for task in allowed - narrowed)
-        return allowed
 
     def _sync_set(self, spec, pc):
         children, mark = [], 0
@@ -795,9 +805,6 @@ def latency_graph(draw):
     st.sampled_from([pol.extended(), pol.extended(queue_bound=2), pol.extended(priority_aware=False)]),
 )
 def test_latency_filters_match_per_pick_model(graph, threads, policy):
-    cfg = SimConfig(thread_count=threads, policy=policy)
-    engine = _Engine(graph, cfg)
-    trace = engine.run()
-    assert trace.to_json() == PerPickFilterEngine(graph, cfg).run().to_json()
-    if trace.outcome is Outcome.COMPLETED:
+    engine = PerPickFilterEngine(graph, SimConfig(thread_count=threads, policy=policy))
+    if engine.run().outcome is Outcome.COMPLETED:
         assert all(th.filters == [] for th in engine.threads)

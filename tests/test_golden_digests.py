@@ -19,7 +19,7 @@ from schedsim import policies as pol
 from schedsim.engine import SimConfig, simulate
 from schedsim.prng import SplitMix64
 
-from test_acceptance import sample_graph
+from graph_draws import sample_graph
 
 GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
 SEED = 20260601

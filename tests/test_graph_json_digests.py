@@ -28,7 +28,7 @@ from schedsim.generators import (
 from schedsim.prng import SplitMix64
 from schedsim.task_graph import DeferMode, WaitMode, YieldMode, graph_to_json
 
-from test_acceptance import sample_graph
+from graph_draws import sample_graph
 from test_golden_digests import GRAPHS, SEED
 
 DIGESTS_PATH = Path(__file__).with_name("graph_json_digests.json")

@@ -22,7 +22,7 @@ from schedsim import policies as pol
 from schedsim.engine import SimConfig, simulate
 from schedsim.prng import SplitMix64
 
-from test_critical_path_pins import tied_forest
+from graph_draws import tied_forest
 
 DIGESTS_PATH = Path(__file__).with_name("latency_digests.json")
 SEED = 20261018

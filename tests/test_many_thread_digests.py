@@ -31,7 +31,7 @@ from schedsim.generators import (
 from schedsim.prng import SplitMix64
 from schedsim.task_graph import DeferMode, TaskGraph, TaskgroupEnd, TaskwaitChildren, WaitMode
 
-from test_critical_path_pins import spawn_chain
+from graph_draws import spawn_chain
 
 DIGESTS_PATH = Path(__file__).with_name("many_thread_digests.json")
 SEED = 1

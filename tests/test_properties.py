@@ -30,20 +30,13 @@ from schedsim.task_graph import (
     TaskSpec,
     TaskgroupEnd,
     TaskwaitChildren,
-    WaitMode,
-    YieldMode,
     critical_path,
     graph_to_json,
     total_work,
 )
 
+from graph_draws import DEFER_MODES, WAIT_MODES, YIELD_MODES, sample_graph, tied_forest
 from graph_model import reference_critical_path
-from test_acceptance import sample_graph
-from test_critical_path_pins import tied_forest
-
-DEFER_MODES = [DeferMode.RUNTIME_CHOICE, DeferMode.MUST_DEFER, DeferMode.UNDEFERRED]
-YIELD_MODES = [YieldMode.DEFAULT, YieldMode.LATENCY, YieldMode.THROUGHPUT]
-WAIT_MODES = [WaitMode.THROUGHPUT, WaitMode.LATENCY]
 
 
 @st.composite
@@ -569,55 +562,24 @@ def test_every_process_ends_at_a_fixed_point(graph):
             FixedPointEngine(graph, cfg).run()
 
 
-class UnparkedEngine(_Engine):
-    """The engine with parking disabled: a run that stops at a wait or
-    behind its undeferred child is never parked, so every settle pass runs
-    every free thread with a stack."""
-
-    def _run_thread(self, th, now):
-        changed = super()._run_thread(th, now)
-        if th.stack:
-            th.stack[-1].parked = -1  # only the top run parks, as it stops
-        return changed
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.one_of(
-        poll_graph(),
-        st.builds(drawn_graph, st.integers(0, 2**64 - 1), st.booleans()),
-    )
-)
-def test_parking_changes_no_byte(graph):
-    for policy in METAMORPHIC_POLICIES:
-        for threads in (1, 2, 3, 4, 5):
-            cfg = SimConfig(thread_count=threads, policy=policy, max_virtual_time=10_000)
-            assert UnparkedEngine(graph, cfg).run().to_json() == simulate(graph, cfg).to_json()
-
-
 class EverySettleEngine(_Engine):
-    """The pass rule without skipping: every settle pass that changed
-    something repeats, and settling restarts after every pick pass that
-    picked.  At the fixed point this reaches the engine's own passes
-    change nothing, and it sets the outcome or returns the next timestamp."""
+    """The pass rule without skipping or parking: every settle pass steps
+    each thread whose segment is due and each free thread with a stack,
+    parked or not; a pass that changed something repeats, and settling
+    restarts after every pick pass that picked.  At the fixed point this
+    reaches the engine's own passes change nothing, and it sets the
+    outcome or returns the next timestamp."""
 
     def _process(self, now):
         runs, threads = self.runs, self.threads
         while self.outcome is None:
             changed = False
             for th in threads:
-                kind = th.seg_kind
-                if th.seg_task is not None and (
-                    th.seg_end <= now or kind is SegmentKind.POLL_SPIN and runs[th.seg_target].completed
-                ):
-                    if now > th.seg_start:
-                        self.segments.append((th.idx, th.seg_task, th.seg_start, now, kind))
-                    if kind is not SegmentKind.POLL_SPIN:
-                        runs[th.seg_task].pc += 1
-                        self.progress += 1
-                    th.seg_task = th.seg_kind = th.seg_target = None
-                    changed = True
-                if th.seg_task is None and th.stack and self._run_thread(th, now):
+                if th.seg_task is None:
+                    step = bool(th.stack)
+                else:
+                    step = th.seg_end <= now or th.seg_kind is SegmentKind.POLL_SPIN and runs[th.seg_target].completed
+                if step and self._run_thread(th, now):
                     changed = True
             if changed:
                 continue
