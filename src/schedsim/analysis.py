@@ -333,12 +333,13 @@ def render_gantt_svg(graph: TaskGraph, trace: ScheduleTrace, width: int = 960) -
         f'<text x="{margin_left}" y="{axis_y}">0</text>'
         f'<text x="{width - 60}" y="{axis_y}">{trace.makespan}</text>'
     )
+    from html import escape  # only a rendering needs it
     legend_x = margin_left
     for label in labels:
         parts.append(
             f'<rect x="{legend_x}" y="{height - 10}" width="8" height="8" '
             f'fill="{color_of[label]}"/>'
-            f'<text x="{legend_x + 12}" y="{height - 2}">{label or "(none)"}</text>'
+            f'<text x="{legend_x + 12}" y="{height - 2}">{escape(label or "(none)", quote=False)}</text>'
         )
         legend_x += 12 + 8 * max(len(label), 6)
     parts.append("</svg>")

@@ -130,13 +130,15 @@ def _policy_from_args(args) -> "policies.PolicyConfig":
 
 def _parse(path: str, parse, what: str):
     """Parse a JSON file; text that is not JSON, a document of the wrong
-    shape, a value of the wrong type, unknown or too large for an integer
-    field, or nesting too deep to decode is a ValueError naming the file."""
+    shape or missing a key (a KeyError names one of its own keys), a value
+    of the wrong type, unknown or too large for an integer field, or
+    nesting too deep to decode is a ValueError naming the file."""
     text = Path(path).read_text()
     try:
         return parse(text)
-    except (TypeError, ValueError, OverflowError, RecursionError) as exc:
-        raise ValueError(f"{path}: malformed {what} file: {exc}") from None
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        problem = f"{exc.args[0]}: missing" if type(exc) is KeyError else exc
+        raise ValueError(f"{path}: malformed {what} file: {problem}") from None
 
 
 def _load_graph(path: str):
@@ -157,7 +159,7 @@ def run_simulate(args) -> int:
             max_virtual_time=args.max_time,
         )
         trace = engine.simulate(graph, cfg)
-    except (OSError, ValueError, KeyError, policies.ConfigError, engine.EngineError) as exc:
+    except (OSError, ValueError, policies.ConfigError, engine.EngineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.output:
@@ -183,7 +185,7 @@ def run_compare(args) -> int:
         baseline = _parse(args.baseline, ScheduleTrace.from_json, "trace")
         variant = _parse(args.variant, ScheduleTrace.from_json, "trace")
         report = analysis.compare(graph, baseline, variant)
-    except (OSError, ValueError, KeyError, analysis.TraceMismatchError) as exc:
+    except (OSError, ValueError, analysis.TraceMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(
@@ -202,7 +204,7 @@ def run_report(args) -> int:
         graph = _load_graph(args.graph)
         trace = _parse(args.trace, ScheduleTrace.from_json, "trace")
         report = analysis.analyze(graph, trace)
-    except (OSError, ValueError, KeyError, analysis.TraceMismatchError) as exc:
+    except (OSError, ValueError, analysis.TraceMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(report.to_text())

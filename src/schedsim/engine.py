@@ -441,7 +441,7 @@ class _Engine:
     # -- main loop ----------------------------------------------------------------
 
     def _process(self, now: int):
-        """Run timestamp `now` to a fixed point; return what ``_next(now)`` returns."""
+        """Run timestamp `now` to a fixed point; return the next one, or None once the run has an outcome."""
         threads, runs, queued = self.threads, self.runs, self.ready.index
         settle = True
         while self.outcome is None:
@@ -476,14 +476,10 @@ class _Engine:
             if not picked:
                 break
             settle = self.completed_count != done or self.failed_poll_at == now
-        return self._next(now)
-
-    def _next(self, now: int):
-        """Return the timestamp after `now`, or None once the run has an outcome."""
         if self.outcome is not None:
             return None
         nxt = None  # the next segment end: at a fixed point each ends after `now`
-        for th in self.threads:
+        for th in threads:
             if th.seg_task is not None and (nxt is None or th.seg_end < nxt):
                 nxt = th.seg_end
         if self.completed_count == len(self.runs):

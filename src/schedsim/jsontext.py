@@ -82,8 +82,9 @@ def records(cls, items, fields, name: str) -> tuple:
     """One `cls` tuple per JSON object in `items`, built in C a column at a
     time from (key, reader) `fields`: a JSON type, checked by ``typed`` as
     ``f"{name} {position}, {key}"``, or a converter for each value.  Once
-    one fails, an item that is not an object is named first; a converter's
-    TypeError or ValueError is named ``f"{name} {position}, {key}"``."""
+    one fails, an item that is not an object or lacks a key is named first
+    (``f"{name} {position}, {key}: missing"``); a converter's TypeError or
+    ValueError is named ``f"{name} {position}, {key}"``."""
     columns = None
     try:
         columns = [
@@ -93,8 +94,9 @@ def records(cls, items, fields, name: str) -> tuple:
             for key, reader in fields
         ]
         return tuple(map(tuple.__new__, repeat(cls), zip(*columns)))
-    except (TypeError, ValueError):
-        problem = not_object(items, name)
+    except (KeyError, TypeError, ValueError):
+        missing = (f"{name} {pos}, {key}: missing" for key, _ in fields for pos, item in enumerate(items) if key not in item)
+        problem = not_object(items, name) or next(missing, None)
         if problem:
             raise TypeError(problem) from None
         if columns is None:  # a typed column, which named its value

@@ -127,9 +127,7 @@ _UNDEFERRED, _MUST_DEFER = DeferMode.UNDEFERRED, DeferMode.MUST_DEFER
 
 
 def _victims(spawning_thread: int, thread_count: int) -> list:
-    return [
-        (spawning_thread + off) % thread_count for off in range(1, thread_count)
-    ]
+    return [(spawning_thread + off) % thread_count for off in range(1, thread_count)]
 
 
 def on_spawn(

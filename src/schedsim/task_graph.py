@@ -529,15 +529,15 @@ def _action_problem(tasks: list):
     first action that fails to read."""
     problem = jsontext.not_object(tasks, "task")
     for pos, task in enumerate(() if problem else tasks):
-        problem = jsontext.not_object(task["actions"], f"task {pos}, action")
+        problem = jsontext.not_object(task.get("actions", ()), f"task {pos}, action")
         if problem:
             return problem
-        for at, action in enumerate(task["actions"]):
+        for at, action in enumerate(task.get("actions", ())):  # `records` names a missing list
             probe = _Probe(action)
             try:
                 _ACTION_READERS[probe["type"]](probe)
-            except (TypeError, ValueError) as exc:
-                return f"task {pos}, action {at}, {probe.key}: {exc}"
+            except (KeyError, TypeError, ValueError) as exc:
+                return f"task {pos}, action {at}, {probe.key}: {'missing' if type(exc) is KeyError else exc}"
     return problem
 
 
@@ -554,8 +554,8 @@ def graph_from_dict(data: dict) -> TaskGraph:
     items = data["tasks"]
     try:
         tasks = list(starmap(TaskSpec, jsontext.records(tuple, items, _TASK_COLUMNS, "task")))
-    except (TypeError, ValueError) as exc:
-        raise type(exc)(_action_problem(items) or str(exc)) from None
+    except (KeyError, TypeError, ValueError) as exc:  # a KeyError: an action lacks a key
+        raise (TypeError if type(exc) is KeyError else type(exc))(_action_problem(items) or str(exc)) from None
     return TaskGraph(tasks, jsontext.typed(list(data["roots"]), int, "root {}"))
 
 

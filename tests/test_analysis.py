@@ -1,3 +1,4 @@
+import xml.dom.minidom
 from fractions import Fraction
 
 import pytest
@@ -294,6 +295,12 @@ class TestRendering:
         trace = run(g, threads=2)
         svg = render_gantt_svg(g, trace)
         assert 'stroke="black"' in svg
+
+    def test_labels_are_escaped(self):
+        g = TaskGraph(tasks=(TaskSpec(id=0, actions=(Compute(3),), label="R&D <hot>"),), roots=(0,))
+        svg = xml.dom.minidom.parseString(render_gantt_svg(g, run(g)))
+        legend = [t.firstChild.data for t in svg.getElementsByTagName("text")]
+        assert "R&D <hot>" in legend
 
     def test_report_text_rendering(self):
         g = single_task_graph()

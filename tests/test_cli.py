@@ -378,6 +378,25 @@ TRACE_MUTATIONS = [
 ]
 
 
+def dropped(*path):
+    """A mutation that deletes the key at the end of `path`."""
+
+    def mutate(data):
+        *head, key = path
+        target = data
+        for step in head:
+            target = target[step]
+        del target[key]
+        return data
+
+    return mutate
+
+
+def childless_spawn(graph):
+    graph["tasks"][1]["actions"].insert(1, {"type": "spawn", "defer": "runtime"})
+    return graph
+
+
 class TestMalformedFiles:
     """Files of the wrong shape, and traces naming threads outside their
     thread count, with no threads, or with segments or events that are
@@ -392,6 +411,33 @@ class TestMalformedFiles:
     def test_simulate(self, tmp_path, capsys, mutate):
         graph = malformed(tmp_path, "bad.json", mutate, starvation_graph(tmp_path))
         self.assert_usage_error(main(["simulate", str(graph)]), capsys)
+
+    @pytest.mark.parametrize(
+        "mutate, text",
+        [
+            (dropped("roots"), "roots: missing"),
+            (dropped("tasks", 3, "label"), "task 3, label: missing"),
+            (childless_spawn, "task 1, action 1, child: missing"),
+        ],
+        ids=["roots", "label", "spawn-child"],
+    )
+    def test_missing_graph_key_named(self, tmp_path, capsys, mutate, text):
+        graph = malformed(tmp_path, "bad.json", mutate, starvation_graph(tmp_path))
+        capsys.readouterr()
+        assert main(["simulate", str(graph)]) == 2
+        assert capsys.readouterr().err == f"error: {graph}: malformed graph file: {text}\n"
+
+    @pytest.mark.parametrize(
+        "mutate, text",
+        [(dropped("segments"), "segments: missing"), (dropped("segments", 0, "kind"), "segment 0, kind: missing")],
+        ids=["segments", "segment-kind"],
+    )
+    def test_missing_trace_key_named(self, tmp_path, capsys, mutate, text):
+        graph, slow, _ = TestCompareReport().make_traces(tmp_path)
+        bad = malformed(tmp_path, "bad.json", mutate, slow)
+        capsys.readouterr()
+        assert main(["report", str(graph), str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: malformed trace file: {text}\n"
 
     @pytest.mark.parametrize("mutate", TRACE_MUTATIONS)
     def test_compare(self, tmp_path, capsys, mutate):

@@ -1,5 +1,4 @@
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from schedsim import engine, policies as pol
 from schedsim.analysis import validate_trace
@@ -158,11 +157,11 @@ class TestScatter:
             + tuple(TaskSpec(i, (Compute(1),)) for i in (1, 2, 3)),
             roots=(0, 3),
         )
-        eng = _Engine(g, SimConfig(thread_count=3, policy=pol.extended(queue_bound=1)))
-        trace = eng.run()
+        trace = simulate(g, SimConfig(thread_count=3, policy=pol.extended(queue_bound=1)))
         assert scattered(trace) == [(0, 2, 2)]
         assert not any(e.kind is EventKind.THROTTLED for e in trace.events)
-        assert eng.runs[2].priority == pol.MIN_PRIORITY and eng.runs[1].priority == 0
+        # task 2 waits at MIN_PRIORITY: thread 2 steals task 1 (priority 0) first
+        assert TraceEvent(0, EventKind.STOLEN, 1, 2) in trace.events
         assert trace.outcome is Outcome.COMPLETED
 
     def test_loop_chunks_scatter_one_per_victim_then_stay_local(self):
@@ -175,11 +174,12 @@ class TestScatter:
             + (TaskSpec(6, (Compute(1),), priority=5),),
             roots=(0, 6),
         )
-        eng = _Engine(g, SimConfig(thread_count=3, policy=pol.extended()))
-        trace = eng.run()
+        trace = simulate(g, SimConfig(thread_count=3, policy=pol.extended()))
         assert scattered(trace) == [(0, 1, 1), (0, 2, 2)]
-        assert eng.runs[0].chunk_scatters == 2
-        assert [eng.runs[c.id].priority for c in chunks] == [6] * 5
+        # thread 1 runs chunk 1, and steals chunk 4, ahead of root 6 in its own queue
+        assert Segment(1, 1, 0, 1, SegmentKind.COMPUTE) in trace.segments
+        stolen = [(e.time, e.task, e.thread) for e in trace.events if e.kind is EventKind.STOLEN]
+        assert stolen == [(1, 4, 1), (1, 5, 2), (1, 6, 0)]
         assert trace.outcome is Outcome.COMPLETED
 
 
@@ -365,26 +365,6 @@ class TestWaits:
         assert calls == reads
 
 
-def recorded_picks(graph, cfg):
-    """Simulate; return the trace, ``(thread, time, helper, picked)`` for
-    every pick attempt by a thread that is not computing, and the time of
-    every attempt made while no queue holds an entry."""
-    attempts, unqueued = [], []
-
-    class PickRecordingEngine(_Engine):
-        def _try_pick(self, th, now):
-            if not self.ready.index:
-                unqueued.append(now)
-            free = th.seg_task is None and self.outcome is None
-            helper = bool(th.stack)
-            picked = super()._try_pick(th, now)
-            if free:
-                attempts.append((th.idx, now, helper, picked))
-            return picked
-
-    return PickRecordingEngine(graph, cfg).run(), attempts, unqueued
-
-
 class TestPicks:
     def test_failed_helper_picks_once_another_thread_pushes(self):
         # At t=3 helper thread 0 (root 0 waits on 2) finds only the tied
@@ -403,23 +383,31 @@ class TestPicks:
             ),
             roots=(0, 1),
         )
-        trace, attempts, _ = recorded_picks(g, SimConfig(thread_count=3, policy=pol.extended()))
-        at_3 = [(thread, helper, picked) for thread, now, helper, picked in attempts if now == 3]
-        assert at_3 == [(0, True, False), (1, True, True), (0, True, True)]
+        trace = simulate(g, SimConfig(thread_count=3, policy=pol.extended()))
         assert TraceEvent(3, EventKind.STOLEN, 6, 0) in trace.events
         assert Segment(0, 6, 3, 4, SegmentKind.COMPUTE) in trace.segments
         assert trace.makespan == 10
 
     @pytest.mark.parametrize("policy", POLICIES, ids=POLICY_IDS)
-    def test_no_pick_while_nothing_is_queued(self, policy):
+    def test_no_pick_while_nothing_is_queued(self, monkeypatch, policy):
         # A spawn chain queues one task at a time, and a thief takes it at
         # once: at most timestamps every queue is empty, and neither the
         # 63 idle threads nor the waiting helpers may try to pick then.
+        calls = []  # per pick: was an entry queued, and was a task found?
+        pick = pol.ReadyQueues.pick
+
+        def recorded(queues, *args):
+            queued = bool(queues.index)
+            picked = pick(queues, *args)
+            calls.append((queued, picked is not None))
+            return picked
+
+        monkeypatch.setattr(pol.ReadyQueues, "pick", recorded)
         g = spawn_chain(64, TaskwaitChildren, SplitMix64(5))
-        trace, attempts, unqueued = recorded_picks(g, SimConfig(thread_count=64, policy=policy))
+        trace = simulate(g, SimConfig(thread_count=64, policy=policy))
         assert trace.outcome is Outcome.COMPLETED
-        assert sum(picked for *_, picked in attempts) == len(g.tasks)
-        assert unqueued == []
+        assert sum(picked for _, picked in calls) == len(g.tasks)
+        assert all(queued for queued, _ in calls)
 
 
 class TestPolls:
@@ -731,80 +719,3 @@ class TestDeepTrees:
         trace = simulate(g, SimConfig(thread_count=2, policy=pol.extended()))
         assert trace.outcome is Outcome.COMPLETED
         assert validate_trace(g, trace) == []
-
-
-class PerPickFilterEngine(_Engine):
-    """Checks the engine's narrowed latency filters against the per-pick
-    rule as a model, at every pick attempt and every starvation check: a
-    pick is filtered by the intersection of the sync sets of all latency
-    waits on the thread's stack, each rebuilt from the task's actions: a
-    children wait covers every child spawned before it, a group end the
-    children spawned since the previous group end and their subtrees.
-    The narrowed filter may leave out only children an earlier children
-    wait saw complete, and a completed task is never queued, so both
-    filters pick the same."""
-
-    def _try_pick(self, th, now):
-        self._check_filter(th)
-        return super()._try_pick(th, now)
-
-    def _starved_round(self):
-        for th in self.threads:
-            self._check_filter(th)
-        return super()._starved_round()
-
-    def _check_filter(self, th):
-        allowed = None
-        for run in th.stack:
-            if run.wait is None:
-                continue
-            action = run.spec.actions[run.pc]  # a wait holds its pc until it exits
-            if action.mode is WaitMode.LATENCY and self.policy.honor_latency_wait:
-                tasks = self._sync_set(run.spec, run.pc)
-                allowed = tasks if allowed is None else allowed & tasks
-        if allowed is None:
-            assert th.filters == []
-        else:
-            narrowed = th.filters[-1]
-            assert narrowed <= allowed
-            assert all(self.runs[task].completed for task in allowed - narrowed)
-
-    def _sync_set(self, spec, pc):
-        children, mark = [], 0
-        for action in spec.actions[:pc]:
-            if isinstance(action, Spawn):
-                children.append(action.child)
-            elif isinstance(action, TaskgroupEnd):
-                mark = len(children)
-        if isinstance(spec.actions[pc], TaskwaitChildren):
-            return set(children)
-        tasks, stack = set(), children[mark:]
-        while stack:
-            cur = stack.pop()
-            tasks.add(cur)
-            stack.extend(a.child for a in self.graph.tasks[cur].actions if isinstance(a, Spawn))
-        return tasks
-
-
-@st.composite
-def latency_graph(draw):
-    """A forest of nested latency and throughput waits, or a spawn chain
-    whose every link ends in a latency wait."""
-    rng = SplitMix64(draw(st.integers(0, 2**64 - 1)))
-    if draw(st.booleans()):
-        return tied_forest(rng, draw(st.integers(1, 6)), latency=True)
-    wait = draw(st.sampled_from([TaskgroupEnd, TaskwaitChildren]))
-    defer = draw(st.sampled_from([DeferMode.RUNTIME_CHOICE, DeferMode.UNDEFERRED]))
-    return spawn_chain(draw(st.integers(1, 40)), lambda: wait(WaitMode.LATENCY), rng, defer)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    latency_graph(),
-    st.integers(1, 4),
-    st.sampled_from([pol.extended(), pol.extended(queue_bound=2), pol.extended(priority_aware=False)]),
-)
-def test_latency_filters_match_per_pick_model(graph, threads, policy):
-    engine = PerPickFilterEngine(graph, SimConfig(thread_count=threads, policy=policy))
-    if engine.run().outcome is Outcome.COMPLETED:
-        assert all(th.filters == [] for th in engine.threads)

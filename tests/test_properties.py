@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from schedsim import policies as pol
 from schedsim.analysis import analyze, validate_trace
-from schedsim.engine import EventKind, Outcome, SegmentKind, SimConfig, _Engine, simulate
+from schedsim.engine import EventKind, Outcome, SimConfig, simulate
 from schedsim.prng import SplitMix64
 from schedsim.generators import (
     EnclaveWorkloadParams,
@@ -261,18 +261,23 @@ def test_occupancy_within_unit_interval(graph, threads):
     assert all(Fraction(0) <= f <= Fraction(1) for f in report.per_thread_busy)
 
 
+def map_actions(graph, actions):
+    """The graph with each action replaced by the actions `actions(action)` returns."""
+    tasks = tuple(replace(spec, actions=tuple(b for a in spec.actions for b in actions(a))) for spec in graph.tasks)
+    return TaskGraph(tasks=tasks, roots=graph.roots)
+
+
 def scale_time(graph, k):
     """The graph with every compute duration and poll cost multiplied by k."""
 
     def scaled(action):
         if isinstance(action, Compute):
-            return replace(action, duration=action.duration * k)
+            return (replace(action, duration=action.duration * k),)
         if isinstance(action, PollOutcome):
-            return replace(action, poll_cost=action.poll_cost * k)
-        return action
+            return (replace(action, poll_cost=action.poll_cost * k),)
+        return (action,)
 
-    tasks = tuple(replace(spec, actions=tuple(map(scaled, spec.actions))) for spec in graph.tasks)
-    return TaskGraph(tasks=tasks, roots=graph.roots)
+    return map_actions(graph, scaled)
 
 
 SCALING_POLICIES = [
@@ -306,12 +311,51 @@ def test_time_scaling_invariance(seed, threads, policy, k):
     ]
 
 
+@st.composite
+def poll_graph(draw):
+    """A small forest whose tasks poll any task (themselves and each other
+    included) at staggered costs, wait, and spawn children in any defer
+    mode, in any order."""
+    n = draw(st.integers(3, 5))
+    parent = {task: draw(st.integers(-1, task - 1)) for task in range(1, n)}
+    poll = st.builds(
+        PollOutcome, st.integers(0, n - 1), st.sampled_from(YIELD_MODES), st.integers(0, 3)
+    )
+    other = st.one_of(
+        st.builds(Compute, st.integers(1, 5)),
+        st.builds(TaskwaitChildren, st.sampled_from(WAIT_MODES)),
+        st.builds(TaskgroupEnd, st.sampled_from(WAIT_MODES)),
+    )
+    step = st.one_of(poll, other)  # half the steps poll
+    tasks = []
+    for task in range(n):
+        spawns = [
+            Spawn(child, draw(st.sampled_from(DEFER_MODES)))
+            for child in range(n)
+            if parent.get(child) == task
+        ]
+        actions = draw(st.permutations(spawns + draw(st.lists(step, min_size=1, max_size=3))))
+        tasks.append(
+            TaskSpec(
+                id=task,
+                actions=tuple(actions),
+                priority=draw(st.integers(-1, 1)),
+                tied=draw(st.booleans()),
+            )
+        )
+    roots = tuple(task for task in range(n) if parent.get(task, -1) < 0)
+    return TaskGraph(tasks=tuple(tasks), roots=roots)
+
+
+# The five golden configs, unbounded reference queues and extended queues
+# without priorities; test_reference_engine draws from them too.
 METAMORPHIC_POLICIES = [
     pol.reference(),
     pol.reference(queue_bound=2),
     pol.fcfs(),
     pol.extended(),
     pol.extended(queue_bound=2),
+    pol.reference(queue_bound=None),
     pol.extended(priority_aware=False),
 ]
 
@@ -371,56 +415,57 @@ def permute_ids(graph, perm):
     return TaskGraph(tasks=tuple(tasks), roots=tuple(perm[r] for r in graph.roots))
 
 
+def any_drawn_graph():
+    """A ``sample_graph``, a latency forest or a ``poll_graph``."""
+    return st.one_of(st.builds(drawn_graph, st.integers(0, 2**64 - 1), st.booleans()), poll_graph())
+
+
 @settings(max_examples=200, deadline=None)
-@given(
-    st.integers(0, 2**64 - 1),
-    st.booleans(),
-    st.integers(1, 4),
-    st.sampled_from(METAMORPHIC_POLICIES),
-    st.data(),
-)
-def test_task_id_permutation_invariance(seed, forest, threads, policy, data):
-    graph = drawn_graph(seed, forest)
+@given(any_drawn_graph(), st.integers(1, 9), st.sampled_from(METAMORPHIC_POLICIES), st.data())
+def test_task_id_permutation_invariance(graph, threads, policy, data):
+    # no tie is broken by task id
     perm = data.draw(st.permutations(range(len(graph.tasks))))
-    cfg = SimConfig(thread_count=threads, policy=policy)
+    cfg = SimConfig(thread_count=threads, policy=policy, max_virtual_time=10_000)
     renamed = simulate(permute_ids(graph, perm), cfg)
     assert trace_rows(renamed) == trace_rows(simulate(graph, cfg), perm.__getitem__)
 
 
-@st.composite
-def poll_graph(draw):
-    """A small forest whose tasks poll any task (themselves and each other
-    included) at staggered costs, wait, and spawn children in any defer
-    mode, in any order."""
-    n = draw(st.integers(3, 5))
-    parent = {task: draw(st.integers(-1, task - 1)) for task in range(1, n)}
-    poll = st.builds(
-        PollOutcome, st.integers(0, n - 1), st.sampled_from(YIELD_MODES), st.integers(0, 3)
-    )
-    other = st.one_of(
-        st.builds(Compute, st.integers(1, 5)),
-        st.builds(TaskwaitChildren, st.sampled_from(WAIT_MODES)),
-        st.builds(TaskgroupEnd, st.sampled_from(WAIT_MODES)),
-    )
-    step = st.one_of(poll, other)  # half the steps poll
-    tasks = []
-    for task in range(n):
-        spawns = [
-            Spawn(child, draw(st.sampled_from(DEFER_MODES)))
-            for child in range(n)
-            if parent.get(child) == task
-        ]
-        actions = draw(st.permutations(spawns + draw(st.lists(step, min_size=1, max_size=3))))
-        tasks.append(
-            TaskSpec(
-                id=task,
-                actions=tuple(actions),
-                priority=draw(st.integers(-1, 1)),
-                tied=draw(st.booleans()),
-            )
-        )
-    roots = tuple(task for task in range(n) if parent.get(task, -1) < 0)
-    return TaskGraph(tasks=tuple(tasks), roots=roots)
+def merged_rows(trace):
+    """``trace_rows`` with each segment that starts where an earlier one of
+    its thread, task and kind ends merged into that one."""
+    segments = []
+    for s in trace.segments:
+        key = (s.thread, s.task, s.kind, s.start)
+        prev = next((p for p in segments if (p.thread, p.task, p.kind, p.end) == key), None)
+        if prev is not None:
+            segments.remove(prev)
+            s = s._replace(start=prev.start)
+        segments.append(s)
+    return trace_rows(replace(trace, segments=tuple(segments)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    any_drawn_graph(),
+    st.integers(0, 2**64 - 1),
+    st.integers(1, 9),
+    st.sampled_from(METAMORPHIC_POLICIES),
+)
+def test_compute_splitting_invariance(graph, seed, threads, policy):
+    # A compute has no scheduling point, so splitting one in two changes no
+    # decision.  Polls are dropped: a sleeping poller wakes at any event.
+    rng = SplitMix64(seed)
+
+    def split(action):
+        if type(action) is Compute and action.duration > 1:
+            head = rng.randint(1, action.duration - 1)
+            return Compute(head), Compute(action.duration - head)
+        return (action,)
+
+    graph = map_actions(graph, lambda a: () if type(a) is PollOutcome else (a,))
+    cfg = SimConfig(thread_count=threads, policy=policy)
+    split_trace = simulate(map_actions(graph, split), cfg)
+    assert merged_rows(split_trace) == merged_rows(simulate(graph, cfg))
 
 
 @st.composite
@@ -478,127 +523,3 @@ def test_poll_graphs_never_hit_the_time_limit(graph):
         for threads in (1, 2, 3, 4):
             cfg = SimConfig(thread_count=threads, policy=policy, max_virtual_time=10_000)
             assert simulate(graph, cfg).outcome is not Outcome.TIME_LIMIT_EXCEEDED
-
-
-def stopped(runs, run):
-    """Is `run` stopped behind an undeferred child that has not completed,
-    or at a wait that some task it covers has not completed?  Read from
-    the graph and the completions alone: a children wait covers every
-    child spawned before it, a group end the children spawned since the
-    previous group end and their subtrees."""
-    if run.blocked_child is not None:
-        return not runs[run.blocked_child].completed
-    if run.wait is None:
-        return False
-    children, mark = [], 0
-    for action in run.spec.actions[: run.pc]:
-        if isinstance(action, Spawn):
-            children.append(action.child)
-        elif isinstance(action, TaskgroupEnd):
-            mark = len(children)
-    if isinstance(run.spec.actions[run.pc], TaskwaitChildren):
-        return not all(runs[child].completed for child in children)
-    stack = children[mark:]
-    while stack:
-        cur = runs[stack.pop()]
-        if not cur.completed:
-            return True
-        stack.extend(a.child for a in cur.spec.actions if isinstance(a, Spawn))
-    return False
-
-
-class StuckTopsEngine(_Engine):
-    """Checks, at every starvation check, that a free thread whose top run
-    has not failed a poll since the last progress has that run stopped
-    (``stopped``): ``_starved_round`` counts such a thread as stuck
-    unless it may pick queued work."""
-
-    def _starved_round(self):
-        for th in self.threads:
-            if th.seg_task is None and th.stack and th.stack[-1].poll_failed_at != self.progress:
-                assert stopped(self.runs, th.stack[-1])
-        return super()._starved_round()
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(poll_graph(), st.integers(0, 2**64 - 1).map(lambda seed: drawn_graph(seed, True))))
-def test_free_threads_at_a_starvation_check_are_stopped(graph):
-    for policy in METAMORPHIC_POLICIES:
-        for threads in (1, 2, 3, 4):
-            cfg = SimConfig(thread_count=threads, policy=policy, max_virtual_time=10_000)
-            assert StuckTopsEngine(graph, cfg).run().to_json() == simulate(graph, cfg).to_json()
-
-
-class FixedPointEngine(_Engine):
-    """Checks that every ``_process(now)`` whose passes set no outcome ends
-    them at a fixed point of the settle pass: no free thread with a stack
-    can move, and every running segment ends after `now`, a spin on a task
-    that has not completed.  The check runs in ``_next``, which
-    ``_process`` calls after its passes and before it sets the outcome of
-    a run that ends at `now`, so the last timestamp is checked too."""
-
-    def _next(self, now):
-        if self.outcome is None:
-            for th in self.threads:
-                if th.seg_task is None:
-                    assert not (th.stack and self._run_thread(th, now))
-                else:
-                    assert th.seg_end > now
-                    assert th.seg_kind is not SegmentKind.POLL_SPIN or not self.runs[th.seg_target].completed
-        return super()._next(now)
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.one_of(
-        poll_graph(),
-        st.builds(drawn_graph, st.integers(0, 2**64 - 1), st.booleans()),
-    )
-)
-def test_every_process_ends_at_a_fixed_point(graph):
-    for policy in METAMORPHIC_POLICIES:
-        for threads in (1, 2, 3, 4, 5):
-            cfg = SimConfig(thread_count=threads, policy=policy, max_virtual_time=10_000)
-            FixedPointEngine(graph, cfg).run()
-
-
-class EverySettleEngine(_Engine):
-    """The pass rule without skipping or parking: every settle pass steps
-    each thread whose segment is due and each free thread with a stack,
-    parked or not; a pass that changed something repeats, and settling
-    restarts after every pick pass that picked.  At the fixed point this
-    reaches the engine's own passes change nothing, and it sets the
-    outcome or returns the next timestamp."""
-
-    def _process(self, now):
-        runs, threads = self.runs, self.threads
-        while self.outcome is None:
-            changed = False
-            for th in threads:
-                if th.seg_task is None:
-                    step = bool(th.stack)
-                else:
-                    step = th.seg_end <= now or th.seg_kind is SegmentKind.POLL_SPIN and runs[th.seg_target].completed
-                if step and self._run_thread(th, now):
-                    changed = True
-            if changed:
-                continue
-            picked = [self._try_pick(th, now) for th in threads if not th.stack]
-            picked += [self._try_pick(th, now) for th in threads if th.seg_task is None and th.stack]
-            if not any(picked):
-                break
-        return super()._process(now)
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.one_of(
-        poll_graph(),
-        st.builds(drawn_graph, st.integers(0, 2**64 - 1), st.booleans()),
-    )
-)
-def test_pass_skipping_changes_no_byte(graph):
-    for policy in METAMORPHIC_POLICIES:
-        for threads in (1, 2, 3, 4, 5):
-            cfg = SimConfig(thread_count=threads, policy=policy, max_virtual_time=10_000)
-            assert EverySettleEngine(graph, cfg).run().to_json() == simulate(graph, cfg).to_json()
