@@ -11,16 +11,13 @@ graphs of each family, so a slice is a prefix of the full corpus.
     python scripts/bytecheck.py --write digests.json
     python scripts/bytecheck.py --against ../other-checkout
     python scripts/bytecheck.py --write slice.json --slice 20
-    python scripts/bytecheck.py --write reference.json --reference
 
 ``--write`` runs the corpus in this checkout and writes the recipe and
-the digests; with ``--reference`` it simulates with the interpreter in
-``tests/reference_engine.py`` instead of the engine, so the file must
-equal the engine's byte for byte.  ``--against DIR`` runs it here and,
-in a subprocess, with the ``schedsim`` of the checkout at DIR; both draw
-their graphs with this checkout's drawers.  On a mismatch it prints the
-first differing segment or event: its index, both values, the graph, the
-config and the thread count, and exits 1.  Standard library only.
+the digests.  ``--against DIR`` runs it here and, in a subprocess, with
+the ``schedsim`` of the checkout at DIR; both draw their graphs with this
+checkout's drawers.  On a mismatch it prints the first differing segment
+or event: its index, both values, the graph, the config and the thread
+count, and exits 1.  Standard library only.
 """
 
 from __future__ import annotations
@@ -90,9 +87,8 @@ def runs(spec: dict):
             yield name, SimConfig(thread_count=threads, policy=policy, max_virtual_time=spec["max_virtual_time"])
 
 
-def digests(spec: dict, simulate=None) -> dict:
-    if simulate is None:
-        from schedsim.engine import simulate
+def digests(spec: dict) -> dict:
+    from schedsim.engine import simulate
 
     configs = list(runs(spec))
     return {
@@ -101,8 +97,8 @@ def digests(spec: dict, simulate=None) -> dict:
     }
 
 
-def write(path: str, spec: dict, simulate=None) -> None:
-    rows = [f"  {json.dumps(name)}: {json.dumps(hashes)}" for name, hashes in digests(spec, simulate).items()]
+def write(path: str, spec: dict) -> None:
+    rows = [f"  {json.dumps(name)}: {json.dumps(hashes)}" for name, hashes in digests(spec).items()]
     text = '{\n"recipe": %s,\n"digests": {\n%s\n}\n}\n' % (json.dumps(spec), ",\n".join(rows))
     Path(path).write_text(text)
 
@@ -164,20 +160,14 @@ def main(argv=None) -> int:
     mode.add_argument("--against", metavar="DIR", help="compare this checkout with the one at DIR")
     mode.add_argument("--trace", nargs=2, metavar=("GRAPH", "RUN"), help=argparse.SUPPRESS)
     parser.add_argument("--slice", type=int, metavar="N", help="only the first N graphs of each family")
-    parser.add_argument("--reference", action="store_true", help="with --write, simulate with tests/reference_engine.py")
     parser.add_argument("--src", default=str(ROOT / "src"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.slice is not None and args.slice < 1:
         parser.error("--slice must be a positive int")
-    if args.reference and not args.write:
-        parser.error("--reference needs --write")
     sys.path[:0] = [args.src, str(ROOT / "tests")]
     spec = recipe(args.slice)
     if args.write:
-        simulate = None
-        if args.reference:
-            from reference_engine import simulate
-        write(args.write, spec, simulate)
+        write(args.write, spec)
         return 0
     if args.trace:
         sys.stdout.write(trace_json(spec, args.trace[0], int(args.trace[1])))

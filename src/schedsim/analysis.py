@@ -25,6 +25,10 @@ from .task_graph import (
 DRIVER_LABEL = "driver"
 SECOND_GROUP_LABEL = "traversal-g2"
 
+#: ``str.translate`` table to legal XML text: entities for markup, U+FFFD for code points XML 1.0 forbids.
+_XML_TEXT = {38: "&amp;", 60: "&lt;", 62: "&gt;"} | dict.fromkeys(
+    [*range(9), 11, 12, *range(14, 32), *range(0xD800, 0xE000), 0xFFFE, 0xFFFF], "\ufffd")
+
 
 class TraceMismatchError(Exception):
     """The trace does not fit the graph or itself: see ``_untrusted``."""
@@ -300,9 +304,7 @@ def render_gantt_svg(graph: TaskGraph, trace: ScheduleTrace, width: int = 960) -
     ]
     for t in range(threads):
         y = margin_top + t * row_height
-        parts.append(
-            f'<text x="4" y="{y + row_height * 0.65:.1f}">thread {t}</text>'
-        )
+        parts.append(f'<text x="4" y="{y + row_height * 0.65:.1f}">thread {t}</text>')
         parts.append(
             f'<line x1="{margin_left}" y1="{y + row_height - 4}" '
             f'x2="{width - 10}" y2="{y + row_height - 4}" stroke="#ddd"/>'
@@ -333,13 +335,12 @@ def render_gantt_svg(graph: TaskGraph, trace: ScheduleTrace, width: int = 960) -
         f'<text x="{margin_left}" y="{axis_y}">0</text>'
         f'<text x="{width - 60}" y="{axis_y}">{trace.makespan}</text>'
     )
-    from html import escape  # only a rendering needs it
     legend_x = margin_left
     for label in labels:
         parts.append(
             f'<rect x="{legend_x}" y="{height - 10}" width="8" height="8" '
             f'fill="{color_of[label]}"/>'
-            f'<text x="{legend_x + 12}" y="{height - 2}">{escape(label or "(none)", quote=False)}</text>'
+            f'<text x="{legend_x + 12}" y="{height - 2}">{(label or "(none)").translate(_XML_TEXT)}</text>'
         )
         legend_x += 12 + 8 * max(len(label), 6)
     parts.append("</svg>")

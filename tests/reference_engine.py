@@ -6,8 +6,9 @@ and returns the trace ``schedsim.engine.simulate`` must return, byte for
 byte.  It is slow on purpose.  It keeps none of the engine's shortcuts:
 no heaps, packed entries, counts, masks, futile-pick tokens, parked runs
 or pass-skip rules.  It imports only the graph data model and the trace
-records, and it states every policy decision itself, so a bug shared
-with ``schedsim.policies`` cannot hide.
+records, and it states every policy decision and every wait's members
+itself, so a bug shared with ``schedsim.policies`` or with the graph
+helpers cannot hide.
 
 The model, rule by rule:
 
@@ -22,9 +23,9 @@ The model, rule by rule:
   passing.  Then every idle thread, in order, tries to pick, and then
   every free thread with a stack; a thread that picks runs at once.  If
   any thread picked, settling starts again.
-* A children wait is over once every child it covers (``wait_members``)
-  has completed; a group end once every member and every task of the
-  members' subtrees has.
+* A wait covers the children spawned since the previous wait of the
+  same kind.  A children wait is over once each of them has completed;
+  a group end once each of them and every task of their subtrees has.
 * A pick takes a task the thread may run: one not yet started, one
   started on this thread, or an untied one.  Under each latency wait on
   its stack that the policy honours, the task must be in the wait's sync
@@ -64,7 +65,6 @@ from schedsim.task_graph import (
     TaskwaitChildren,
     WaitMode,
     YieldMode,
-    wait_members,
 )
 from schedsim.trace import EventKind, Outcome, ScheduleTrace, Segment, SegmentKind, TraceEvent
 
@@ -286,10 +286,17 @@ class Interpreter:
     # -- waits --------------------------------------------------------------
 
     def covered(self, run):
-        """Yield the tasks the wait at `run.pc` covers: its members, and for
-        a group end also every task of their subtrees, read from the graph."""
-        todo = wait_members(run.spec, run.pc)
-        group = isinstance(run.spec.actions[run.pc], TaskgroupEnd)
+        """Yield the tasks the wait at `run.pc` covers: its members (every
+        child spawned since the previous wait of the same kind), and for a
+        group end also every task of their subtrees, read from the graph."""
+        kind = type(run.spec.actions[run.pc])
+        todo = []
+        for action in run.spec.actions[: run.pc]:
+            if type(action) is kind:
+                todo = []
+            elif isinstance(action, Spawn):
+                todo.append(action.child)
+        group = kind is TaskgroupEnd
         while todo:
             task = todo.pop()
             yield task

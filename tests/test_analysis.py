@@ -297,10 +297,14 @@ class TestRendering:
         assert 'stroke="black"' in svg
 
     def test_labels_are_escaped(self):
-        g = TaskGraph(tasks=(TaskSpec(id=0, actions=(Compute(3),), label="R&D <hot>"),), roots=(0,))
-        svg = xml.dom.minidom.parseString(render_gantt_svg(g, run(g)))
+        labels = ("R&D <hot>", "a\x01b\x1f", "c\ud800\uffff")
+        g = TaskGraph(
+            tasks=tuple(TaskSpec(id=i, actions=(Compute(3),), label=label) for i, label in enumerate(labels)),
+            roots=(0, 1, 2),
+        )
+        svg = xml.dom.minidom.parseString(render_gantt_svg(g, run(g)).encode())
         legend = [t.firstChild.data for t in svg.getElementsByTagName("text")]
-        assert "R&D <hot>" in legend
+        assert {"R&D <hot>", "a\ufffdb\ufffd", "c\ufffd\ufffd"} <= set(legend)
 
     def test_report_text_rendering(self):
         g = single_task_graph()
