@@ -129,16 +129,14 @@ def _policy_from_args(args) -> "policies.PolicyConfig":
 
 
 def _parse(path: str, parse, what: str):
-    """Parse a JSON file; text that is not JSON, a document of the wrong
-    shape or missing a key (a KeyError names one of its own keys), a value
-    of the wrong type, unknown or too large for an integer field, or
+    """Parse a JSON file; text that is not JSON, a document that departs
+    from its format (the decoders name the record and the field) or
     nesting too deep to decode is a ValueError naming the file."""
     text = Path(path).read_text()
     try:
         return parse(text)
-    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
-        problem = f"{exc.args[0]}: missing" if type(exc) is KeyError else exc
-        raise ValueError(f"{path}: malformed {what} file: {problem}") from None
+    except (TypeError, ValueError, RecursionError) as exc:
+        raise ValueError(f"{path}: malformed {what} file: {exc}") from None
 
 
 def _load_graph(path: str):

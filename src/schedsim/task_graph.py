@@ -471,12 +471,11 @@ def _choose(i, after, best, get, rank, n):
 
 _read_defer = jsontext.enum_reader(DeferMode)
 _read_yield = jsontext.enum_reader(YieldMode)
-_read_wait = jsontext.enum_reader(WaitMode)
 
 
 _int_compute = lru_cache(maxsize=1024)(Compute)  # called with exact ints only
-# One wait action per kind and mode, shared by every decoded graph.
-_WAITS = {(kind, mode): kind(mode) for kind in (TaskwaitChildren, TaskgroupEnd) for mode in WaitMode}
+# One wait action per kind and mode value, shared by every decoded graph.
+_WAITS = {(kind, mode.value): kind(mode) for kind in (TaskwaitChildren, TaskgroupEnd) for mode in WaitMode}
 
 
 def _compute(duration: int) -> Compute:
@@ -488,75 +487,52 @@ def _compute(duration: int) -> Compute:
     return _int_compute(duration) if type(duration) is int else Compute(duration)
 
 
-def _int(value):  # for a value that failed a reader's type test
-    raise TypeError(jsontext.expected(int, value))
+def _refuse(value):  # for a value that failed a reader's type test; `jsontext.check` names it
+    raise TypeError(value)
 
 
-class _Readers(dict):
-    def __missing__(self, kind):
-        raise ValueError(f"{kind!r} is not a valid action type")
+_ACTION = {
+    "type": {
+        "compute": {"duration": int},
+        "spawn": {"child": int, "defer": DeferMode},
+        "poll": {"target": int, "yield_mode": YieldMode, "poll_cost": int},
+        "taskwait_children": {"mode": WaitMode},
+        "taskgroup_end": {"mode": WaitMode},
+    }
+}
+# A task's fields in the order TaskSpec takes them.
+_TASK = {"id": int, "actions": ("action", _ACTION), "priority": int, "tied": bool, "label": str}
+GRAPH_SCHEMA = {"tasks": ("task", _TASK), "roots": ("root", int)}
 
-
-class _Probe(dict):
-    """An action that keeps the last key read: the field a failed read
-    stopped at, which the readers do not name."""
-
-    def __getitem__(self, key):
-        self.key = key
-        return dict.__getitem__(self, key)
-
-
-_ACTION_READERS = _Readers({
-    "compute": lambda d: _int_compute(v) if type(v := d["duration"]) is int else _int(v),
-    "spawn": lambda d: Spawn(v if type(v := d["child"]) is int else _int(v), _read_defer(d["defer"])),
+_ACTION_READERS = {
+    "compute": lambda d: _int_compute(v) if type(v := d["duration"]) is int else _refuse(v),
+    "spawn": lambda d: Spawn(v if type(v := d["child"]) is int else _refuse(v), _read_defer(d["defer"])),
     "poll": lambda d: PollOutcome(
-        v if type(v := d["target"]) is int else _int(v),
+        v if type(v := d["target"]) is int else _refuse(v),
         _read_yield(d["yield_mode"]),
-        c if type(c := d["poll_cost"]) is int else _int(c),
+        c if type(c := d["poll_cost"]) is int else _refuse(c),
     ),
-    "taskwait_children": lambda d: _WAITS[TaskwaitChildren, _read_wait(d["mode"])],
-    "taskgroup_end": lambda d: _WAITS[TaskgroupEnd, _read_wait(d["mode"])],
-})
+    "taskwait_children": lambda d: _WAITS[TaskwaitChildren, d["mode"]],
+    "taskgroup_end": lambda d: _WAITS[TaskgroupEnd, d["mode"]],
+}
 
 
 def _read_actions(actions: list) -> tuple:
     return tuple([_ACTION_READERS[action["type"]](action) for action in actions])
 
 
-def _action_problem(tasks: list):
-    """Which task or action of `tasks` raised a TypeError or ValueError,
-    sought once one has: the first that is not a JSON object, else the
-    first action that fails to read."""
-    problem = jsontext.not_object(tasks, "task")
-    for pos, task in enumerate(() if problem else tasks):
-        problem = jsontext.not_object(task.get("actions", ()), f"task {pos}, action")
-        if problem:
-            return problem
-        for at, action in enumerate(task.get("actions", ())):  # `records` names a missing list
-            probe = _Probe(action)
-            try:
-                _ACTION_READERS[probe["type"]](probe)
-            except (KeyError, TypeError, ValueError) as exc:
-                return f"task {pos}, action {at}, {probe.key}: {'missing' if type(exc) is KeyError else exc}"
-    return problem
-
-
-_TASK_COLUMNS = [("id", int), ("actions", _read_actions), ("priority", int), ("tied", bool), ("label", str)]
-
-
 @_collector_paused()
 def graph_from_dict(data: dict) -> TaskGraph:
-    """The graph of a parsed graph file.  Integer fields take JSON integers
-    only, ``tied`` a JSON boolean and ``label`` a string: any other value
-    there is a TypeError that names the task, the action and the field,
-    never a silent conversion; an unknown action type or mode is a
-    ValueError, and an unhashable one a TypeError, that names them alike."""
-    items = data["tasks"]
-    try:
-        tasks = list(starmap(TaskSpec, jsontext.records(tuple, items, _TASK_COLUMNS, "task")))
-    except (KeyError, TypeError, ValueError) as exc:  # a KeyError: an action lacks a key
-        raise (TypeError if type(exc) is KeyError else type(exc))(_action_problem(items) or str(exc)) from None
-    return TaskGraph(tasks, jsontext.typed(list(data["roots"]), int, "root {}"))
+    """The graph of a parsed graph file, laid out as ``GRAPH_SCHEMA``.
+    Integer fields take JSON integers only, ``tied`` a JSON boolean,
+    ``label`` a string and ``tasks``, ``roots`` and ``actions`` an array:
+    any other value, or a missing key, is a TypeError that names the task,
+    the action and the field, never a silent conversion; an unknown action
+    type or mode is a ValueError, and an unhashable one a TypeError, that
+    names them alike."""
+    with jsontext.decoding(GRAPH_SCHEMA, data):
+        tasks = jsontext.records(tuple, data["tasks"], _TASK, actions=_read_actions)
+        return TaskGraph(list(starmap(TaskSpec, tasks)), jsontext.typed(data["roots"], int))
 
 
 _DEFER_TEXT = jsontext.enum_text(DeferMode)

@@ -57,8 +57,6 @@ class TraceEvent(NamedTuple):
     thread: int
 
 
-_read_segment_kind = jsontext.enum_reader(SegmentKind)
-_read_event_kind = jsontext.enum_reader(EventKind)
 _read_outcome = jsontext.enum_reader(Outcome)
 _OUTCOME_TEXT = jsontext.enum_text(Outcome)
 _SEGMENT_JSON = {
@@ -83,9 +81,13 @@ _TRACE_JSON = jsontext.record(
 )
 
 
-_TRACE_FIELDS = itemgetter("thread_count", "makespan", "outcome", "segments", "events")
-_SEGMENT_COLUMNS = [("thread", int), ("task", int), ("start", int), ("end", int), ("kind", _read_segment_kind)]
-_EVENT_COLUMNS = [("time", int), ("kind", _read_event_kind), ("task", int), ("thread", int)]
+_SEGMENT = {"thread": int, "task": int, "start": int, "end": int, "kind": SegmentKind}
+_EVENT = {"time": int, "kind": EventKind, "task": int, "thread": int}
+TRACE_SCHEMA = {
+    "thread_count": int, "makespan": int, "outcome": Outcome,
+    "segments": ("segment", _SEGMENT), "events": ("event", _EVENT),
+}
+_TRACE_FIELDS = itemgetter(*TRACE_SCHEMA)
 
 
 @dataclass(frozen=True)
@@ -124,17 +126,20 @@ class ScheduleTrace:
     @staticmethod
     @_collector_paused()
     def from_dict(data: dict) -> "ScheduleTrace":
-        """The trace `to_dict` wrote.  Integer fields take JSON integers
-        only: a float, a string or a boolean there is a TypeError that
-        names the record and the field, not a conversion."""
-        thread_count, makespan, outcome, segments, events = _TRACE_FIELDS(data)
-        return ScheduleTrace(
-            jsontext.typed([thread_count], int, "thread_count")[0],
-            jsontext.records(Segment, segments, _SEGMENT_COLUMNS, "segment"),
-            jsontext.records(TraceEvent, events, _EVENT_COLUMNS, "event"),
-            jsontext.typed([makespan], int, "makespan")[0],
-            jsontext.read(_read_outcome, outcome, "outcome"),
-        )
+        """The trace `to_dict` wrote, laid out as ``TRACE_SCHEMA``.  Integer
+        fields take JSON integers only, and ``segments`` and ``events`` an
+        array: any other value, or a missing key, is a TypeError that names
+        the record and the field, not a conversion; an unknown kind or
+        outcome is a ValueError named alike."""
+        with jsontext.decoding(TRACE_SCHEMA, data):
+            thread_count, makespan, outcome, segments, events = _TRACE_FIELDS(data)
+            return ScheduleTrace(
+                jsontext.typed([thread_count], int)[0],
+                jsontext.records(Segment, segments, _SEGMENT),
+                jsontext.records(TraceEvent, events, _EVENT),
+                jsontext.typed([makespan], int)[0],
+                _read_outcome(outcome),
+            )
 
     def to_json(self, meta: dict | None = None) -> str:
         """Exactly ``json.dumps(self.to_dict(meta), indent=2)``."""

@@ -5,7 +5,7 @@ import pytest
 from schedsim.analysis import analyze, compare
 from schedsim.cli import main
 from schedsim.engine import MAX_THREADS, ScheduleTrace
-from schedsim import jsontext, task_graph
+from schedsim import jsontext
 from schedsim.task_graph import Spawn, TaskGraph, TaskSpec, graph_from_dict, graph_from_json, graph_to_json, validate
 
 
@@ -662,22 +662,13 @@ class TestBooleansAndNamedFields:
         with pytest.raises(TypeError, match="start"):
             ScheduleTrace.from_dict(trace)
 
-    def test_valid_graph_skips_the_diagnostic_pass(self, tmp_path, monkeypatch):
-        text = starvation_graph(tmp_path).read_text()
-
-        def fail(tasks):
-            raise AssertionError("diagnostic pass ran on a valid graph")
-
-        monkeypatch.setattr(task_graph, "_action_problem", fail)
-        assert graph_from_json(text) == graph_from_json(text)
-
-    def test_valid_files_skip_the_object_check(self, tmp_path, monkeypatch):
+    def test_valid_files_skip_the_walk(self, tmp_path, monkeypatch):
         graph, slow, _ = TestCompareReport().make_traces(tmp_path)
 
-        def fail(items, name):
-            raise AssertionError(f"object check ran on valid {name} records")
+        def fail(*args):
+            raise AssertionError("the schema walk ran on a valid file")
 
-        monkeypatch.setattr(jsontext, "not_object", fail)
+        monkeypatch.setattr(jsontext, "check", fail)
         assert graph_from_json(graph.read_text()).tasks
         assert ScheduleTrace.from_json(slow.read_text()).segments
 
@@ -750,7 +741,7 @@ def set_field(records, pos, key, value, at=None):
     return mutate
 
 
-def set_action(pos, action):
+def replace_action(pos, action):
     def mutate(data):
         data["tasks"][pos]["actions"][0] = action
         return data
@@ -778,15 +769,15 @@ class TestUnknownValues:
             ),
             (set_field("tasks", 3, "yield_mode", [], at=0), "task 3, action 0, yield_mode: unhashable type: 'list'"),
             (
-                set_action(0, {"type": "spawn", "child": 4, "defer": "later"}),
+                replace_action(0, {"type": "spawn", "child": 4, "defer": "later"}),
                 "task 0, action 0, defer: 'later' is not a valid DeferMode",
             ),
             (
-                set_action(1, {"type": "taskgroup_end", "mode": "eventually"}),
+                replace_action(1, {"type": "taskgroup_end", "mode": "eventually"}),
                 "task 1, action 0, mode: 'eventually' is not a valid WaitMode",
             ),
             (
-                set_action(1, {"type": "taskwait_children", "mode": {"latency": True}}),
+                replace_action(1, {"type": "taskwait_children", "mode": {"latency": True}}),
                 "task 1, action 0, mode: unhashable type: 'dict'",
             ),
         ],
@@ -815,6 +806,66 @@ class TestUnknownValues:
         capsys.readouterr()
         err = self.error_of(main(["report", str(graph), str(bad)]), capsys)
         assert f"bad.json: malformed trace file: {named}\n" in err
+
+
+def set_top(key, value):
+    return lambda data: dict(data, **{key: value})
+
+
+class TestNonArrays:
+    """A task, root, action, segment or event list that is not a JSON
+    array, and a document that is not an object, are named as a record of
+    the wrong type is: one `error:` line, exit 2, the value cut at 60
+    characters."""
+
+    @pytest.mark.parametrize(
+        "mutate, named",
+        [
+            (set_field("tasks", 0, "actions", 5), "task 0, actions: expected an array, got 5"),
+            (set_field("tasks", 0, "actions", None), "task 0, actions: expected an array, got null"),
+            (
+                set_field("tasks", 0, "actions", {"type": "compute", "duration": 3}),
+                'task 0, actions: expected an array, got {"type": "compute", "duration": 3}',
+            ),
+            (set_field("tasks", 0, "actions", {}), "task 0, actions: expected an array, got {}"),
+            (set_field("tasks", 2, "actions", ""), 'task 2, actions: expected an array, got ""'),
+            (set_top("tasks", 5), "tasks: expected an array, got 5"),
+            (set_top("tasks", {}), "tasks: expected an array, got {}"),
+            (set_top("roots", ""), 'roots: expected an array, got ""'),
+        ],
+        ids=["actions-5", "actions-null", "actions-object", "actions-empty-object", "actions-empty-string",
+             "tasks-5", "tasks-empty-object", "roots-empty-string"],
+    )
+    def test_graph_array_named(self, tmp_path, capsys, mutate, named):
+        graph = malformed(tmp_path, "bad.json", mutate, starvation_graph(tmp_path))
+        capsys.readouterr()
+        assert main(["simulate", str(graph)]) == 2
+        assert capsys.readouterr().err == f"error: {graph}: malformed graph file: {named}\n"
+
+    @pytest.mark.parametrize(
+        "mutate, named",
+        [
+            (set_top("segments", 5), "segments: expected an array, got 5"),
+            (set_top("segments", {}), "segments: expected an array, got {}"),
+            (set_top("events", None), "events: expected an array, got null"),
+        ],
+        ids=["segments-5", "segments-empty-object", "events-null"],
+    )
+    def test_trace_array_named(self, tmp_path, capsys, mutate, named):
+        graph, slow, _ = TestCompareReport().make_traces(tmp_path)
+        bad = malformed(tmp_path, "bad.json", mutate, slow)
+        capsys.readouterr()
+        assert main(["report", str(graph), str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: malformed trace file: {named}\n"
+
+    def test_top_level_array_shown_cut(self, tmp_path, capsys):
+        graph, slow, _ = TestCompareReport().make_traces(tmp_path)
+        for argv, what, path in [(["simulate"], "graph", graph), (["report", str(graph)], "trace", slow)]:
+            bad = malformed(tmp_path, "bad.json", as_array, path)
+            shown = json.dumps(json.loads(bad.read_text()))[:57] + "..."
+            capsys.readouterr()
+            assert main([*argv, str(bad)]) == 2
+            assert capsys.readouterr().err == f"error: {bad}: malformed {what} file: expected an object, got {shown}\n"
 
 
 def test_simulate_refuses_a_graph_that_fails_validation(tmp_path, capsys):
