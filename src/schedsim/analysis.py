@@ -263,13 +263,14 @@ def validate_trace(graph: TaskGraph, trace: ScheduleTrace) -> list:
 
 # --- SVG Gantt rendering --------------------------------------------------
 
+_SVG_WIDTH = 960
 _PALETTE = [
     "#4878cf", "#6acc65", "#d65f5f", "#b47cc7",
     "#c4ad66", "#77bedb", "#e49444", "#8d9fa6",
 ]
 
 
-def render_gantt_svg(graph: TaskGraph, trace: ScheduleTrace, width: int = 960) -> str:
+def render_gantt_svg(graph: TaskGraph, trace: ScheduleTrace) -> str:
     """One row per thread, a rectangle per executed segment colored by
     task label, and a black tick at every spawn event.  A trace that does
     not fit the graph raises TraceMismatchError."""
@@ -280,7 +281,7 @@ def render_gantt_svg(graph: TaskGraph, trace: ScheduleTrace, width: int = 960) -
     axis_height = 22
     threads = trace.thread_count
     span = max(trace.makespan, 1)
-    scale = (width - margin_left - 10) / span
+    scale = (_SVG_WIDTH - margin_left - 10) / span
     height = margin_top + threads * row_height + axis_height
 
     labels = sorted({spec.label for spec in graph.tasks})
@@ -298,16 +299,16 @@ def render_gantt_svg(graph: TaskGraph, trace: ScheduleTrace, width: int = 960) -
     }
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" height="{height}" '
         f'font-family="monospace" font-size="11">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<rect width="{_SVG_WIDTH}" height="{height}" fill="white"/>',
     ]
     for t in range(threads):
         y = margin_top + t * row_height
         parts.append(f'<text x="4" y="{y + row_height * 0.65:.1f}">thread {t}</text>')
         parts.append(
             f'<line x1="{margin_left}" y1="{y + row_height - 4}" '
-            f'x2="{width - 10}" y2="{y + row_height - 4}" stroke="#ddd"/>'
+            f'x2="{_SVG_WIDTH - 10}" y2="{y + row_height - 4}" stroke="#ddd"/>'
         )
     parts += [
         segment_svg[kind]
@@ -333,7 +334,7 @@ def render_gantt_svg(graph: TaskGraph, trace: ScheduleTrace, width: int = 960) -
     axis_y = margin_top + threads * row_height + 12
     parts.append(
         f'<text x="{margin_left}" y="{axis_y}">0</text>'
-        f'<text x="{width - 60}" y="{axis_y}">{trace.makespan}</text>'
+        f'<text x="{_SVG_WIDTH - 60}" y="{axis_y}">{trace.makespan}</text>'
     )
     legend_x = margin_left
     for label in labels:

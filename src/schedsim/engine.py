@@ -108,7 +108,6 @@ class _Run:
         "chunk_scatters",
         "blocked_child",
         "wait",
-        "poll_spun",
         "poll_token",
         "poll_failed_at",
         "parked",
@@ -129,7 +128,6 @@ class _Run:
         self.chunk_scatters = 0
         self.blocked_child = None
         self.wait = None  # the wait action the run is stopped at
-        self.poll_spun = False
         self.poll_token = None
         self.poll_failed_at = -1  # engine progress at the last failed check
         # completed_count when it last stopped at a wait or behind its undeferred child: only a
@@ -267,11 +265,13 @@ class _Engine:
         once that segment is due.  Returns True if any state changed."""
         task = th.seg_task
         progressed = task is not None
+        spun = False  # the top run ended its own poll spin and has not checked its poll since
         if progressed:
             kind = th.seg_kind
+            spun = kind is _POLL_SPIN
             if now > th.seg_start:
                 self.segments.append((th.idx, task, th.seg_start, now, kind))
-            if kind is not _POLL_SPIN:
+            if not spun:
                 self.runs[task].pc += 1
                 self.progress += 1
             th.seg_task = th.seg_kind = th.seg_target = None
@@ -344,7 +344,7 @@ class _Engine:
             if kind is PollOutcome:
                 target = self.runs[action.target]
                 if target.completed:
-                    run.poll_spun = False
+                    spun = False
                     run.poll_token = None
                     run.pc += 1
                     progressed = True
@@ -353,15 +353,14 @@ class _Engine:
                 if run.poll_token == token:
                     break  # nothing changed since the last failed check
                 run.poll_token = token
-                if action.poll_cost > 0 and not run.poll_spun:
-                    run.poll_spun = True
+                if action.poll_cost > 0 and not spun:
                     th.seg_task = run.spec.id
                     th.seg_start = now
                     th.seg_end = now + action.poll_cost
                     th.seg_kind = _POLL_SPIN
                     th.seg_target = action.target
                     return True
-                run.poll_spun = False
+                spun = False
                 # A poller that failed twice with no progress in between has seen a full
                 # round; if every other thread is likewise stuck, nothing can progress.
                 full_round = run.poll_failed_at == self.progress

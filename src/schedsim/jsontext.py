@@ -3,18 +3,20 @@ schema their decoders read.
 
 Both file formats are frozen byte for byte as ``json.dumps(doc,
 indent=2)`` lays them out.  With ``indent`` set, json falls back to its
-pure-Python encoder, so the writers instead fill %-format templates that
-are built once per record shape, with keys and indentation baked in;
+pure-Python encoder, so the writers instead fill %-format templates;
 only the values are formatted per record.
 
 Each format is described once, as a schema in plain data: a record maps
-each key to its kind, which is ``int``, ``bool`` or ``str`` (that exact
-JSON type: a boolean is no integer), an enum, ``(item, kind)`` for an
-array whose items are named ``f"{item} {position}"``, or, for a tag
-such as an action's ``"type"``, a dict from each value to the record
-whose fields follow.  The decoders read the schema's columns in C
-(`records`, `typed`) under `decoding`: if one raises, `check` walks the
-document against the schema and names the first problem.
+each key, in file order, to its kind, which is ``int``, ``bool`` or
+``str`` (that exact JSON type: a boolean is no integer), an enum,
+``(item, kind)`` for an array whose items are named ``f"{item}
+{position}"``, or, for a tag such as an action's ``"type"``, a dict from
+each value to the record whose fields follow.  The writers' templates
+are built once at import from the schema records (`template`), with
+keys, indentation and any fixed tag or enum text baked in.  The decoders
+read the schema's columns in C (`records`, `typed`) under `decoding`: if
+one raises, `check` walks the document against the schema and names the
+first problem.
 """
 
 from __future__ import annotations
@@ -28,15 +30,19 @@ from operator import itemgetter
 INDENT = "  "
 
 
-def record(depth: int, fields) -> str:
-    """%-format template of one object nested `depth` levels deep.
-
-    `fields` lists (key, conversion) pairs in output order; "%s" takes
-    text that is already JSON, and JSON text without "%" is kept as is.
-    The template starts with its own indentation, as an array item does.
-    """
+def template(depth: int, record: dict, **baked: str) -> str:
+    """%-format template of one object of schema `record`, nested `depth`
+    levels deep, its keys in the record's order: an ``int`` field takes
+    "%d", any other field "%s" (text that is already JSON), and a field
+    named in `baked` is the JSON text given for it, fixed, which holds no
+    "%".  The template starts with its own indentation, as an array item
+    does."""
     pad = INDENT * depth
-    lines = ",\n".join(f"{pad}{INDENT}{quote(key)}: {conv}" for key, conv in fields)
+    lines = ",\n".join(
+        f"{pad}{INDENT}{quote(key)}: "
+        + (baked[key] if key in baked else "%d" if kind is int else "%s")
+        for key, kind in record.items()
+    )
     return f"{pad}{{\n{lines}\n{pad}}}"
 
 
@@ -128,6 +134,8 @@ def check(kind, value, at: str = "", key: str = "", record: str = "") -> None:
             raise type(exc)(f"{name}: {exc}") from None
     elif type(value) is not want:
         text = json.dumps(value, default=repr)
+        if repr(json.loads(text)) != repr(value):  # a tuple, a key that is no str, a non-JSON type
+            text = repr(value)
         shown = text if len(text) <= SHOWN else text[: SHOWN - 3] + "..."
         raise TypeError((f"{name}: " if name else "") + f"expected {_EXPECTED[want]}, got {shown}") from None
     elif want is list:

@@ -12,11 +12,11 @@ import gc
 import json
 from bisect import bisect_right
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import chain, starmap
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Union
 
 from . import jsontext
@@ -163,7 +163,7 @@ class Violation:
     detail: str = ""
 
 
-class CyclicDependencyError(Exception):
+class CyclicDependencyError(ValueError):
     """Poll edges combined with spawn/wait edges form a cycle."""
 
 
@@ -355,8 +355,10 @@ def critical_path(graph: TaskGraph):
     kind covered reaches the wait through that one; a poll is preceded
     by its target's completion.
     Ties between equal-length chains pick the smallest (task, action)
-    step by step.  Expects a graph that ``validate`` accepts.  Computed
-    once per graph; each call returns a new list.
+    step by step.  Expects a graph that ``validate`` accepts; poll and
+    wait edges that close a cycle, which ``validate`` does not check,
+    raise CyclicDependencyError.  Computed once per graph; each call
+    returns a new list.
     """
     length, path = graph._critical_path
     return length, list(path)
@@ -463,9 +465,8 @@ def _choose(i, after, best, get, rank, n):
 
 # --- JSON serialization -------------------------------------------------
 #
-# Layout: {"tasks": [...], "roots": [...]}; each task
-# {"id", "priority", "tied", "label", "actions": [...]}; action objects
-# are discriminated by their "type" field.  Field names are stable, and
+# Layout: GRAPH_SCHEMA, its keys in file order; action objects are
+# discriminated by their "type" field.  Field names are stable, and
 # graph_to_json writes the layout exactly as json.dumps(doc, indent=2) would.
 
 
@@ -500,9 +501,9 @@ _ACTION = {
         "taskgroup_end": {"mode": WaitMode},
     }
 }
-# A task's fields in the order TaskSpec takes them.
-_TASK = {"id": int, "actions": ("action", _ACTION), "priority": int, "tied": bool, "label": str}
+_TASK = {"id": int, "priority": int, "tied": bool, "label": str, "actions": ("action", _ACTION)}
 GRAPH_SCHEMA = {"tasks": ("task", _TASK), "roots": ("root", int)}
+_TASK_ARGS = itemgetter(*(list(_TASK).index(field.name) for field in fields(TaskSpec)))  # a row in TaskSpec's order
 
 _ACTION_READERS = {
     "compute": lambda d: _int_compute(v) if type(v := d["duration"]) is int else _refuse(v),
@@ -532,23 +533,19 @@ def graph_from_dict(data: dict) -> TaskGraph:
     names them alike."""
     with jsontext.decoding(GRAPH_SCHEMA, data):
         tasks = jsontext.records(tuple, data["tasks"], _TASK, actions=_read_actions)
-        return TaskGraph(list(starmap(TaskSpec, tasks)), jsontext.typed(data["roots"], int))
+        return TaskGraph(list(starmap(TaskSpec, map(_TASK_ARGS, tasks))), jsontext.typed(data["roots"], int))
 
 
 _DEFER_TEXT = jsontext.enum_text(DeferMode)
 _YIELD_TEXT = jsontext.enum_text(YieldMode)
 _WAIT_TEXT = jsontext.enum_text(WaitMode)
-_COMPUTE_JSON = jsontext.record(4, [("type", '"compute"'), ("duration", "%d")])
-_SPAWN_JSON = jsontext.record(4, [("type", '"spawn"'), ("child", "%d"), ("defer", "%s")])
-_POLL_JSON = jsontext.record(
-    4, [("type", '"poll"'), ("target", "%d"), ("yield_mode", "%s"), ("poll_cost", "%d")]
+# One template per action variant, its "type" tag first and baked in.
+_COMPUTE_JSON, _SPAWN_JSON, _POLL_JSON, _TASKWAIT_JSON, _TASKGROUP_JSON = (
+    jsontext.template(4, {"type": _ACTION["type"], **variant}, type=jsontext.quote(tag))
+    for tag, variant in _ACTION["type"].items()
 )
-_TASKWAIT_JSON = jsontext.record(4, [("type", '"taskwait_children"'), ("mode", "%s")])
-_TASKGROUP_JSON = jsontext.record(4, [("type", '"taskgroup_end"'), ("mode", "%s")])
-_TASK_JSON = jsontext.record(
-    2, [("id", "%d"), ("priority", "%d"), ("tied", "%s"), ("label", "%s"), ("actions", "%s")]
-)
-_GRAPH_JSON = jsontext.record(0, [("tasks", "%s"), ("roots", "%s")])
+_TASK_JSON = jsontext.template(2, _TASK)
+_GRAPH_JSON = jsontext.template(0, GRAPH_SCHEMA)
 _ROOT_JSON = jsontext.INDENT * 2 + "%d"
 
 

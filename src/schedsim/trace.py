@@ -57,30 +57,6 @@ class TraceEvent(NamedTuple):
     thread: int
 
 
-_read_outcome = jsontext.enum_reader(Outcome)
-_OUTCOME_TEXT = jsontext.enum_text(Outcome)
-_SEGMENT_JSON = {
-    kind: jsontext.record(
-        2, [("thread", "%d"), ("task", "%d"), ("start", "%d"), ("end", "%d"), ("kind", text)]
-    )
-    for kind, text in jsontext.enum_text(SegmentKind).items()
-}
-_EVENT_JSON = {
-    kind: jsontext.record(2, [("time", "%d"), ("kind", text), ("task", "%d"), ("thread", "%d")])
-    for kind, text in jsontext.enum_text(EventKind).items()
-}
-_TRACE_JSON = jsontext.record(
-    0,
-    [
-        ("thread_count", "%d"),
-        ("makespan", "%d"),
-        ("outcome", "%s"),
-        ("segments", "%s"),
-        ("events", "%s"),
-    ],
-)
-
-
 _SEGMENT = {"thread": int, "task": int, "start": int, "end": int, "kind": SegmentKind}
 _EVENT = {"time": int, "kind": EventKind, "task": int, "thread": int}
 TRACE_SCHEMA = {
@@ -88,6 +64,14 @@ TRACE_SCHEMA = {
     "segments": ("segment", _SEGMENT), "events": ("event", _EVENT),
 }
 _TRACE_FIELDS = itemgetter(*TRACE_SCHEMA)
+_read_outcome = jsontext.enum_reader(Outcome)
+_OUTCOME_TEXT = jsontext.enum_text(Outcome)
+# One template per kind, the kind's text baked in.
+_SEGMENT_JSON = {
+    kind: jsontext.template(2, _SEGMENT, kind=text) for kind, text in jsontext.enum_text(SegmentKind).items()
+}
+_EVENT_JSON = {kind: jsontext.template(2, _EVENT, kind=text) for kind, text in jsontext.enum_text(EventKind).items()}
+_TRACE_JSON = jsontext.template(0, TRACE_SCHEMA)
 
 
 @dataclass(frozen=True)
@@ -166,7 +150,7 @@ class ScheduleTrace:
 
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["thread", "task", "start", "end", "kind"])
+        writer.writerow(_SEGMENT)
         for s in self.segments:
             writer.writerow([s.thread, s.task, s.start, s.end, s.kind.value])
         return buf.getvalue()

@@ -6,7 +6,16 @@ from schedsim.analysis import analyze, compare
 from schedsim.cli import main
 from schedsim.engine import MAX_THREADS, ScheduleTrace
 from schedsim import jsontext
-from schedsim.task_graph import Spawn, TaskGraph, TaskSpec, graph_from_dict, graph_from_json, graph_to_json, validate
+from schedsim.task_graph import (
+    PollOutcome,
+    Spawn,
+    TaskGraph,
+    TaskSpec,
+    graph_from_dict,
+    graph_from_json,
+    graph_to_json,
+    validate,
+)
 
 
 def generate(tmp_path, name, *args):
@@ -273,6 +282,20 @@ class TestCompareReport:
         assert code == 0
         out = capsys.readouterr().out
         assert "makespan" in out and "occupancy" in out
+
+    @pytest.mark.parametrize("command", ["report", "compare"])
+    def test_poll_cycle_is_an_input_error(self, tmp_path, capsys, command):
+        """Two roots that poll each other pass `validate` and simulate to
+        starvation, but have no critical path: one error line, not a traceback."""
+        cycle = TaskGraph((TaskSpec(0, (PollOutcome(1),)), TaskSpec(1, (PollOutcome(0),))), (0, 1))
+        assert validate(cycle) == []
+        graph, trace = tmp_path / "cycle.json", tmp_path / "trace.json"
+        graph.write_text(graph_to_json(cycle))
+        assert main(["simulate", str(graph), "--threads", "2", "-o", str(trace)]) == 3
+        capsys.readouterr()
+        traces = [str(trace)] * (2 if command == "compare" else 1)
+        assert main([command, str(graph), *traces]) == 2
+        assert capsys.readouterr().err == "error: poll/wait/spawn edges form a cycle\n"
 
 
 @pytest.mark.parametrize(

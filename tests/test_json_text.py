@@ -8,10 +8,13 @@ field can take values the generators never produce.
 
 import json
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from schedsim import jsontext
 from schedsim.engine import EventKind, Outcome, ScheduleTrace, Segment, SegmentKind, TraceEvent
 from schedsim.task_graph import (
+    GRAPH_SCHEMA,
     Compute,
     DeferMode,
     PollOutcome,
@@ -22,6 +25,7 @@ from schedsim.task_graph import (
     TaskwaitChildren,
     WaitMode,
     YieldMode,
+    graph_from_dict,
     graph_from_json,
     graph_to_json,
 )
@@ -104,3 +108,37 @@ def test_trace_writer_equals_json_dumps(trace, meta):
     text = trace.to_json(meta)
     assert text == json.dumps(trace.to_dict(meta), indent=2)
     assert ScheduleTrace.from_json(text) == trace
+
+
+def test_template_from_a_schema_record():
+    """An int field takes %d, any other field %s, a baked field its own
+    text, and the keys keep the record's order."""
+    record = {"b": int, "a": str, "flag": bool, "items": ("item", {"x": int}), "mode": WaitMode, "tag": {"t": {}}}
+    text = jsontext.template(1, record, tag='"t"')
+    assert text == (
+        '  {\n    "b": %d,\n    "a": %s,\n    "flag": %s,\n    "items": %s,\n    "mode": %s,\n    "tag": "t"\n  }'
+    )
+    values = (-(2**70), '"x"', "true", "[]", '"latency"')
+    expected = {"b": -(2**70), "a": "x", "flag": True, "items": [], "mode": "latency", "tag": "t"}
+    assert json.loads(text % values) == expected
+    assert jsontext.template(0, GRAPH_SCHEMA) % ("[]", "[]") == json.dumps({"tasks": [], "roots": []}, indent=2)
+
+
+@pytest.mark.parametrize(
+    "decode, doc, message",
+    [
+        (graph_from_dict, {"tasks": (), "roots": ()}, "tasks: expected an array, got ()"),
+        (graph_from_dict, {"tasks": [], "roots": (1,)}, "roots: expected an array, got (1,)"),
+        (graph_from_dict, {"tasks": [(0,)], "roots": []}, "task 0: expected an object, got (0,)"),
+        (graph_from_dict, {"tasks": [], "roots": [{1: 2}]}, "root 0: expected an integer, got {1: 2}"),
+        (
+            ScheduleTrace.from_dict,
+            {"thread_count": 1, "makespan": 0, "outcome": "completed", "segments": (), "events": []},
+            "segments: expected an array, got ()",
+        ),
+    ],
+)
+def test_value_json_cannot_write_is_shown_by_repr(decode, doc, message):
+    with pytest.raises(TypeError) as info:
+        decode(doc)
+    assert str(info.value) == message

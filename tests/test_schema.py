@@ -103,3 +103,9 @@ def test_each_break_is_named_where_it_is(data):
     unknown = how == "unknown" or (how == "scalar" and loc[-1] in ENUMS and type(new) not in (list, dict))
     assert type(info.value) is (ValueError if unknown else TypeError)
     assert str(info.value).startswith(f"{name}: " if name else "expected an object, got ")
+
+
+def test_several_defects_name_the_first_in_file_order():
+    task = {"id": 0, "priority": None, "tied": True, "label": "", "actions": 5}
+    with pytest.raises(TypeError, match="^task 0, priority: expected an integer, got null$"):
+        graph_from_dict({"tasks": [task], "roots": [0]})
