@@ -14,9 +14,11 @@ from pathlib import Path
 
 from .task_graph import (
     DEFAULT_MAX_VIRTUAL_TIME,
+    CyclicDependencyError,
     DeferMode,
     WaitMode,
     YieldMode,
+    critical_path,
     graph_from_json,
     graph_to_json,
     total_work,
@@ -147,6 +149,17 @@ def _load_graph(path: str):
     return graph
 
 
+def _load_analysable_graph(path: str):
+    """A graph `analyze` and `compare` can read: poll and wait edges that
+    close a cycle, which `validate` does not check, leave no critical path."""
+    graph = _load_graph(path)
+    try:
+        critical_path(graph)  # cached on the graph for the analysis
+    except CyclicDependencyError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return graph
+
+
 def run_simulate(args) -> int:
     from . import engine, policies
     try:
@@ -179,7 +192,7 @@ def run_compare(args) -> int:
     from . import analysis
     from .trace import ScheduleTrace
     try:
-        graph = _load_graph(args.graph)
+        graph = _load_analysable_graph(args.graph)
         baseline = _parse(args.baseline, ScheduleTrace.from_json, "trace")
         variant = _parse(args.variant, ScheduleTrace.from_json, "trace")
         report = analysis.compare(graph, baseline, variant)
@@ -199,7 +212,7 @@ def run_report(args) -> int:
     from . import analysis
     from .trace import ScheduleTrace
     try:
-        graph = _load_graph(args.graph)
+        graph = _load_analysable_graph(args.graph)
         trace = _parse(args.trace, ScheduleTrace.from_json, "trace")
         report = analysis.analyze(graph, trace)
     except (OSError, ValueError, analysis.TraceMismatchError) as exc:

@@ -25,9 +25,10 @@ some queue holds an entry, as a pick from empty queues finds nothing; a
 settle pass skips a free thread whose top run is parked (stopped at a
 wait or behind an undeferred child) since the last completion, as only
 a completion can move it; and a settle pass repeats, and settling
-restarts after picks, only if a task completed since it began or a
-completion check has failed at this timestamp, as every duration is at
-least 1 and a failed poller moves only on new progress.
+restarts after picks, only if in that round (the pass, then picks) a
+task completed, or a completion check failed at this timestamp and
+progress moved, as every duration is at least 1, a parked run waits for
+a completion and a failed poller's token changes only on new progress.
 
 Poll cadence: a completion check that succeeds is free.  A failed check
 spins for up to ``poll_cost`` ticks (the spin ends early if the target
@@ -92,6 +93,8 @@ class SimConfig:
             raise ConfigError(f"thread_count must be in [1, {MAX_THREADS}]")
         if type(self.max_virtual_time) is not int or self.max_virtual_time <= 0:
             raise ConfigError("max_virtual_time must be a positive int")
+        if type(self.policy) is not PolicyConfig:
+            raise ConfigError(f"policy must be a PolicyConfig, got {self.policy!r}")
 
 
 class _Run:
@@ -258,15 +261,14 @@ class _Engine:
 
     # -- the per-thread state machine ----------------------------------------
 
-    def _run_thread(self, th: _Thread, now: int) -> bool:
+    def _run_thread(self, th: _Thread, now: int):
         """Step a thread: end its segment, if it holds one, then advance it
         through zero-time transitions until it starts a segment, blocks or
         empties its stack.  A thread that holds a segment is stepped only
-        once that segment is due.  Returns True if any state changed."""
+        once that segment is due."""
         task = th.seg_task
-        progressed = task is not None
         spun = False  # the top run ended its own poll spin and has not checked its poll since
-        if progressed:
+        if task is not None:
             kind = th.seg_kind
             spun = kind is _POLL_SPIN
             if now > th.seg_start:
@@ -276,7 +278,7 @@ class _Engine:
                 self.progress += 1
             th.seg_task = th.seg_kind = th.seg_target = None
         if self.outcome is not None:
-            return progressed
+            return
         stack = th.stack
         events = self.events
         idx = th.idx
@@ -289,7 +291,6 @@ class _Engine:
                     break
                 run.blocked_child = None
                 run.pc += 1
-                progressed = True
                 continue
 
             wait = run.wait
@@ -307,13 +308,11 @@ class _Engine:
                     th.futile = -1
                 run.wait = None
                 run.pc += 1
-                progressed = True
                 continue
 
             actions = run.spec.actions
             if run.pc >= len(actions):
                 self._complete_task(th, run, now)
-                progressed = True
                 continue
 
             action = actions[run.pc]
@@ -324,10 +323,9 @@ class _Engine:
                 th.seg_start = now
                 th.seg_end = now + action.duration
                 th.seg_kind = _UNDEFERRED if run.nested else _COMPUTE
-                return True
+                return
 
             if kind is Spawn:
-                progressed = True
                 self._do_spawn(th, run, action, now)
                 continue
 
@@ -338,7 +336,6 @@ class _Engine:
                     allowed = self._wait_allowed_tasks(run)
                     th.filters.append(allowed & th.filters[-1] if th.filters else allowed)
                     th.futile = -1
-                progressed = True
                 continue
 
             if kind is PollOutcome:
@@ -347,7 +344,6 @@ class _Engine:
                     spun = False
                     run.poll_token = None
                     run.pc += 1
-                    progressed = True
                     continue
                 token = (self.progress, now)
                 if run.poll_token == token:
@@ -359,7 +355,7 @@ class _Engine:
                     th.seg_end = now + action.poll_cost
                     th.seg_kind = _POLL_SPIN
                     th.seg_target = action.target
-                    return True
+                    return
                 spun = False
                 # A poller that failed twice with no progress in between has seen a full
                 # round; if every other thread is likewise stuck, nothing can progress.
@@ -371,7 +367,6 @@ class _Engine:
                     break
                 requeue = pol.on_yield(self.policy, run.priority, action.yield_mode, th.lowest_pending)
                 events.append((now, _YIELDED, run.spec.id, idx))
-                progressed = True
                 if requeue is None:
                     break  # stay resident; retry after at most one pick
                 stack.pop()
@@ -380,7 +375,6 @@ class _Engine:
                 continue
 
             raise EngineError(f"unknown action {action!r}")
-        return progressed
 
     def _do_spawn(self, th: _Thread, run: _Run, action: Spawn, now: int):
         child = self.runs[action.child]
@@ -444,23 +438,20 @@ class _Engine:
         threads, runs, queued = self.threads, self.runs, self.ready.index
         settle = True
         while self.outcome is None:
-            done = self.completed_count
+            done, moved = self.completed_count, self.progress
             if settle:
-                # Settle all due segments and zero-time transitions before anyone
-                # picks: wait exits and the spawns they trigger must be visible to
-                # every pick decision at this timestamp.  A segment is due at its
-                # end, a spin also once its target has completed.  The repeat rule
-                # (see the module docstring) is written here and after the picks.
-                changed = False
+                # Settle all due segments and zero-time transitions before anyone picks:
+                # wait exits and the spawns they trigger must be visible to every pick
+                # at this timestamp.  A segment is due at its end, a spin also once its
+                # target has completed.  The repeat rule is the module docstring's.
                 for th in threads:
                     if th.seg_task is not None:
                         if th.seg_end > now and (th.seg_kind is not _POLL_SPIN or not runs[th.seg_target].completed):
                             continue
                     elif not th.stack or th.stack[-1].parked == self.completed_count:
                         continue
-                    if self._run_thread(th, now):
-                        changed = True
-                if changed and (self.completed_count != done or self.failed_poll_at == now):
+                    self._run_thread(th, now)
+                if self.completed_count != done or self.failed_poll_at == now and self.progress != moved:
                     continue
             # Picks run only while some queue holds an entry (a pick may empty them).
             if not queued:
@@ -474,7 +465,7 @@ class _Engine:
                     picked = True
             if not picked:
                 break
-            settle = self.completed_count != done or self.failed_poll_at == now
+            settle = self.completed_count != done or self.failed_poll_at == now and self.progress != moved
         if self.outcome is not None:
             return None
         nxt = None  # the next segment end: at a fixed point each ends after `now`

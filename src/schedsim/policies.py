@@ -65,7 +65,8 @@ class PolicyConfig:
     at ``MIN_PRIORITY``.  Constructing a reference or fcfs config
     normalizes the extension switches to the values those policies
     imply; fcfs is also always unbounded.  Steal victims are always
-    probed round-robin.
+    probed round-robin.  ``kind`` must be a ``PolicyKind`` member and
+    each switch exactly a bool, or ``ConfigError`` is raised.
     """
 
     kind: PolicyKind
@@ -76,10 +77,14 @@ class PolicyConfig:
     honor_latency_wait: bool = False
 
     def __post_init__(self):
+        if type(self.kind) is not PolicyKind:
+            raise ConfigError(f"kind must be a PolicyKind, got {self.kind!r}")
         if self.queue_bound is not None and (type(self.queue_bound) is not int or self.queue_bound <= 0):
             raise ConfigError("queue_bound must be a positive int or None")
-        if self.kind is not PolicyKind.EXTENDED:
-            for flag in ("priority_aware", "fair_yield", "honor_latency_wait", "scatter_on_overflow"):
+        for flag in ("priority_aware", "scatter_on_overflow", "fair_yield", "honor_latency_wait"):
+            if type(value := getattr(self, flag)) is not bool:
+                raise ConfigError(f"{flag} must be a bool, got {value!r}")
+            if self.kind is not PolicyKind.EXTENDED:
                 object.__setattr__(self, flag, False)
         if self.kind is PolicyKind.GLOBAL_FCFS:
             object.__setattr__(self, "queue_bound", None)

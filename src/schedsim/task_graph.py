@@ -425,8 +425,10 @@ def _longest_chain(graph: TaskGraph):
             indeg[nxt] -= 1
             if not indeg[nxt]:
                 topo.append(nxt)
-    if len(topo) != total:
-        raise CyclicDependencyError("poll/wait/spawn edges form a cycle")
+    if len(topo) != total:  # what the walk left out still has an in-edge
+        unit = next(unit for unit in range(2 * n, total) if indeg[unit])
+        task = tasks[bisect_right(first, unit) - 1].id
+        raise CyclicDependencyError(f"poll/wait/spawn edges form a cycle; task {task} is on it or waits behind it")
 
     best = [0] * (total + 1)  # best length from node to any sink, inclusive
     rank = [0] * n  # of up(t): the unit its chosen successors lead to

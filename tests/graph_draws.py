@@ -1,4 +1,4 @@
-"""SplitMix64 graph drawers shared by the tests and ``scripts/bytecheck.py``.
+"""SplitMix64 graph drawers and policy configs shared by the tests and scripts.
 
 Each drawer reads only a ``SplitMix64`` stream, so a seed reproduces its
 graph exactly; the pinned corpora in ``tests/`` depend on every draw,
@@ -6,6 +6,7 @@ so a drawer's stream must not change.  They import nothing beyond the
 standard library and ``schedsim``.
 """
 
+from schedsim import policies as pol
 from schedsim.generators import (
     EnclaveWorkloadParams,
     NestedLoopParams,
@@ -31,6 +32,19 @@ from schedsim.task_graph import (
 DEFER_MODES = [DeferMode.RUNTIME_CHOICE, DeferMode.MUST_DEFER, DeferMode.UNDEFERRED]
 YIELD_MODES = [YieldMode.DEFAULT, YieldMode.LATENCY, YieldMode.THROUGHPUT]
 WAIT_MODES = [WaitMode.THROUGHPUT, WaitMode.LATENCY]
+
+# The five golden configs, unbounded reference queues and extended queues
+# without priorities: the metamorphic properties, the interpreter property
+# and ``scripts/exhaust.py`` run under them.
+METAMORPHIC_POLICIES = [
+    pol.reference(),
+    pol.reference(queue_bound=2),
+    pol.fcfs(),
+    pol.extended(),
+    pol.extended(queue_bound=2),
+    pol.reference(queue_bound=None),
+    pol.extended(priority_aware=False),
+]
 
 
 def sample_graph(rng):

@@ -295,7 +295,9 @@ class TestCompareReport:
         capsys.readouterr()
         traces = [str(trace)] * (2 if command == "compare" else 1)
         assert main([command, str(graph), *traces]) == 2
-        assert capsys.readouterr().err == "error: poll/wait/spawn edges form a cycle\n"
+        assert capsys.readouterr().err == (
+            f"error: {graph}: poll/wait/spawn edges form a cycle; task 0 is on it or waits behind it\n"
+        )
 
 
 @pytest.mark.parametrize(

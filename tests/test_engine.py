@@ -669,17 +669,24 @@ class TestTraceSerialization:
 
 
 
-def run_thread_results(graph, cfg):
-    """Simulate; return the trace and what every ``_run_thread`` call returned."""
-    results = []
+def thread_state(th):
+    """What a ``_run_thread`` call can move: the segment, the stack depth and the top run's place."""
+    top = th.stack[-1] if th.stack else None
+    return th.seg_task, th.seg_end, len(th.stack), top and top.pc, top and top.wait
 
-    class RunThreadResults(_Engine):
-        def _run_thread(self, th, now):
-            changed = super()._run_thread(th, now)
-            results.append(changed)
-            return changed
 
-    return RunThreadResults(graph, cfg).run(), results
+def run_thread_moves(monkeypatch, graph, cfg):
+    """Simulate; return the trace and, per ``_run_thread`` call, whether it moved its thread."""
+    moves = []
+    step = _Engine._run_thread
+
+    def recorded(self, th, now):
+        before = thread_state(th)
+        step(self, th, now)
+        moves.append(thread_state(th) != before)
+
+    monkeypatch.setattr(_Engine, "_run_thread", recorded)
+    return simulate(graph, cfg), moves
 
 
 class TestDeepTrees:
@@ -687,13 +694,13 @@ class TestDeepTrees:
 
     @pytest.mark.parametrize("wait", [TaskwaitChildren, TaskgroupEnd])
     @pytest.mark.parametrize("policy", [pol.reference(), pol.extended()], ids=["reference", "extended"])
-    def test_settle_passes_skip_parked_runs(self, policy, wait):
+    def test_settle_passes_skip_parked_runs(self, monkeypatch, policy, wait):
         # A run stopped at a wait moves only after a completion, so no
         # settle pass runs a thread whose top run cannot move.
         graph = spawn_chain(64, wait, SplitMix64(1))
-        trace, results = run_thread_results(graph, SimConfig(thread_count=2, policy=policy))
+        trace, moves = run_thread_moves(monkeypatch, graph, SimConfig(thread_count=2, policy=policy))
         assert trace.outcome is Outcome.COMPLETED
-        assert results and all(results)
+        assert moves and all(moves)
 
     DEPTH = 10_000
 

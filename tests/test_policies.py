@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schedsim import policies as pol
+from schedsim.engine import SimConfig
 from schedsim.policies import Placement, PolicyKind, ReadyQueues, Requeue, on_spawn, on_yield
 from schedsim.task_graph import DeferMode, TaskGraph, TaskSpec, YieldMode
 
@@ -84,6 +85,23 @@ class TestConfig:
         for make in (pol.reference, pol.extended):
             with pytest.raises(pol.ConfigError, match="queue_bound"):
                 make(queue_bound=bound)
+
+    @pytest.mark.parametrize("kind", ["extended", "fcfs", "reference", None])
+    def test_kind_takes_members_only(self, kind):
+        # "extended" equals PolicyKind.EXTENDED but is not it, so it would run another policy
+        with pytest.raises(pol.ConfigError, match="kind"):
+            pol.PolicyConfig(kind=kind, priority_aware=True)
+
+    @pytest.mark.parametrize("value", ["no", 1, None])
+    @pytest.mark.parametrize("flag", ["priority_aware", "scatter_on_overflow", "fair_yield", "honor_latency_wait"])
+    def test_switches_take_exact_bools(self, flag, value):
+        for kind in PolicyKind:
+            with pytest.raises(pol.ConfigError, match=flag):
+                pol.PolicyConfig(kind=kind, **{flag: value})
+
+    def test_sim_config_takes_a_policy_config(self):
+        with pytest.raises(pol.ConfigError, match="policy"):
+            SimConfig(2, "reference")
 
 
 class TestOnSpawn:

@@ -35,7 +35,7 @@ from schedsim.task_graph import (
     total_work,
 )
 
-from graph_draws import DEFER_MODES, WAIT_MODES, YIELD_MODES, sample_graph, tied_forest
+from graph_draws import DEFER_MODES, METAMORPHIC_POLICIES, WAIT_MODES, YIELD_MODES, sample_graph, tied_forest
 from graph_model import reference_critical_path
 
 
@@ -345,19 +345,6 @@ def poll_graph(draw):
         )
     roots = tuple(task for task in range(n) if parent.get(task, -1) < 0)
     return TaskGraph(tasks=tuple(tasks), roots=roots)
-
-
-# The five golden configs, unbounded reference queues and extended queues
-# without priorities; test_reference_engine draws from them too.
-METAMORPHIC_POLICIES = [
-    pol.reference(),
-    pol.reference(queue_bound=2),
-    pol.fcfs(),
-    pol.extended(),
-    pol.extended(queue_bound=2),
-    pol.reference(queue_bound=None),
-    pol.extended(priority_aware=False),
-]
 
 
 def drawn_graph(seed, forest):

@@ -20,8 +20,7 @@ from schedsim.engine import SimConfig, simulate
 from schedsim.prng import SplitMix64
 from schedsim.task_graph import TaskgroupEnd, TaskwaitChildren
 
-from graph_draws import DEFER_MODES, WAIT_MODES, poll_graph, sample_graph, spawn_chain, tied_forest
-from test_properties import METAMORPHIC_POLICIES
+from graph_draws import DEFER_MODES, METAMORPHIC_POLICIES, WAIT_MODES, poll_graph, sample_graph, spawn_chain, tied_forest
 
 
 def chain(rng):

@@ -440,6 +440,22 @@ class TestCriticalPath:
         with pytest.raises(CyclicDependencyError):
             critical_path(g)
 
+    POLLERS = (TaskSpec(1, (PollOutcome(2),)), TaskSpec(2, (PollOutcome(1),)))
+
+    @pytest.mark.parametrize(
+        "first, roots, named",
+        [
+            (TaskSpec(0, (Compute(1),)), (0, 1, 2), 1),  # task 0 runs beside the cycle
+            (TaskSpec(0, (Spawn(1), Spawn(2), TaskwaitChildren())), (0,), 0),  # and here waits behind it
+        ],
+        ids=["beside", "behind"],
+    )
+    def test_poll_cycle_names_the_lowest_task_it_holds(self, first, roots, named):
+        g = TaskGraph((first,) + self.POLLERS, roots)
+        assert validate(g) == []
+        with pytest.raises(CyclicDependencyError, match=f"; task {named} is on it or waits behind it$"):
+            critical_path(g)
+
     def test_bounded_by_total_work(self):
         g = chain_graph()
         assert critical_path(g)[0] <= total_work(g)
