@@ -11,13 +11,18 @@ Task i has priority i mod 2 and is tied when i is even.  Each graph that
 ``to_json`` bytes of ``simulate`` must equal those of
 ``tests/reference_engine.simulate``.  Each divergence is printed as the
 graph's JSON with its config and thread count, and the script exits 1 on
-any.  Standard library only; takes no arguments.
+any.  It also pins ``validate`` over the whole scope: the counts of
+candidates, valid graphs and runs, and a sha256 of every candidate's
+violation list, each against ``EXPECTED``; each that moved is printed,
+and the script exits 1.  Standard library only; takes no
+arguments.
 
     python scripts/exhaust.py
 """
 
 from __future__ import annotations
 
+import hashlib
 import sys
 from itertools import product
 from pathlib import Path
@@ -45,6 +50,13 @@ TASKS = 2
 ACTION_COUNTS = (1, 2)
 THREADS = (1, 2, 3)
 MAX_VIRTUAL_TIME = 10_000
+EXPECTED = {
+    "candidates": 9_504,
+    "valid graphs": 3_672,
+    "runs": 77_112,
+    # over repr(validate(graph)) of every candidate, in enumeration order
+    "violations sha256": "35c95bead5552912d7f79e8dd97d87eba2dc34a2b8aa1af076cce164a4de177d",
+}
 
 
 def alphabet(task: int) -> list:
@@ -68,11 +80,14 @@ def bodies(task: int) -> list:
 
 def main() -> int:
     candidates = valid = runs = divergent = 0
+    violations = hashlib.sha256()
     for chosen in product(*map(bodies, range(TASKS))):
         candidates += 1
         tasks = tuple(TaskSpec(i, body, priority=i % 2, tied=i % 2 == 0) for i, body in enumerate(chosen))
         graph = TaskGraph(tasks, (0,))
-        if validate(graph):
+        found = validate(graph)
+        violations.update(repr(found).encode())
+        if found:
             continue
         valid += 1
         for policy, threads in product(METAMORPHIC_POLICIES, THREADS):
@@ -82,7 +97,11 @@ def main() -> int:
                 divergent += 1
                 print(f"divergent: {policy} on {threads} threads\n{graph_to_json(graph)}")
     print(f"{candidates} candidates, {valid} valid graphs, {runs} runs, {divergent} divergent")
-    return 1 if divergent else 0
+    got = {"candidates": candidates, "valid graphs": valid, "runs": runs, "violations sha256": violations.hexdigest()}
+    moved = [name for name, want in EXPECTED.items() if got[name] != want]
+    for name in moved:
+        print(f"moved: {name} {got[name]}, expected {EXPECTED[name]}")
+    return 1 if divergent or moved else 0
 
 
 if __name__ == "__main__":

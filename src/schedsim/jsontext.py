@@ -74,6 +74,11 @@ _EXPECTED = {int: "an integer", bool: "true or false", str: "a string", dict: "a
 SHOWN = 60  # the longest value a message shows whole
 
 
+def shown(text: str) -> str:
+    """`text`, cut to SHOWN characters with "..." if it is longer."""
+    return text if len(text) <= SHOWN else text[: SHOWN - 3] + "..."
+
+
 def typed(values: list, kind: type) -> list:
     """`values` if it is a list whose items all have exactly JSON type
     `kind`, told by one pass over their types in C; else a TypeError."""
@@ -136,8 +141,7 @@ def check(kind, value, at: str = "", key: str = "", record: str = "") -> None:
         text = json.dumps(value, default=repr)
         if repr(json.loads(text)) != repr(value):  # a tuple, a key that is no str, a non-JSON type
             text = repr(value)
-        shown = text if len(text) <= SHOWN else text[: SHOWN - 3] + "..."
-        raise TypeError((f"{name}: " if name else "") + f"expected {_EXPECTED[want]}, got {shown}") from None
+        raise TypeError((f"{name}: " if name else "") + f"expected {_EXPECTED[want]}, got {shown(text)}") from None
     elif want is list:
         item, kind = kind
         for pos, each in enumerate(value):

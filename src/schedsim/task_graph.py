@@ -17,7 +17,7 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import chain, starmap
 from operator import attrgetter, itemgetter
-from typing import Union
+from typing import NamedTuple, Union
 
 from . import jsontext
 
@@ -149,9 +149,7 @@ class TaskGraph:
     # Per-graph results, kept in the instance __dict__, outside the
     # dataclass fields, so ==, hash, repr and JSON ignore them.
     _critical_path = cached_property(lambda self: _longest_chain(self))
-    _violations = cached_property(lambda self: tuple(_find_violations(self)))
-    _spawn_parents = cached_property(lambda self: _find_parents(self))
-    _work = cached_property(lambda self: tuple(map(_task_work, self.tasks)))
+    _facts = cached_property(lambda self: _graph_facts(self))
 
 
 @dataclass(frozen=True)
@@ -167,161 +165,139 @@ class CyclicDependencyError(ValueError):
     """Poll edges combined with spawn/wait edges form a cycle."""
 
 
+class GraphFacts(NamedTuple):
+    """What one walk over a graph's tasks and actions finds."""
+
+    violations: tuple
+    parents: dict  # child -> (parent id, action index), first spawn of each integer child
+    work: tuple  # integer compute ticks per task position
+
+
 def spawn_parents(graph: TaskGraph) -> dict:
-    """Map child id -> (parent id, action index of the spawn).
-
-    Only the first spawn of each child is recorded; validate() flags
-    duplicates separately.  Computed once per graph; each call returns a
-    new dict.
-    """
-    return dict(graph._spawn_parents)
-
-
-def _find_parents(graph: TaskGraph) -> dict:
-    parents = {}
-    for spec in graph.tasks:
-        for idx, action in enumerate(spec.actions):
-            if type(action) is Spawn and action.child not in parents:
-                parents[action.child] = (spec.id, idx)
-    return parents
+    """Map child id -> (parent id, action index of the spawn), for the
+    first spawn of each integer child, known or not; validate() flags the
+    others.  Computed once per graph; each call returns a new dict."""
+    return dict(graph._facts.parents)
 
 
 def validate(graph: TaskGraph) -> list:
     """Check every structural invariant; violations are data, not errors.
     Computed once per graph; each call returns a new list."""
-    return list(graph._violations)
+    return list(graph._facts.violations)
 
 
-def _find_violations(graph: TaskGraph) -> list:
-    if not {TaskSpec}.issuperset(map(type, graph.tasks)):  # the other rules read the tasks' fields
-        return [_wrong_type(pos, "task", s, TaskSpec) for pos, s in enumerate(graph.tasks) if type(s) is not TaskSpec]
+def _graph_facts(graph: TaskGraph) -> GraphFacts:
+    """One walk over `graph`: each field is held to its kind in
+    ``GRAPH_SCHEMA`` (a ``WrongType`` names its task by position), then to
+    the structural rules, which a bad id stops; a wrong type stops the
+    spawn-cycle check.  One action's wrong types come first, in file
+    order, then its other violations."""
+    tasks, n = graph.tasks, len(graph.tasks)
+    if not {TaskSpec}.issuperset(map(type, tasks)):  # the other rules read the tasks' fields
+        wrong = [_wrong_type(pos, "task", s, TaskSpec) for pos, s in enumerate(tasks) if type(s) is not TaskSpec]
+        return GraphFacts(tuple(wrong), {}, (0,) * n)
     violations = []
-    n = len(graph.tasks)
-    ids = [spec.id for spec in graph.tasks]
-    if ids != list(range(n)) or not {int}.issuperset(map(type, ids)):
-        for pos, spec in enumerate(graph.tasks):
-            if type(spec.id) is not int:
-                violations.append(_wrong_type(pos, "id", spec.id))
-            elif spec.id != pos:
-                violations.append(Violation("BadId", spec.id, f"expected id {pos}"))
-        # The field types are checked whatever the ids, each task named by its position.
-        numbered = [TaskSpec(pos, s.actions, s.priority, s.tied, s.label) for pos, s in enumerate(graph.tasks)]
-        return violations + [v for v in _find_violations(TaskGraph(numbered, graph.roots)) if v.kind == "WrongType"]
+    ids, id_kind = list(map(attrgetter("id"), tasks)), _TASK["id"]
+    numbered = ids == list(range(n)) and {id_kind}.issuperset(map(type, ids))
+    if not numbered:
+        for pos, task_id in enumerate(ids):
+            if type(task_id) is not id_kind:
+                violations.append(_wrong_type(pos, "id", task_id, id_kind))
+            elif task_id != pos:
+                violations.append(Violation("BadId", task_id, f"expected id {pos}"))
 
-    known = set(range(n))
-    root_set = set()
+    known, root_set = range(n), set()
+    item, kind = GRAPH_SCHEMA["roots"]
     for pos, root in enumerate(graph.roots):
-        if type(root) is not int:
-            violations.append(_wrong_type(-1, f"root {pos}", root))
+        if type(root) is not kind:
+            violations.append(_wrong_type(-1, f"{item} {pos}", root, kind))
         elif root not in known:
             violations.append(Violation("UnknownRoot", root))
         elif root in root_set:
             violations.append(Violation("DuplicateRoot", root))
-        root_set.add(root)
+        if root in known:  # a wrong-typed root equal to a task id, such as False, still roots it
+            root_set.add(root)
 
-    for field, kind in (("priority", int), ("tied", bool), ("label", str)):
+    for field, kind in _TASK.items():  # the scalar fields, one pass in C each; ids are checked above
         get = attrgetter(field)
-        if not {kind}.issuperset(map(type, map(get, graph.tasks))):
-            violations += [
-                _wrong_type(spec.id, field, get(spec), kind)
-                for spec in graph.tasks
-                if type(get(spec)) is not kind
-            ]
+        if field != "id" and type(kind) is type and not {kind}.issuperset(map(type, map(get, tasks))):
+            violations += [_wrong_type(pos, field, get(s), kind) for pos, s in enumerate(tasks) if type(get(s)) is not kind]
 
-    spawn_count = [0] * n
-    for spec in graph.tasks:
-        for action in spec.actions:
-            kind = type(action)  # exact, as the engine and the file writer dispatch
-            if kind is Compute:
-                if type(duration := action.duration) is not int:
-                    violations.append(_wrong_type(spec.id, "duration", duration))
-                elif duration <= 0:
-                    violations.append(Violation("NonPositiveDuration", spec.id, str(duration)))
-            elif kind is Spawn:
-                if type(action.defer) is not DeferMode:
-                    violations.append(_wrong_type(spec.id, "defer", action.defer, DeferMode))
-                child = action.child
-                if type(child) is not int:
-                    violations.append(_wrong_type(spec.id, "child", child))
-                    continue
+    spawn_count, parents, work, record_of = [0] * n, {}, [], _RECORDS.get
+    for pos, spec in enumerate(tasks):
+        ticks = 0
+        for idx, action in enumerate(spec.actions):
+            # The record of its exact class, as the engine and the writer
+            # dispatch; then the rules, on the integer fields that are integers.
+            for field, kind in record_of(cls := type(action), ()):
+                if type(getattr(action, field)) is not kind:
+                    violations.append(_wrong_type(pos, field, getattr(action, field), kind))
+            if cls is Compute and type(duration := action.duration) is int:
+                ticks += duration
+                if duration <= 0:
+                    violations.append(Violation("NonPositiveDuration", pos, str(duration)))
+            elif cls is Spawn and type(child := action.child) is int:
+                parents.setdefault(child, (spec.id, idx))
                 if child not in known:
-                    violations.append(Violation("UnknownSpawnTarget", spec.id, str(child)))
+                    violations.append(Violation("UnknownSpawnTarget", pos, str(child)))
                     continue
-                if child == spec.id:
-                    violations.append(Violation("SelfSpawn", spec.id))
+                if child == pos:
+                    violations.append(Violation("SelfSpawn", pos))
                 spawn_count[child] += 1
                 if spawn_count[child] == 2:
                     violations.append(Violation("DuplicateSpawn", child))
-            elif kind is PollOutcome:
-                if type(target := action.target) is not int:
-                    violations.append(_wrong_type(spec.id, "target", target))
-                elif target not in known:
-                    violations.append(Violation("UnknownPollTarget", spec.id, str(target)))
-                if type(cost := action.poll_cost) is not int:
-                    violations.append(_wrong_type(spec.id, "poll_cost", cost))
-                elif cost < 0:
-                    violations.append(Violation("NegativePollCost", spec.id))
-                if type(action.yield_mode) is not YieldMode:
-                    violations.append(_wrong_type(spec.id, "yield_mode", action.yield_mode, YieldMode))
-            elif kind is TaskwaitChildren or kind is TaskgroupEnd:
-                if type(action.mode) is not WaitMode:
-                    violations.append(_wrong_type(spec.id, "mode", action.mode, WaitMode))
-            else:
-                violations.append(Violation("WrongType", spec.id, f"action: expected an action, got {action!r}"))
+            elif cls is PollOutcome:
+                if type(target := action.target) is int and target not in known:
+                    violations.append(Violation("UnknownPollTarget", pos, str(target)))
+                if type(cost := action.poll_cost) is int and cost < 0:
+                    violations.append(Violation("NegativePollCost", pos))
+            elif cls not in _RECORDS:  # no action: it has no record
+                violations.append(Violation("WrongType", pos, f"action: expected an action, got {jsontext.shown(repr(action))}"))
+        work.append(ticks)
+    if not numbered:  # a bad id stops the structural rules: only the ids and the types are named
+        return GraphFacts(tuple(v for v in violations if v.kind in ("BadId", "WrongType")), parents, tuple(work))
 
-    for task_id in range(n):
-        spawned = spawn_count[task_id]
-        if task_id in root_set:
-            if spawned:
-                violations.append(Violation("RootAlsoSpawned", task_id))
-        elif spawned == 0:
+    for task_id, spawned in enumerate(spawn_count):
+        if task_id in root_set and spawned:
+            violations.append(Violation("RootAlsoSpawned", task_id))
+        elif task_id not in root_set and not spawned:
             violations.append(Violation("UnspawnedTask", task_id))
 
-    if any(v.kind == "WrongType" for v in violations):
-        return violations  # the parent relation needs integer children
-    # Ancestor spawns show up as cycles of the parent relation.  Each task
-    # has at most one parent, so one colouring walk visits every task once.
-    parents = graph._spawn_parents
-    state = [0] * n  # 0 unvisited, 1 on the current walk, 2 finished
-    on_cycle = []
-    for task_id in range(n):
-        walk = []
-        cur = task_id
-        while cur is not None and state[cur] == 0:
-            state[cur] = 1
-            walk.append(cur)
-            cur = parents[cur][0] if cur in parents else None
-        if cur is not None and state[cur] == 1:
-            on_cycle.extend(walk[walk.index(cur) :])
-        for visited in walk:
-            state[visited] = 2
-    violations.extend(Violation("SpawnCycle", task_id) for task_id in sorted(on_cycle))
-
-    return violations
+    if all(v.kind != "WrongType" for v in violations):  # the parent relation needs integer children
+        # Ancestor spawns show up as cycles of the parent relation.  Peel off
+        # each task none of whose children is left: the tasks left are on one.
+        children = [0] * n
+        for child in filter(parents.__contains__, known):
+            children[parents[child][0]] += 1
+        peeled = [task_id for task_id in known if not children[task_id]]
+        for task_id in peeled:  # grows while it is walked
+            if task_id in parents:
+                parent = parents[task_id][0]
+                children[parent] -= 1
+                if not children[parent]:
+                    peeled.append(parent)
+        violations += [Violation("SpawnCycle", task_id) for task_id in known if children[task_id]]
+    return GraphFacts(tuple(violations), parents, tuple(work))
 
 
-def _wrong_type(task, field: str, value, kind: type = int) -> Violation:
-    """A field the graph decoders would have refused: they take exact
-    ints (never a bool or a float), a bool for ``tied``, a str for
-    ``label`` and a member for an enum field; the file writers would
-    truncate or garble anything else, and the engine tells the modes
-    apart by identity."""
-    return Violation("WrongType", task, f"{field}: expected {kind.__name__}, got {value!r}")
+def _wrong_type(task, field: str, value, kind: type) -> Violation:
+    """A field whose value is not exactly of its kind in ``GRAPH_SCHEMA``:
+    the decoders would refuse it, the writers garble it, and the engine
+    tells the modes apart by identity.  A long value is cut as the
+    decoders cut it."""
+    return Violation("WrongType", task, f"{field}: expected {kind.__name__}, got {jsontext.shown(repr(value))}")
 
 
 def total_work(graph: TaskGraph) -> int:
-    """Sum of all compute durations; poll spinning is contention-dependent
-    and excluded."""
-    return sum(graph._work)
+    """Sum of all integer compute durations, non-positive ones included;
+    poll spinning is contention-dependent and excluded."""
+    return sum(graph._facts.work)
 
 
 def task_work(graph: TaskGraph) -> tuple:
-    """Compute ticks per task, by task position; computed once per graph."""
-    return graph._work
-
-
-def _task_work(spec: TaskSpec) -> int:
-    return sum(a.duration for a in spec.actions if type(a) is Compute)
+    """Integer compute ticks per task, non-positive ones included, by task
+    position; computed once per graph."""
+    return graph._facts.work
 
 
 def wait_members(spec: TaskSpec, idx: int) -> list:
@@ -505,6 +481,10 @@ _ACTION = {
 }
 _TASK = {"id": int, "priority": int, "tied": bool, "label": str, "actions": ("action", _ACTION)}
 GRAPH_SCHEMA = {"tasks": ("task", _TASK), "roots": ("root", int)}
+_RECORDS = {  # each action class's (field, kind) pairs in file order, by exact class
+    cls: tuple(record.items())
+    for cls, record in zip((Compute, Spawn, PollOutcome, TaskwaitChildren, TaskgroupEnd), _ACTION["type"].values())
+}
 _TASK_ARGS = itemgetter(*(list(_TASK).index(field.name) for field in fields(TaskSpec)))  # a row in TaskSpec's order
 
 _ACTION_READERS = {
@@ -549,25 +529,20 @@ _COMPUTE_JSON, _SPAWN_JSON, _POLL_JSON, _TASKWAIT_JSON, _TASKGROUP_JSON = (
 _TASK_JSON = jsontext.template(2, _TASK)
 _GRAPH_JSON = jsontext.template(0, GRAPH_SCHEMA)
 _ROOT_JSON = jsontext.INDENT * 2 + "%d"
-
-
-def _action_json(action: Action) -> str:
-    if isinstance(action, Compute):
-        return _COMPUTE_JSON % action.duration
-    if isinstance(action, Spawn):
-        return _SPAWN_JSON % (action.child, _DEFER_TEXT[action.defer])
-    if isinstance(action, PollOutcome):
-        return _POLL_JSON % (action.target, _YIELD_TEXT[action.yield_mode], action.poll_cost)
-    if isinstance(action, TaskwaitChildren):
-        return _TASKWAIT_JSON % _WAIT_TEXT[action.mode]
-    return _TASKGROUP_JSON % _WAIT_TEXT[action.mode]  # any other action is a WrongType
+_ACTION_JSON = {  # by exact class, as graph_to_json refuses any other
+    Compute: lambda a: _COMPUTE_JSON % a.duration,
+    Spawn: lambda a: _SPAWN_JSON % (a.child, _DEFER_TEXT[a.defer]),
+    PollOutcome: lambda a: _POLL_JSON % (a.target, _YIELD_TEXT[a.yield_mode], a.poll_cost),
+    TaskwaitChildren: lambda a: _TASKWAIT_JSON % _WAIT_TEXT[a.mode],
+    TaskgroupEnd: lambda a: _TASKGROUP_JSON % _WAIT_TEXT[a.mode],
+}
 
 
 def graph_to_json(graph: TaskGraph, meta: dict | None = None) -> str:
     """The graph file of `graph`.  A field of the wrong type (the first
     ``WrongType`` of ``validate``) is a TypeError: the file would
     truncate or garble it.  Other violations write and read back as they are."""
-    wrong = next((v for v in graph._violations if v.kind == "WrongType"), None)
+    wrong = next((v for v in graph._facts.violations if v.kind == "WrongType"), None)
     if wrong is not None:
         raise TypeError(f"task {wrong.task}, {wrong.detail}")
     tasks = [
@@ -577,7 +552,7 @@ def graph_to_json(graph: TaskGraph, meta: dict | None = None) -> str:
             spec.priority,
             "true" if spec.tied else "false",
             jsontext.quote(spec.label),
-            jsontext.array([_action_json(a) for a in spec.actions], 3),
+            jsontext.array([_ACTION_JSON[type(a)](a) for a in spec.actions], 3),
         )
         for spec in graph.tasks
     ]

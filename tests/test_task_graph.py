@@ -23,6 +23,7 @@ from schedsim.task_graph import (
     graph_from_json,
     graph_to_json,
     spawn_parents,
+    task_work,
     total_work,
     validate,
     wait_members,
@@ -246,6 +247,58 @@ class TestWrongType:
         with pytest.raises(TypeError, match=f"^task {violation.task}, {violation.detail[:6]}"):
             graph_to_json(g)
 
+    @pytest.mark.parametrize(
+        "action, violations",
+        [
+            (
+                Spawn(1.0, "runtime"),
+                [
+                    Violation("WrongType", 0, "child: expected int, got 1.0"),
+                    Violation("WrongType", 0, "defer: expected DeferMode, got 'runtime'"),
+                    Violation("UnspawnedTask", 1),
+                ],
+            ),
+            (
+                PollOutcome(True, "x", 2.5),
+                [
+                    Violation("WrongType", 0, "target: expected int, got True"),
+                    Violation("WrongType", 0, "yield_mode: expected YieldMode, got 'x'"),
+                    Violation("WrongType", 0, "poll_cost: expected int, got 2.5"),
+                    Violation("UnspawnedTask", 1),
+                ],
+            ),
+            (
+                PollOutcome(5, "x", -1),
+                [
+                    Violation("WrongType", 0, "yield_mode: expected YieldMode, got 'x'"),
+                    Violation("UnknownPollTarget", 0, "5"),
+                    Violation("NegativePollCost", 0),
+                    Violation("UnspawnedTask", 1),
+                ],
+            ),
+        ],
+        ids=["spawn", "poll", "poll-and-rules"],
+    )
+    def test_several_wrong_fields_of_one_action_are_named_in_file_order(self, action, violations):
+        # as the decoders name the first defect of a file: an action's wrong
+        # types in the order of its keys, then the rules its other fields break
+        g = TaskGraph((TaskSpec(0, (action,)), TaskSpec(1, (Compute(1),))), (0,))
+        assert validate(g) == violations
+        with pytest.raises(TypeError) as info:
+            graph_to_json(g)
+        assert str(info.value) == f"task 0, {violations[0].detail}"
+
+    def test_a_long_value_is_cut_as_the_decoders_cut_it(self):
+        g = TaskGraph((TaskSpec(0, (Compute("x" * 3000),)),), (0,))
+        detail = "duration: expected int, got '" + "x" * 56 + "..."
+        assert validate(g) == [Violation("WrongType", 0, detail)]
+        with pytest.raises(InvalidGraphError) as info:
+            simulate(g, SimConfig(thread_count=1, policy=pol.reference()))
+        assert str(info.value) == f"graph fails validation: {[Violation('WrongType', 0, detail)]}"
+        with pytest.raises(TypeError) as info:
+            graph_to_json(g)
+        assert str(info.value) == f"task 0, {detail}"
+
     def test_a_mode_given_as_its_text_is_rejected_not_simulated_apart(self):
         # the file of this graph reads back an undeferred spawn, which the
         # engine tells from the text "undeferred" by identity
@@ -343,6 +396,25 @@ class TestTotalWork:
             roots=(0, 1),
         )
         assert total_work(g) == 3
+
+
+class TestFactsOfInvalidGraphs:
+    """The work and parent helpers read what validate names without
+    raising: they count integer durations and integer children only."""
+
+    def test_fields_of_the_wrong_type_are_skipped(self):
+        g = TaskGraph((TaskSpec(0, (Compute("3"), Spawn([1]))), TaskSpec(1, (Compute(1),))), (0,))
+        assert [v.kind for v in validate(g)] == ["WrongType", "WrongType", "UnspawnedTask"]
+        assert total_work(g) == 1
+        assert task_work(g) == (0, 1)
+        assert spawn_parents(g) == {}
+
+    def test_non_positive_durations_and_unknown_children_are_kept(self):
+        actions = (Compute(-2), Compute(3), Spawn(7), Spawn(1), Spawn(1, DeferMode.UNDEFERRED))
+        g = TaskGraph((TaskSpec(0, actions), TaskSpec(1, (Compute(0),))), (0,))
+        assert {v.kind for v in validate(g)} == {"NonPositiveDuration", "UnknownSpawnTarget", "DuplicateSpawn"}
+        assert task_work(g) == (1, 0)
+        assert spawn_parents(g) == {7: (0, 2), 1: (0, 3)}
 
 
 class TestWaitMembers:
